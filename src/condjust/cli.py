@@ -618,6 +618,11 @@ def main(argv: list[str] | None = None) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # The parser, printers and evaluators recurse on the tree, so input
+        # nested past the interpreter's recursion limit is bad input.
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ conclusion with an explicit term.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -188,9 +187,9 @@ def _match_template(tpl, node, subst: dict) -> bool:
         return seen == node
     if type(tpl) is not type(node):
         return False
-    for fld in dataclasses.fields(tpl):
-        a = getattr(tpl, fld.name)
-        b = getattr(node, fld.name)
+    for name in tpl._fields:
+        a = getattr(tpl, name)
+        b = getattr(node, name)
         if isinstance(a, str):
             if a != b:
                 return False

@@ -12,6 +12,7 @@ trees only ever contain the primitive constructors below.
 from __future__ import annotations
 
 import enum
+import inspect
 import re
 from dataclasses import dataclass
 
@@ -40,44 +41,83 @@ class Dialect(enum.Enum):
     JRC = "jrc"
 
 
-class _TermNode:
+# Every node is hash-consed (Filliatre & Conchon, "Type-safe modular
+# hash-consing", 2006): construction looks the node up by its class and
+# fields and returns the one already built, so structurally equal trees are
+# the same object. Equality and hashing are therefore by identity, and a
+# node's table key hashes only its children's identities, never a subtree.
+# The table is a plain dict that lives as long as the process: a weak table
+# rebuilt the probe nodes the model checkers create and drop on every call.
+_INTERNED: dict[tuple, _Node] = {}
+
+
+class _Node:
+    # Field names in declaration order, set per class. The underscore keeps
+    # it clear of field names, as in namedtuple; hilbert's matcher reads it.
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(inspect.get_annotations(cls))
+        cls._signature = inspect.Signature(
+            [inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD) for name in cls._fields]
+        )
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls._fields):
+            args = cls._signature.bind(*args, **kwargs).args
+        key = (cls, *args)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, args):
+                object.__setattr__(node, name, value)
+            # setdefault keeps the first copy when two threads build one node.
+            node = _INTERNED.setdefault(key, node)
+        return node
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class _TermNode(_Node):
     def __repr__(self) -> str:
         return print_term(self)
 
 
-class _FormulaNode:
+class _FormulaNode(_Node):
     def __repr__(self) -> str:
         return print_formula(self)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False, init=False)
 class Constant(_TermNode):
     name: str
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False, init=False)
 class Variable(_TermNode):
     name: str
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False, init=False)
 class App(_TermNode):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False, init=False)
 class Sum(_TermNode):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False, init=False)
 class Bang(_TermNode):
     inner: Term
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False, init=False)
 class Pair(_TermNode):
     inner: Term
     antecedent: Formula
@@ -86,53 +126,53 @@ class Pair(_TermNode):
 Term = Constant | Variable | App | Sum | Bang | Pair
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False, init=False)
 class Atom(_FormulaNode):
     name: str
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False, init=False)
 class Neg(_FormulaNode):
     inner: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False, init=False)
 class And(_FormulaNode):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False, init=False)
 class MatImp(_FormulaNode):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False, init=False)
 class Counterfactual(_FormulaNode):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False, init=False)
 class RelImp(_FormulaNode):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False, init=False)
 class RelCf(_FormulaNode):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False, init=False)
 class Just(_FormulaNode):
     term: Term
     inner: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False, init=False)
 class Box(_FormulaNode):
     inner: Formula
 

@@ -84,6 +84,15 @@ class TestParseCommand:
             main(["parse", "--dialect", "k45", "p"])
         assert exc.value.code == 2
 
+    def test_too_deep_exits_2(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "condjust.cli", "parse", "--dialect", "lpcplus",
+             "~" * 3000 + "p"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: input nested too deeply\n"
+        assert proc.stdout == ""
+
 
 class TestEvalCommand:
     def test_gettier_jtb_true(self, capsys, tmp_path):
@@ -261,6 +270,16 @@ class TestFalsifyCommand:
                            "--bound", "0", "p > p")
         assert code == 2
         assert "bound" in err
+
+    def test_deep_negation_gets_a_verdict(self):
+        # Hashing used to recurse through the tree and overflow at this depth.
+        proc = subprocess.run(
+            [sys.executable, "-m", "condjust.cli", "falsify", "--dialect", "lpcplus",
+             "~" * 500 + "p"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert "countermodel falsifies the sequent at state" in proc.stdout
+        assert "Traceback" not in proc.stderr
 
 
 class TestCheckProofCommand:

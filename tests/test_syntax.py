@@ -1,4 +1,10 @@
-"""Parser, printer and structural helper tests."""
+"""Parser, printer, structural helper and hash-consing tests."""
+
+import copy
+import dataclasses
+import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,9 +12,10 @@ from hypothesis import given, strategies as st
 from condjust.syntax import (
     And, App, Atom, Bang, Box, Constant, Counterfactual, Dialect, DialectError,
     Just, MatImp, Neg, Pair, ParseError, RelCf, RelImp, Sum, Variable,
-    atoms, node_count, parse_formula, parse_term, print_formula, print_term,
+    atoms, closure, node_count, parse_formula, parse_term, print_formula, print_term,
     subformulas, subterms, terms_of,
 )
+from condjust.hilbert import match_axiom
 from util_gen import ast_strategies
 
 LPC = Dialect.LPCplus
@@ -186,3 +193,98 @@ def test_term_roundtrip(dialect, data):
     terms, _ = ast_strategies(dialect)
     t = data.draw(terms)
     assert parse_term(print_term(t), dialect) == t
+
+
+# --- hash-consing ---------------------------------------------------------
+
+
+def test_equal_constructions_are_one_object():
+    assert Atom("p") is p
+    assert Neg(And(p, q)) is Neg(And(Atom("p"), Atom("q")))
+    assert Just(Sum(Variable("x"), Constant("c")), p) is Just(Sum(Variable("x"), Constant("c")), p)
+    assert And(p, q) is not And(q, p)
+    assert MatImp(p, q) is not Counterfactual(p, q)
+    assert Variable("c") is not Constant("c")
+
+
+def test_keyword_and_positional_construction_agree():
+    assert And(left=p, right=q) is And(p, q)
+    assert And(p, right=q) is And(p, q)
+    assert Atom(name="p") is p
+    assert Pair(inner=Variable("s"), antecedent=p) is Pair(Variable("s"), p)
+    with pytest.raises(TypeError):
+        And(p)
+    with pytest.raises(TypeError):
+        And(p, q, r)
+    with pytest.raises(TypeError):
+        And(p, left=q)
+
+
+@pytest.mark.parametrize("dialect", list(Dialect))
+@given(data=st.data())
+def test_print_parse_roundtrip_is_identity(dialect, data):
+    _, formulas = ast_strategies(dialect)
+    f = data.draw(formulas)
+    assert parse_formula(print_formula(f), dialect) is f
+
+
+def test_pickle_and_copy_return_the_interned_node():
+    f = parse_formula("<s,p & q>:(p > c.!x:r)", Dialect.LPCint)
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.deepcopy(f) is f
+    assert copy.copy(f) is f
+    assert copy.deepcopy({f: [f]}) == {f: [f]}
+
+
+def test_nodes_are_frozen():
+    f = And(p, q)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.left = r
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.name = "q"
+    assert [fld.name for fld in dataclasses.fields(f)] == ["left", "right"]
+    assert And(p, q).left is p
+
+
+def test_deep_chain_hashes_without_recursion():
+    f = p
+    for _ in range(10_000):
+        f = Neg(f)
+    assert hash(f) == hash(f)
+    assert f in {f}
+    assert len(closure([f])) == 10_001
+
+
+def test_schemes_with_metavariables_still_match():
+    f = parse_formula("x:(p > q) > ((x+c):(p > q))", LPC)
+    scheme, subst = match_axiom(f, LPC)
+    assert scheme == "ax6"
+    assert subst["phi"] is Counterfactual(p, q)
+    assert subst["s"] is Variable("x") and subst["t"] is Constant("c")
+    g = parse_formula("(s:(p > q) & t:p) > (s.t):q", LPC)
+    assert match_axiom(g, LPC)[0] == "ax5"
+
+
+def test_concurrent_construction_yields_one_node():
+    names = [f"thread_probe_{i}" for i in range(2_000)]
+    barrier = threading.Barrier(4)
+    results = []
+
+    def build():
+        barrier.wait(timeout=10)
+        results.append([Neg(Atom(name)) for name in names])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4
+    for built in zip(*results):
+        assert all(node is built[0] for node in built)
