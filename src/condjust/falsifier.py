@@ -4,11 +4,14 @@ Models are enumerated up to a state-count bound in a fixed canonical order:
 fewer states first, then ascending over the membership bitmasks. Relational
 models are enumerated directly (valuations, term relations, and relation
 overrides for the conditional antecedents that occur in the sequent) and
-filtered through the dialect's frame conditions. For the relevant dialect
-the walk runs over truth assignments to the conditional, implication, and
-justification subformulas instead; accessibility rows are then realized
-maximally, which succeeds exactly when some model realizes the assignment,
-and every hit is re-verified by the evaluator before it is returned.
+filtered through the dialect's frame conditions; the search first evaluates
+the sequent and the cheap conditions on 2**16 models at once, one model per
+bit of a Python int, and builds only the models that survive. For the
+relevant dialect the walk runs over truth assignments to the conditional,
+implication, and justification subformulas instead; accessibility rows are
+then realized maximally, which succeeds exactly when some model realizes the
+assignment, and every hit is re-verified by the evaluator before it is
+returned.
 
 The search is exponential in the sequent's vocabulary and meant for the
 small bounds where countermodels are legible. It doubles as the independent
@@ -17,6 +20,7 @@ oracle the tableau prover is cross-checked against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +37,13 @@ from .routley_models import RoutleyModel, check_jrc_conditions, eval_jrc
 from .syntax import (
     And,
     Atom,
+    Box,
     Constant,
     Counterfactual,
     Dialect,
     Formula,
     Just,
+    MatImp,
     Neg,
     RelCf,
     RelImp,
@@ -47,6 +53,8 @@ from .syntax import (
     atoms,
     closure,
     formula_key,
+    node_count,
+    print_formula,
     subterms,
     term_key,
 )
@@ -85,7 +93,15 @@ class SearchSignature:
         seq = (*premises, goal)
         for f in seq:
             check_dialect_formula(f, dialect)
-        universe = tuple(sorted(closure(seq), key=formula_key))
+        # formula_key order, printing only formulas whose sizes tie: the
+        # suffixes of a deep chain differ in size and are never printed.
+        by_size: dict[int, list[Formula]] = {}
+        for f in closure(seq):
+            by_size.setdefault(node_count(f), []).append(f)
+        universe = tuple(
+            f for size in sorted(by_size) for f in (
+                sorted(by_size[size], key=print_formula)
+                if len(by_size[size]) > 1 else by_size[size]))
         names = tuple(sorted({a for f in seq for a in atoms(f)}))
         term_set: set[Term] = set()
         for f in universe:
@@ -100,6 +116,59 @@ class SearchSignature:
 
 # --- relational enumeration ----------------------------------------------
 
+# A slice of the search holds 2**_SLICE_BITS consecutive model codes, so
+# each per-slot, per-formula int of a full slice is 8 KB.
+_SLICE_BITS = 16
+
+
+class _SlotLayout:
+    """Membership slots of the models with k states, the first n normal.
+
+    Slots are ordered valuation, non-normal valuation, term relations,
+    relation overrides, each block row-major over its index tuple; bit i of
+    a model code is slot i, and ascending codes give the canonical order.
+    """
+
+    def __init__(self, sig: SearchSignature, k: int, n: int):
+        self.sig, self.k, self.n = sig, k, n
+        self.states = tuple(f"w{i}" for i in range(k))
+        self.nn_at = len(sig.atoms) * n
+        self.term_at = self.nn_at + len(sig.universe) * (k - n)
+        self.ov_at = self.term_at + len(sig.terms) * k * k
+        self.size = self.ov_at + len(sig.antecedents) * n * n
+
+    def model(self, code: int) -> KripkeModel:
+        sig, k, n, states = self.sig, self.k, self.n, self.states
+        normal = states[:n]
+        valuation: dict[str, set[str]] = {w: set() for w in normal}
+        nn_val: dict[str, set[Formula]] = {w: set() for w in states[n:]}
+        term_rels: dict[Term, set] = {t: set() for t in sig.terms}
+        overrides: dict[Formula, set] = {f: set() for f in sig.antecedents}
+        while code:
+            low = code & -code
+            code ^= low
+            i = low.bit_length() - 1
+            if i < self.nn_at:
+                a, w = divmod(i, n)
+                valuation[states[w]].add(sig.atoms[a])
+            elif i < self.term_at:
+                f, w = divmod(i - self.nn_at, k - n)
+                nn_val[states[n + w]].add(sig.universe[f])
+            elif i < self.ov_at:
+                t, ab = divmod(i - self.term_at, k * k)
+                term_rels[sig.terms[t]].add((states[ab // k], states[ab % k]))
+            else:
+                f, ab = divmod(i - self.ov_at, n * n)
+                overrides[sig.antecedents[f]].add((states[ab // n], states[ab % n]))
+        return KripkeModel(states, frozenset(normal), valuation, nn_val,
+                           term_rels, overrides, RelScheme.TruthsetNormal)
+
+
+def _layouts(sig: SearchSignature):
+    for k in range(1, sig.bound + 1):
+        for n in range(1, k + 1):
+            yield _SlotLayout(sig, k, n)
+
 
 def iter_kripke_models(sig: SearchSignature):
     """Every relational model over the signature, unfiltered, smallest first.
@@ -108,37 +177,139 @@ def iter_kripke_models(sig: SearchSignature):
     relations, relation overrides; ascending integers over those bits give
     the canonical order.
     """
-    for k in range(1, sig.bound + 1):
-        states = tuple(f"w{i}" for i in range(k))
-        for n in range(1, k + 1):
-            normal = states[:n]
-            rest = states[n:]
-            slots: list[tuple] = []
-            slots += [("val", a, w) for a in sig.atoms for w in normal]
-            slots += [("nn", f, w) for f in sig.universe for w in rest]
-            slots += [("term", t, a, b)
-                      for t in sig.terms for a in states for b in states]
-            slots += [("ov", f, a, b)
-                      for f in sig.antecedents for a in normal for b in normal]
-            for x in range(1 << len(slots)):
-                valuation: dict[str, set[str]] = {w: set() for w in normal}
-                nn_val: dict[str, set[Formula]] = {w: set() for w in rest}
-                term_rels: dict[Term, set] = {t: set() for t in sig.terms}
-                overrides: dict[Formula, set] = {f: set() for f in sig.antecedents}
-                for i, slot in enumerate(slots):
-                    if not x >> i & 1:
-                        continue
-                    kind = slot[0]
-                    if kind == "val":
-                        valuation[slot[2]].add(slot[1])
-                    elif kind == "nn":
-                        nn_val[slot[2]].add(slot[1])
-                    elif kind == "term":
-                        term_rels[slot[1]].add((slot[2], slot[3]))
-                    else:
-                        overrides[slot[1]].add((slot[2], slot[3]))
-                yield KripkeModel(states, frozenset(normal), valuation, nn_val,
-                                  term_rels, overrides, RelScheme.TruthsetNormal)
+    for lay in _layouts(sig):
+        for code in range(1 << lay.size):
+            yield lay.model(code)
+
+
+@functools.cache
+def _slice_patterns(width: int) -> tuple[int, tuple[int, ...]]:
+    """All-ones over 2**width bits, and per slot i < width the int whose
+    bit j is bit i of j: slot i's value across one slice of codes."""
+    full = (1 << (1 << width)) - 1
+    pats = []
+    for i in range(width):
+        half = 1 << i
+        every_period = full // ((1 << 2 * half) - 1)
+        pats.append(every_period * (((1 << half) - 1) << half))
+    return full, tuple(pats)
+
+
+class _KripkeFilter:
+    """Necessary conditions for a countermodel, evaluated bit-sliced.
+
+    Each slot, formula truth value and condition is one int carrying a bit
+    per model of a slice. A cleared bit marks a model that either has no
+    witness state or fails condition 1, 2, 4 or 6, so the witness loop or
+    check_conditions would reject it; set bits still get the full check.
+    Only the signature's antecedents have relation overrides: every other
+    formula follows TruthsetNormal, which passes conditions 1 and 2.
+    """
+
+    def __init__(self, sig: SearchSignature, premises, goal: Formula,
+                 conditions):
+        index = {f: i for i, f in enumerate(sig.universe)}
+        atom_at = {a: i for i, a in enumerate(sig.atoms)}
+        ante_at = {f: i for i, f in enumerate(sig.antecedents)}
+        term_at = {t: i for i, t in enumerate(sig.terms)}
+        plan: list[tuple] = []
+        for f in sig.universe:
+            if isinstance(f, Atom):
+                plan.append(("atom", atom_at[f.name]))
+            elif isinstance(f, Neg):
+                plan.append(("neg", index[f.inner]))
+            elif isinstance(f, And):
+                plan.append(("and", index[f.left], index[f.right]))
+            elif isinstance(f, MatImp):
+                plan.append(("imp", index[f.left], index[f.right]))
+            elif isinstance(f, Counterfactual):
+                plan.append(("cf", ante_at[f.left], index[f.right]))
+            elif isinstance(f, Just):
+                plan.append(("just", term_at[f.term], index[f.inner]))
+            else:
+                assert isinstance(f, Box)
+                plan.append(("box", index[f.inner]))
+        self.plan = plan
+        self.premises = [index[p] for p in premises]
+        self.goal = index[goal]
+        self.antecedents = [index[f] for f in sig.antecedents]
+        self.cond1 = "1" in conditions
+        self.cond2 = "2" in conditions
+        self.reflexive = range(len(sig.terms)) if "6" in conditions else ()
+        self.sums = [(term_at[t], term_at[t.left], term_at[t.right])
+                     for t in sig.terms
+                     if isinstance(t, Sum) and "4" in conditions]
+
+    def survivors(self, lay: _SlotLayout, bits: list[int], full: int) -> int:
+        """Bit j set when model j of the slice may be a countermodel."""
+        k, n = lay.k, lay.n
+        normal = range(n)
+        truth: list[list[int]] = []
+        for fi, ins in enumerate(self.plan):
+            op = ins[0]
+            if op == "atom":
+                at = ins[1] * n
+                col = bits[at:at + n]
+            elif op == "neg":
+                inner = truth[ins[1]]
+                col = [full ^ inner[w] for w in normal]
+            elif op == "and":
+                left, right = truth[ins[1]], truth[ins[2]]
+                col = [left[w] & right[w] for w in normal]
+            elif op == "imp":
+                left, right = truth[ins[1]], truth[ins[2]]
+                col = [(full ^ left[w]) | right[w] for w in normal]
+            elif op == "cf" or op == "just":
+                # true where the relation's row stays inside the body's
+                # truth set: override rows join normal states, term rows
+                # all states
+                body = truth[ins[2]]
+                width = n if op == "cf" else k
+                base = (lay.ov_at if op == "cf" else lay.term_at) \
+                    + ins[1] * width * width
+                col = []
+                for w in normal:
+                    bad = 0
+                    row = base + w * width
+                    for v, edge in enumerate(bits[row:row + width]):
+                        bad |= edge & ~body[v]
+                    col.append(full ^ bad)
+            else:
+                inner = truth[ins[1]]
+                every = full
+                for v in normal:
+                    every &= inner[v]
+                col = [every] * n
+            at = lay.nn_at + fi * (k - n)
+            truth.append(col + bits[at:at + k - n])
+        live = 0
+        goal = truth[self.goal]
+        for w in normal:
+            hit = full ^ goal[w]
+            for p in self.premises:
+                hit &= truth[p][w]
+            live |= hit
+        if not live:
+            return 0
+        for ci, fi in enumerate(self.antecedents):
+            ante = truth[fi]
+            base = lay.ov_at + ci * n * n
+            for w in normal:
+                row = bits[base + w * n:base + w * n + n]
+                if self.cond2:
+                    live &= ~ante[w] | row[w]
+                if self.cond1:
+                    for v in normal:
+                        live &= ~row[v] | ante[v]
+        for ti in self.reflexive:
+            base = lay.term_at + ti * k * k
+            for w in normal:
+                live &= bits[base + w * k + w]
+        for ti, li, ri in self.sums:
+            s, left, right = (lay.term_at + i * k * k for i in (ti, li, ri))
+            for cell in range(n * k):
+                live &= ~bits[s + cell] | bits[left + cell] & bits[right + cell]
+        return live
 
 
 def _find_kripke(premises, goal: Formula, dialect: Dialect,
@@ -146,20 +317,31 @@ def _find_kripke(premises, goal: Formula, dialect: Dialect,
     sig = SearchSignature.for_sequent(premises, goal, dialect, bound)
     profile = profile_for(dialect)
     seq = [*premises, goal]
-    for model in iter_kripke_models(sig):
-        witness = None
-        for w in model.states:
-            if w not in model.normal:
-                continue
-            if all(kripke_eval(model, w, p) for p in premises) \
-                    and not kripke_eval(model, w, goal):
-                witness = w
-                break
-        if witness is None:
-            continue
-        if not check_conditions(model, profile, seq).ok:
-            continue
-        return model, witness
+    sieve = _KripkeFilter(sig, premises, goal, profile.conditions)
+    for lay in _layouts(sig):
+        width = min(lay.size, _SLICE_BITS)
+        full, pats = _slice_patterns(width)
+        high = lay.size - width
+        for hi in range(1 << high):
+            bits = [*pats, *(full if hi >> i & 1 else 0 for i in range(high))]
+            live = sieve.survivors(lay, bits, full)
+            while live:
+                low = live & -live
+                live ^= low
+                model = lay.model(hi << width | low.bit_length() - 1)
+                witness = None
+                for w in model.states:
+                    if w not in model.normal:
+                        continue
+                    if all(kripke_eval(model, w, p) for p in premises) \
+                            and not kripke_eval(model, w, goal):
+                        witness = w
+                        break
+                if witness is None:
+                    continue
+                if not check_conditions(model, profile, seq).ok:
+                    continue
+                return model, witness
     return None
 
 

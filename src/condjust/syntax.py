@@ -55,6 +55,9 @@ class _Node:
     # Field names in declaration order, set per class. The underscore keeps
     # it clear of field names, as in namedtuple; hilbert's matcher reads it.
     _fields: tuple[str, ...]
+    # Constructors in the tree, set once when the node is interned; its
+    # children are interned first, so this is one step per node.
+    _size: int
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -72,6 +75,9 @@ class _Node:
             node = object.__new__(cls)
             for name, value in zip(cls._fields, args):
                 object.__setattr__(node, name, value)
+            # A non-node child (hilbert's pattern variables) counts as one.
+            object.__setattr__(node, "_size", 1 + sum(
+                getattr(v, "_size", 1) for v in args if not isinstance(v, str)))
             # setdefault keeps the first copy when two threads build one node.
             node = _INTERNED.setdefault(key, node)
         return node
@@ -442,18 +448,19 @@ def _print_conj(f: Formula) -> str:
 
 
 def _print_prefix(f: Formula) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Neg):
-        return "~" + _print_prefix(f.inner)
-    if isinstance(f, Box):
-        return "[]" + _print_prefix(f.inner)
-    if isinstance(f, Just):
-        term = print_term(f.term)
-        if isinstance(f.term, (App, Sum)):
-            term = f"({term})"
-        return f"{term}:{_print_prefix(f.inner)}"
-    return f"({print_formula(f)})"
+    # A loop, not a recursion, so deep unary chains print.
+    parts = []
+    while isinstance(f, (Neg, Box, Just)):
+        if isinstance(f, Neg):
+            parts.append("~")
+        elif isinstance(f, Box):
+            parts.append("[]")
+        else:
+            term = print_term(f.term)
+            parts.append(f"({term}):" if isinstance(f.term, (App, Sum)) else f"{term}:")
+        f = f.inner
+    parts.append(f.name if isinstance(f, Atom) else f"({print_formula(f)})")
+    return "".join(parts)
 
 
 def print_term(t: Term) -> str:
@@ -566,23 +573,7 @@ def terms_of(f: Formula) -> set[Term]:
 
 def node_count(x: Formula | Term) -> int:
     """Number of constructors in a tree; the size half of the canonical order."""
-    n = 0
-    stack: list[Formula | Term] = [x]
-    while stack:
-        g = stack.pop()
-        n += 1
-        if isinstance(g, (Neg, Box, Bang)):
-            stack.append(g.inner)
-        elif isinstance(g, (And, *_CONDITIONALS, App, Sum)):
-            stack.append(g.left)
-            stack.append(g.right)
-        elif isinstance(g, Just):
-            stack.append(g.term)
-            stack.append(g.inner)
-        elif isinstance(g, Pair):
-            stack.append(g.inner)
-            stack.append(g.antecedent)
-    return n
+    return x._size
 
 
 def formula_key(f: Formula) -> tuple[int, str]:

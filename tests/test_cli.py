@@ -281,6 +281,13 @@ class TestFalsifyCommand:
         assert "countermodel falsifies the sequent at state" in proc.stdout
         assert "Traceback" not in proc.stderr
 
+    def test_bound_four_walk_finishes(self, capsys):
+        # 18.4M models at bound 4; the search rejects them in bit-sliced blocks
+        code, out, _ = run(capsys, "falsify", "--dialect", "lpcplus",
+                           "--bound", "4", "false > p")
+        assert code == 0
+        assert out.strip() == "no countermodel within 4 states"
+
 
 class TestCheckProofCommand:
     def test_cc_lemma_ok(self, capsys, tmp_path):

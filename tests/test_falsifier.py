@@ -3,7 +3,9 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import condjust.falsifier as falsifier
 import condjust.tableau as tableau
 from condjust.falsifier import (
     CrossCheckReport,
@@ -39,6 +41,7 @@ from condjust.syntax import (
     parse_term,
 )
 from condjust.tableau import Budget, Closed, Exhausted, Open, Signed
+from util_gen import ast_strategies
 
 J = Dialect.JRC
 L = Dialect.LPCplus
@@ -126,6 +129,101 @@ class TestKripkeCountermodels:
     def test_bound_must_be_positive(self):
         with pytest.raises(ValueError):
             find_countermodel([], pf("p", L), L, 0)
+
+
+KRIPKE_DIALECTS = [Dialect.LPCplus, Dialect.LPCint, Dialect.LPCprime,
+                   Dialect.LPCKplus, Dialect.J4Cplus, Dialect.JCplus, Dialect.L]
+
+
+def search_space(sig):
+    """Models iter_kripke_models yields for the signature."""
+    return sum(
+        1 << (len(sig.atoms) * n + len(sig.universe) * (k - n)
+              + len(sig.terms) * k * k + len(sig.antecedents) * n * n)
+        for k in range(1, sig.bound + 1) for n in range(1, k + 1))
+
+
+def first_witness(m, premises, goal):
+    return next(
+        (w for w in m.states if w in m.normal
+         and all(kripke_eval(m, w, p) for p in premises)
+         and not kripke_eval(m, w, goal)), None)
+
+
+def reference_countermodel(sig, premises, goal):
+    """The unpruned search: the first enumerated model with a witness that
+    passes every condition."""
+    profile = profile_for(sig.dialect)
+    for m in iter_kripke_models(sig):
+        witness = first_witness(m, premises, goal)
+        if witness is not None and \
+                check_conditions(m, profile, [*premises, goal]).ok:
+            return m, witness
+    return None
+
+
+def draw_small_search(data):
+    """A sequent with at most one premise in a Kripke dialect at bound 1 or
+    2, with its signature; None when the space exceeds 2**12 models."""
+    dialect = data.draw(st.sampled_from(KRIPKE_DIALECTS))
+    _, formula = ast_strategies(dialect)
+    goal = data.draw(formula)
+    premises = data.draw(st.lists(formula, max_size=1))
+    bound = data.draw(st.sampled_from([1, 2]))
+    sig = SearchSignature.for_sequent(premises, goal, dialect, bound)
+    return (sig, premises, goal) if search_space(sig) <= 1 << 12 else None
+
+
+PRUNING = settings(max_examples=300, deadline=None,
+                   suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestKripkePruning:
+    @PRUNING
+    @given(data=st.data())
+    def test_matches_unpruned_enumeration(self, data):
+        drawn = draw_small_search(data)
+        if drawn is None:
+            return
+        sig, premises, goal = drawn
+        want = reference_countermodel(sig, premises, goal)
+        got = find_countermodel(premises, goal, sig.dialect, sig.bound)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert model_to_json(got[0], sig.dialect) == \
+                model_to_json(want[0], sig.dialect)
+            assert got[1] == want[1]
+
+    @PRUNING
+    @given(data=st.data())
+    def test_filter_keeps_every_countermodel(self, data):
+        # stronger than the first-model comparison: no accepted model of any
+        # size is filtered out, including those after the first
+        drawn = draw_small_search(data)
+        if drawn is None:
+            return
+        sig, premises, goal = drawn
+        profile = profile_for(sig.dialect)
+        sieve = falsifier._KripkeFilter(sig, premises, goal, profile.conditions)
+        models = iter_kripke_models(sig)
+        for lay in falsifier._layouts(sig):
+            full, pats = falsifier._slice_patterns(lay.size)
+            live = sieve.survivors(lay, list(pats), full)
+            for code in range(1 << lay.size):
+                m = next(models)
+                if first_witness(m, premises, goal) is None:
+                    continue
+                if check_conditions(m, profile, [*premises, goal]).ok:
+                    assert live >> code & 1
+
+    def test_factivity_holds_at_bound_three_with_introspection(self):
+        d = Dialect.LPCint
+        assert find_countermodel([], pf("x:p > p", d), d, 3) is None
+
+    def test_counterpossible_holds_at_bound_four(self):
+        assert find_countermodel([], pf("false > p", L), L, 4) is None
 
 
 class TestRoutleyCountermodels:

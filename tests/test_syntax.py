@@ -15,6 +15,7 @@ from condjust.syntax import (
     atoms, closure, node_count, parse_formula, parse_term, print_formula, print_term,
     subformulas, subterms, terms_of,
 )
+from condjust.falsifier import SearchSignature
 from condjust.hilbert import match_axiom
 from util_gen import ast_strategies
 
@@ -253,6 +254,20 @@ def test_deep_chain_hashes_without_recursion():
     assert hash(f) == hash(f)
     assert f in {f}
     assert len(closure([f])) == 10_001
+
+
+def test_deep_unary_chains_print_and_get_a_signature():
+    f = p
+    for _ in range(10_000):
+        f = Neg(f)
+    assert print_formula(f) == "~" * 10_000 + "p"
+    sig = SearchSignature.for_sequent([], f, LPC, 1)
+    assert sig.universe[0] is p and sig.universe[-1] is f
+    assert node_count(f) == 10_001
+    g = Atom("q")
+    for i in range(3_000):
+        g = Just(Variable("x"), g) if i % 2 else Box(g)
+    assert print_formula(g) == "x:[]" * 1_500 + "q"
 
 
 def test_schemes_with_metavariables_still_match():
