@@ -10,6 +10,7 @@ on top of a default scheme derived from truth sets.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 from condjust.syntax import (
@@ -72,26 +73,63 @@ class KripkeModel:
         object.__setattr__(
             self, "formula_rel_overrides",
             {f: frozenset(tuple(p) for p in v) for f, v in self.formula_rel_overrides.items()})
-        for w in self.valuation:
+        # The checks below also build the bitset form the evaluator reads:
+        # state i is bit i, a set of states is an int, a relation is a tuple
+        # holding one such int (the row) per state.
+        n = len(states)
+        index = dict(zip(states, range(n)))
+        normal_idx = tuple(sorted(map(index.__getitem__, self.normal)))
+        normal_mask = 0
+        for i in normal_idx:
+            normal_mask |= 1 << i
+        atoms: dict[str, int] = {}
+        for w, names in self.valuation.items():
             if w not in self.normal:
                 raise ValueError(f"valuation key {w!r} is not a normal state")
-        for w in self.nonnormal_valuation:
-            if w not in set(states) - self.normal:
+            bit = 1 << index[w]
+            for a in names:
+                atoms[a] = atoms.get(a, 0) | bit
+        members: dict[Formula, int] = {}
+        for w, entry in self.nonnormal_valuation.items():
+            if w not in index or w in self.normal:
                 raise ValueError(f"nonnormal_valuation key {w!r} is not a non-normal state")
-        all_states = set(states)
-        for rel in self.term_rels.values():
+            bit = 1 << index[w]
+            for f in entry:
+                members[f] = members.get(f, 0) | bit
+        term_rows: dict[Term, tuple[int, ...]] = {}
+        for t, rel in self.term_rels.items():
+            rows = [0] * n
             for a, b in rel:
-                if a not in all_states or b not in all_states:
+                i, j = index.get(a), index.get(b)
+                if i is None or j is None:
                     raise ValueError(f"relation pair ({a!r}, {b!r}) mentions unknown states")
-        for rel in self.formula_rel_overrides.values():
+                rows[i] |= 1 << j
+            term_rows[t] = tuple(rows)
+        override_rows: dict[Formula, tuple[int, ...]] = {}
+        for f, rel in self.formula_rel_overrides.items():
+            rows = [0] * n
             for a, b in rel:
                 # Formula relations live on the normal states.
                 if a not in self.normal or b not in self.normal:
                     raise ValueError(
                         f"formula relation pair ({a!r}, {b!r}) must join normal states")
+                rows[index[a]] |= 1 << index[b]
+            override_rows[f] = tuple(rows)
+        vars(self).update(
+            _index=index,
+            _normal_mask=normal_mask,
+            _normal_idx=normal_idx,
+            _atoms=atoms,
+            _members=members,
+            _term_rows=term_rows,
+            _override_rows=override_rows,
+        )
 
     def state_index(self, w: str) -> int:
-        return self.states.index(w)
+        try:
+            return self._index[w]
+        except KeyError:
+            raise ValueError("tuple.index(x): x not in tuple") from None
 
 
 # --- constant specifications -------------------------------------------
@@ -211,110 +249,169 @@ def check_dialect_formula(f: Formula, dialect: Dialect) -> None:
 # --- evaluation -----------------------------------------------------------
 
 
+def _lowest(m: KripkeModel, mask: int) -> str:
+    """The first state of a nonempty mask in state order."""
+    return m.states[(mask & -mask).bit_length() - 1]
+
+
+def _bits(mask: int):
+    """Indices of the set bits, lowest first: states in state order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _diagonal(rows: tuple[int, ...]) -> int:
+    """States whose row reaches themselves."""
+    out = 0
+    for i, row in enumerate(rows):
+        out |= row & 1 << i
+    return out
+
+
+def _inside(m: KripkeModel, rows: tuple[int, ...], target: int) -> int:
+    """Normal states whose row lies inside the target mask."""
+    out = 0
+    for i in m._normal_idx:
+        if not rows[i] & ~target:
+            out |= 1 << i
+    return out
+
+
 class _Evaluator:
-    """Truth sets for one model, cached per formula."""
+    """Truth sets of one model as int masks, bit i for state i, cached per
+    formula. At normal states a formula's bits follow its clause; at
+    non-normal states they are the literal valuation's memberships."""
 
     def __init__(self, m: KripkeModel):
         self.m = m
-        self.ts_cache: dict[Formula, frozenset[str]] = {}
-        self.rel_cache: dict[Formula, dict[str, frozenset[str]]] = {}
-        self.term_cache: dict[Term, dict[str, frozenset[str]]] = {}
+        self.masks: dict[Formula, int] = {}
 
-    def truthset(self, f: Formula) -> frozenset[str]:
-        ts = self.ts_cache.get(f)
-        if ts is None:
-            ts = frozenset(w for w in self.m.states if self.holds(w, f))
-            self.ts_cache[f] = ts
-        return ts
-
-    def holds(self, w: str, f: Formula) -> bool:
+    def mask(self, f: Formula) -> int:
+        masks = self.masks
+        value = masks.get(f)
+        if value is not None:
+            return value
         m = self.m
-        if w not in m.normal:
-            return f in m.nonnormal_valuation.get(w, frozenset())
-        if isinstance(f, Atom):
-            return f.name in m.valuation.get(w, frozenset())
-        if isinstance(f, Neg):
-            return not self.holds(w, f.inner)
-        if isinstance(f, And):
-            return self.holds(w, f.left) and self.holds(w, f.right)
-        if isinstance(f, MatImp):
-            return not self.holds(w, f.left) or self.holds(w, f.right)
-        if isinstance(f, Counterfactual):
-            return self.rel(f.left, w) <= self.truthset(f.right)
-        if isinstance(f, Just):
-            return self.term_rel(f.term, w) <= self.truthset(f.inner)
-        if isinstance(f, Box):
-            return m.normal <= self.truthset(f.inner)
-        raise ValueError(
-            f"{type(f).__name__} has no clause on relational models; use a Routley model")
-
-    def rel(self, f: Formula, w: str) -> frozenset[str]:
-        table = self.rel_cache.get(f)
-        if table is None:
-            ov = self.m.formula_rel_overrides.get(f)
-            if ov is not None:
-                rows: dict[str, set[str]] = {}
-                for a, b in ov:
-                    rows.setdefault(a, set()).add(b)
-                table = {v: frozenset(rows.get(v, ())) for v in self.m.states}
-            else:
-                scheme = self.m.formula_rel_default
-                if scheme is RelScheme.Empty:
-                    shared = frozenset()
-                elif scheme is RelScheme.TruthsetNormal:
-                    shared = self.truthset(f) & self.m.normal
+        normal, members = m._normal_mask, m._members
+        overrides, scheme = m._override_rows, m.formula_rel_default
+        # Children first, with an explicit stack so that depth is unbounded:
+        # a node whose children are not all known pushes them and waits.
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            kind = type(g)
+            if kind is Atom:
+                value = m._atoms.get(g.name, 0)
+            elif kind is Neg:
+                a = masks.get(g.inner)
+                if a is None:
+                    stack.append(g.inner)
+                    continue
+                value = ~a
+            elif kind is And or kind is MatImp:
+                a, b = masks.get(g.left), masks.get(g.right)
+                if a is None or b is None:
+                    if a is None:
+                        stack.append(g.left)
+                    if b is None:
+                        stack.append(g.right)
+                    continue
+                value = a & b if kind is And else ~a | b
+            elif kind is Counterfactual:
+                rows = overrides.get(g.left)
+                # The antecedent's truth set is read only by a default scheme.
+                a = 0 if rows is not None or scheme is RelScheme.Empty else masks.get(g.left)
+                b = masks.get(g.right)
+                if a is None or b is None:
+                    if a is None:
+                        stack.append(g.left)
+                    if b is None:
+                        stack.append(g.right)
+                    continue
+                if rows is not None:
+                    value = _inside(m, rows, b)
                 else:
-                    shared = self.truthset(f)
-                table = {v: shared for v in self.m.states}
-            self.rel_cache[f] = table
-        return table[w]
+                    shared = a & normal if scheme is RelScheme.TruthsetNormal else a
+                    value = 0 if shared & ~b else -1
+            elif kind is Just:
+                b = masks.get(g.inner)
+                if b is None:
+                    stack.append(g.inner)
+                    continue
+                rows = m._term_rows.get(g.term)
+                value = -1 if rows is None else _inside(m, rows, b)
+            elif kind is Box:
+                b = masks.get(g.inner)
+                if b is None:
+                    stack.append(g.inner)
+                    continue
+                value = 0 if normal & ~b else -1
+            else:
+                raise ValueError(
+                    f"{kind.__name__} has no clause on relational models; use a Routley model")
+            masks[g] = value & normal | members.get(g, 0)
+            stack.pop()
+        return masks[f]
 
-    def term_rel(self, t: Term, w: str) -> frozenset[str]:
-        table = self.term_cache.get(t)
-        if table is None:
-            rows: dict[str, set[str]] = {}
-            for a, b in self.m.term_rels.get(t, ()):
-                rows.setdefault(a, set()).add(b)
-            table = {v: frozenset(rows.get(v, ())) for v in self.m.states}
-            self.term_cache[t] = table
-        return table[w]
+    def term_rows(self, t: Term) -> tuple[int, ...]:
+        rows = self.m._term_rows.get(t)
+        return (0,) * len(self.m.states) if rows is None else rows
+
+    def rel_rows(self, f: Formula) -> tuple[int, ...]:
+        """R_f as rows: the override, else the default scheme's shared row."""
+        rows = self.m._override_rows.get(f)
+        if rows is not None:
+            return rows
+        scheme = self.m.formula_rel_default
+        shared = 0 if scheme is RelScheme.Empty else self.mask(f)
+        if scheme is RelScheme.TruthsetNormal:
+            shared &= self.m._normal_mask
+        return (shared,) * len(self.m.states)
 
 
 def eval(m: KripkeModel, w: str, f: Formula, dialect: Dialect | None = None) -> bool:
     """Truth of f at state w."""
-    if w not in set(m.states):
+    i = m._index.get(w)
+    if i is None:
         raise ValueError(f"unknown state {w!r}")
     if dialect is not None:
         if dialect is Dialect.JRC:
             raise ValueError("dialect jrc is evaluated on Routley models")
         check_dialect_formula(f, dialect)
-    return _Evaluator(m).holds(w, f)
+    if not m._normal_mask >> i & 1:
+        return bool(m._members.get(f, 0) >> i & 1)  # literal, whatever f is
+    return bool(_Evaluator(m).mask(f) >> i & 1)
 
 
 def truthset(m: KripkeModel, f: Formula, dialect: Dialect | None = None) -> frozenset[str]:
     """States where f is true, non-normal states by literal membership."""
     if dialect is not None:
         check_dialect_formula(f, dialect)
-    return _Evaluator(m).truthset(f)
+    ts = _Evaluator(m).mask(f)
+    return frozenset(w for i, w in enumerate(m.states) if ts >> i & 1)
 
 
 def valid_in_model(m: KripkeModel, f: Formula, dialect: Dialect | None = None) -> bool:
     """True at every normal state."""
-    ts = truthset(m, f, dialect)
-    return m.normal <= ts
+    if dialect is not None:
+        check_dialect_formula(f, dialect)
+    return not m._normal_mask & ~_Evaluator(m).mask(f)
 
 
 def consequence(m: KripkeModel, premises, goal: Formula,
                 dialect: Dialect | None = None) -> bool:
     """Goal holds at every normal state where all premises hold."""
-    ev = _Evaluator(m)
+    premises = tuple(premises)
     if dialect is not None:
         for f in (*premises, goal):
             check_dialect_formula(f, dialect)
-    for w in sorted(m.normal, key=m.state_index):
-        if all(ev.holds(w, f) for f in premises) and not ev.holds(w, goal):
-            return False
-    return True
+    ev = _Evaluator(m)
+    counter = m._normal_mask & ~ev.mask(goal)
+    for f in premises:
+        counter &= ev.mask(f)
+    return not counter
 
 
 # --- knowledge macros -----------------------------------------------------
@@ -376,63 +473,73 @@ def default_universe(m: KripkeModel, queries=()) -> set[Formula]:
     return closure(seeds)
 
 
-def _term_universe(m: KripkeModel, universe) -> list[Term]:
+@functools.lru_cache(maxsize=256)
+def _query_part(queries: frozenset[Formula]):
+    """The sorted closure of the queries, the terms in it, and those terms
+    sorted: everything in a condition check that the model does not change."""
+    formulas = tuple(sorted(closure(queries), key=formula_key))
     terms: set[Term] = set()
-    for t in m.term_rels:
-        terms |= subterms(t)
-    for f in universe:
+    for f in queries:  # a subformula's terms are among its parent's
         terms |= terms_of(f)
-    return sorted(terms, key=term_key)
-
-
-def _normal_in_order(m: KripkeModel) -> list[str]:
-    return [w for w in m.states if w in m.normal]
+    return formulas, frozenset(terms), tuple(sorted(terms, key=term_key))
 
 
 def check_conditions(m: KripkeModel, profile: VariantProfile, universe,
                      cs: ConstantSpecification | None = None) -> ConditionReport:
     """Check the profile's frame conditions over a finite formula universe."""
-    formulas = sorted(closure(universe), key=formula_key)
-    terms = _term_universe(m, formulas)
+    formulas, query_terms, terms = _query_part(frozenset(universe))
+    # The query terms are closed under subterms; the model may add others.
+    extra: set[Term] = set()
+    for t in m.term_rels:
+        if t not in query_terms:
+            extra |= subterms(t)
+    if extra:
+        terms = sorted(query_terms | extra, key=term_key)
     ev = _Evaluator(m)
-    checks = {
-        "1": _cond_antecedent_truth,
-        "2": _cond_weak_centering,
-        "3": _cond_constants,
-        "4": _cond_sum,
-        "5": _cond_application,
-        "5p": _cond_chained_application,
-        "6": _cond_reflexive_terms,
-        "7": _cond_checker,
-        "8": _cond_pair,
-        "9": _cond_rel_extensionality,
-    }
     results = []
     for cid in profile.conditions:
-        passed, witness, detail = checks[cid](m, ev, formulas, terms, cs)
+        passed, witness, detail = _CHECKS[cid](m, ev, formulas, terms, cs)
         results.append(ConditionResult(cid, passed, witness, detail))
     return ConditionReport(profile.name, tuple(results))
 
 
+# Each condition walks its formulas, terms and normal states in the same order
+# and reports the first failure; a witness state taken from a mask is its
+# lowest bit, the first such state in state order.
+
+
 def _cond_antecedent_truth(m, ev, formulas, terms, cs):
+    # Every default scheme keeps R_f inside the truth set of f, so only an
+    # override can stray.
     for f in formulas:
-        ts = ev.truthset(f)
-        for w in _normal_in_order(m):
-            stray = ev.rel(f, w) - ts
+        rows = m._override_rows.get(f)
+        if rows is None:
+            continue
+        ts = ev.mask(f)
+        for i in m._normal_idx:
+            stray = rows[i] & ~ts
             if stray:
-                v = min(stray, key=m.state_index)
+                w, v = m.states[i], _lowest(m, stray)
                 return False, (w, f, v), (
                     f"R[{print_formula(f)}]({w}) reaches {v} where the antecedent fails")
     return True, None, ""
 
 
 def _cond_weak_centering(m, ev, formulas, terms, cs):
+    # The truth-set schemes reach every normal state that satisfies f; the
+    # empty scheme reaches none of them.
+    empty = m.formula_rel_default is RelScheme.Empty
     for f in formulas:
-        ts = ev.truthset(f)
-        for w in _normal_in_order(m):
-            if w in ts and w not in ev.rel(f, w):
-                return False, (w, f), (
-                    f"{w} satisfies {print_formula(f)} but R[{print_formula(f)}]({w}) misses it")
+        rows = m._override_rows.get(f)
+        if rows is None and not empty:
+            continue
+        missed = ev.mask(f) & m._normal_mask
+        if rows is not None:
+            missed &= ~_diagonal(rows)
+        if missed:
+            w = _lowest(m, missed)
+            return False, (w, f), (
+                f"{w} satisfies {print_formula(f)} but R[{print_formula(f)}]({w}) misses it")
     return True, None, ""
 
 
@@ -441,12 +548,13 @@ def _cond_constants(m, ev, formulas, terms, cs):
     for name, f in cs_entries(cs):
         if f not in in_scope:
             continue
-        ts = ev.truthset(f)
+        ts = ev.mask(f)
         c = Constant(name)
-        for w in _normal_in_order(m):
-            stray = ev.term_rel(c, w) - ts
+        rows = ev.term_rows(c)
+        for i in m._normal_idx:
+            stray = rows[i] & ~ts
             if stray:
-                v = min(stray, key=m.state_index)
+                w, v = m.states[i], _lowest(m, stray)
                 return False, (w, c, f), (
                     f"R[{name}]({w}) reaches {v} outside the specified formula's truth set")
     return True, None, ""
@@ -456,70 +564,83 @@ def _cond_sum(m, ev, formulas, terms, cs):
     for t in terms:
         if not isinstance(t, Sum):
             continue
-        for w in _normal_in_order(m):
-            rows = ev.term_rel(t, w)
-            if not rows <= (ev.term_rel(t.left, w) & ev.term_rel(t.right, w)):
-                return False, (w, t.left, t.right), (
-                    f"R[{print_term(t)}]({w}) exceeds the intersection of its parts")
+        rows, left, right = ev.term_rows(t), ev.term_rows(t.left), ev.term_rows(t.right)
+        for i in m._normal_idx:
+            if rows[i] & ~(left[i] & right[i]):
+                return False, (m.states[i], t.left, t.right), (
+                    f"R[{print_term(t)}]({m.states[i]}) exceeds the intersection of its parts")
     return True, None, ""
 
 
 def _cond_application(m, ev, formulas, terms, cs):
+    # A failure needs all of: t.right justifies a at w, R[t](w) leaves the
+    # truth set of b, and t.left justifies a > b or a -> b at w. The cheap
+    # tests come first, so the conditionals are built only for such pairs.
+    truth = None
     for t in terms:
         if not isinstance(t, App):
             continue
-        for w in _normal_in_order(m):
-            rows = ev.term_rel(t, w)
-            if not rows:
+        if truth is None:
+            truth = [ev.mask(f) for f in formulas]
+        rows, left, right = ev.term_rows(t), ev.term_rows(t.left), ev.term_rows(t.right)
+        for i in m._normal_idx:
+            if not rows[i]:
                 continue
-            for a in formulas:
-                for b in formulas:
-                    for hook in (Counterfactual, MatImp):
-                        if not ev.holds(w, Just(t.left, hook(a, b))):
-                            continue
-                        if not ev.holds(w, Just(t.right, a)):
-                            continue
-                        stray = rows - ev.truthset(b)
-                        if stray:
-                            v = min(stray, key=m.state_index)
-                            return False, (w, t, v), (
-                                f"R[{print_term(t)}]({w}) reaches {v} although "
-                                f"{print_term(t.left)} justifies the step from "
-                                f"{print_formula(a)} to {print_formula(b)}")
+            for a, ts_a in zip(formulas, truth):
+                if right[i] & ~ts_a:
+                    continue
+                for b, ts_b in zip(formulas, truth):
+                    stray = rows[i] & ~ts_b
+                    if not stray:
+                        continue
+                    if any(not left[i] & ~ev.mask(hook(a, b))
+                           for hook in (Counterfactual, MatImp)):
+                        w, v = m.states[i], _lowest(m, stray)
+                        return False, (w, t, v), (
+                            f"R[{print_term(t)}]({w}) reaches {v} although "
+                            f"{print_term(t.left)} justifies the step from "
+                            f"{print_formula(a)} to {print_formula(b)}")
     return True, None, ""
 
 
 def _cond_chained_application(m, ev, formulas, terms, cs):
-    normal = set(_normal_in_order(m))
+    normal = m._normal_mask
     for t in terms:
         if not isinstance(t, App):
             continue
+        rows = ev.term_rows(t)
+        # escapes[j]: normal states u where R[t](u) leaves the truth set of b_j
+        escapes = []
+        for b in formulas:
+            ts_b = ev.mask(b)
+            escapes.append(sum(1 << i for i in m._normal_idx if rows[i] & ~ts_b))
         for a in formulas:
-            for b in formulas:
-                f1 = Just(t.left, Counterfactual(a, b))
-                f2 = Just(t.right, a)
-                ts_b = ev.truthset(b)
-                for w in _normal_in_order(m):
-                    for v in ev.rel(f1, w):
-                        if v not in normal:
-                            continue
-                        for u in ev.rel(f2, v):
-                            if u not in normal:
-                                continue
-                            stray = ev.term_rel(t, u) - ts_b
-                            if stray:
-                                u2 = min(stray, key=m.state_index)
-                                return False, (w, v, u, u2, t, a, b), (
-                                    f"chained application through {print_term(t)} escapes "
-                                    f"the consequent truth set at {u2}")
+            r2 = None
+            for b, esc in zip(formulas, escapes):
+                if not esc:
+                    continue
+                if r2 is None:
+                    r2 = ev.rel_rows(Just(t.right, a))
+                r1 = ev.rel_rows(Just(t.left, Counterfactual(a, b)))
+                for i in m._normal_idx:
+                    for v in _bits(r1[i] & normal):
+                        hit = r2[v] & esc
+                        if hit:
+                            u = next(_bits(hit))
+                            u2 = _lowest(m, rows[u] & ~ev.mask(b))
+                            w, v, u = m.states[i], m.states[v], m.states[u]
+                            return False, (w, v, u, u2, t, a, b), (
+                                f"chained application through {print_term(t)} escapes "
+                                f"the consequent truth set at {u2}")
     return True, None, ""
 
 
 def _cond_reflexive_terms(m, ev, formulas, terms, cs):
     for t in terms:
-        for w in _normal_in_order(m):
-            if w not in ev.term_rel(t, w):
-                return False, (w, t), f"R[{print_term(t)}] is not reflexive at {w}"
+        missed = m._normal_mask & ~_diagonal(ev.term_rows(t))
+        if missed:
+            w = _lowest(m, missed)
+            return False, (w, t), f"R[{print_term(t)}] is not reflexive at {w}"
     return True, None, ""
 
 
@@ -528,14 +649,15 @@ def _cond_checker(m, ev, formulas, terms, cs):
         if not isinstance(t, Bang):
             continue
         inner = t.inner
-        for w in _normal_in_order(m):
-            reach = ev.term_rel(inner, w)
-            for v in ev.term_rel(t, w):
-                for u in ev.term_rel(inner, v):
-                    if u not in reach:
-                        return False, (w, v, u, inner), (
-                            f"R[{print_term(t)}] step to {v} then R[{print_term(inner)}] "
-                            f"to {u} is not matched by R[{print_term(inner)}]({w})")
+        rows, inner_rows = ev.term_rows(t), ev.term_rows(inner)
+        for i in m._normal_idx:
+            for v in _bits(rows[i]):
+                missed = inner_rows[v] & ~inner_rows[i]
+                if missed:
+                    w, v, u = m.states[i], m.states[v], _lowest(m, missed)
+                    return False, (w, v, u, inner), (
+                        f"R[{print_term(t)}] step to {v} then R[{print_term(inner)}] "
+                        f"to {u} is not matched by R[{print_term(inner)}]({w})")
     return True, None, ""
 
 
@@ -543,33 +665,51 @@ def _cond_pair(m, ev, formulas, terms, cs):
     for t in terms:
         if not isinstance(t, Pair):
             continue
+        rows, inner_rows = ev.term_rows(t), ev.term_rows(t.inner)
         for b in formulas:
+            ts_b = ev.mask(b)
             target = Counterfactual(t.antecedent, b)
-            for w in _normal_in_order(m):
-                if not ev.holds(w, Just(t.inner, b)):
-                    continue
-                for v in ev.term_rel(t, w):
-                    if not ev.holds(v, target):
-                        return False, (w, t, b, v), (
-                            f"R[{print_term(t)}]({w}) reaches {v} where "
-                            f"{print_formula(target)} fails")
+            for i in m._normal_idx:
+                if inner_rows[i] & ~ts_b:
+                    continue  # t.inner does not justify b here
+                missed = rows[i] & ~ev.mask(target)
+                if missed:
+                    w, v = m.states[i], _lowest(m, missed)
+                    return False, (w, t, b, v), (
+                        f"R[{print_term(t)}]({w}) reaches {v} where "
+                        f"{print_formula(target)} fails")
     return True, None, ""
 
 
 def _cond_rel_extensionality(m, ev, formulas, terms, cs):
-    normal = m.normal
-    normal_order = _normal_in_order(m)
-    for a in formulas:
-        for b in formulas:
-            if a == b:
+    normal = m._normal_mask
+    keys = []
+    for f in formulas:
+        rows = ev.rel_rows(f)
+        keys.append((ev.mask(f) & normal, [rows[i] for i in m._normal_idx]))
+    for a, (ts_a, rows_a) in zip(formulas, keys):
+        for b, (ts_b, rows_b) in zip(formulas, keys):
+            if a is b or ts_a != ts_b:
                 continue
-            if ev.truthset(a) & normal != ev.truthset(b) & normal:
-                continue
-            if any(ev.rel(a, w) != ev.rel(b, w) for w in normal_order):
+            if rows_a != rows_b:
                 return False, (a, b), (
                     f"{print_formula(a)} and {print_formula(b)} agree on normal states "
                     f"but have different relations")
     return True, None, ""
+
+
+_CHECKS = {
+    "1": _cond_antecedent_truth,
+    "2": _cond_weak_centering,
+    "3": _cond_constants,
+    "4": _cond_sum,
+    "5": _cond_application,
+    "5p": _cond_chained_application,
+    "6": _cond_reflexive_terms,
+    "7": _cond_checker,
+    "8": _cond_pair,
+    "9": _cond_rel_extensionality,
+}
 
 
 # --- JSON documents ---------------------------------------------------------
