@@ -4,14 +4,20 @@ Models are enumerated up to a state-count bound in a fixed canonical order:
 fewer states first, then ascending over the membership bitmasks. Relational
 models are enumerated directly (valuations, term relations, and relation
 overrides for the conditional antecedents that occur in the sequent) and
-filtered through the dialect's frame conditions; the search first evaluates
-the sequent and the cheap conditions on 2**16 models at once, one model per
-bit of a Python int, and builds only the models that survive. For the
-relevant dialect the walk runs over truth assignments to the conditional,
-implication, and justification subformulas instead; accessibility rows are
-then realized maximally, which succeeds exactly when some model realizes the
-assignment, and every hit is re-verified by the evaluator before it is
+filtered through the dialect's frame conditions. For the relevant dialect
+the walk runs, per star involution, over the atom valuation and truth
+assignments to the conditional, implication, and justification
+subformulas; accessibility rows are then realized maximally, which succeeds
+exactly when some model realizes the assignment, and every hit is
+re-verified by the condition checker and the evaluator before it is
 returned.
+
+Both searches take 2**16 model codes at a time, one code per bit of a
+Python int, and evaluate the sequent and the cheap necessary conditions on
+the whole block: the frame conditions that bits decide for relational
+models, every realization test for Routley models. Only the codes that
+survive are built, in ascending order, so the first model found is the one
+a code-by-code walk would find.
 
 The search is exponential in the sequent's vocabulary and meant for the
 small bounds where countermodels are legible. It doubles as the independent
@@ -23,8 +29,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .kripke_models import (
     KripkeModel,
     RelScheme,
@@ -32,6 +36,7 @@ from .kripke_models import (
     check_dialect_formula,
     eval as kripke_eval,
     profile_for,
+    _bits,
 )
 from .routley_models import RoutleyModel, check_jrc_conditions, eval_jrc
 from .syntax import (
@@ -52,11 +57,9 @@ from .syntax import (
     Variable,
     atoms,
     closure,
-    formula_key,
-    node_count,
-    print_formula,
     subterms,
     term_key,
+    _sorted_by_key,
 )
 from .tableau import Closed, Exhausted, Open, ProofResult, prove, verify_result
 
@@ -68,8 +71,6 @@ __all__ = [
     "iter_kripke_models",
     "sample_models",
 ]
-
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -93,15 +94,7 @@ class SearchSignature:
         seq = (*premises, goal)
         for f in seq:
             check_dialect_formula(f, dialect)
-        # formula_key order, printing only formulas whose sizes tie: the
-        # suffixes of a deep chain differ in size and are never printed.
-        by_size: dict[int, list[Formula]] = {}
-        for f in closure(seq):
-            by_size.setdefault(node_count(f), []).append(f)
-        universe = tuple(
-            f for size in sorted(by_size) for f in (
-                sorted(by_size[size], key=print_formula)
-                if len(by_size[size]) > 1 else by_size[size]))
+        universe = tuple(_sorted_by_key(closure(seq)))
         names = tuple(sorted({a for f in seq for a in atoms(f)}))
         term_set: set[Term] = set()
         for f in universe:
@@ -193,6 +186,18 @@ def _slice_patterns(width: int) -> tuple[int, tuple[int, ...]]:
         every_period = full // ((1 << 2 * half) - 1)
         pats.append(every_period * (((1 << half) - 1) << half))
     return full, tuple(pats)
+
+
+def _slices(size: int):
+    """The codes below 2**size, a slice at a time: the slice's first code,
+    the int per slot whose bit j is the slot in code first + j, and the
+    slice's all-ones int."""
+    width = min(size, _SLICE_BITS)
+    full, pats = _slice_patterns(width)
+    high = size - width
+    for hi in range(1 << high):
+        yield hi << width, [*pats, *(full if hi >> i & 1 else 0
+                                     for i in range(high))], full
 
 
 class _KripkeFilter:
@@ -319,16 +324,9 @@ def _find_kripke(premises, goal: Formula, dialect: Dialect,
     seq = [*premises, goal]
     sieve = _KripkeFilter(sig, premises, goal, profile.conditions)
     for lay in _layouts(sig):
-        width = min(lay.size, _SLICE_BITS)
-        full, pats = _slice_patterns(width)
-        high = lay.size - width
-        for hi in range(1 << high):
-            bits = [*pats, *(full if hi >> i & 1 else 0 for i in range(high))]
-            live = sieve.survivors(lay, bits, full)
-            while live:
-                low = live & -live
-                live ^= low
-                model = lay.model(hi << width | low.bit_length() - 1)
+        for base, bits, full in _slices(lay.size):
+            for j in _bits(sieve.survivors(lay, bits, full)):
+                model = lay.model(base | j)
                 witness = None
                 for w in model.states:
                     if w not in model.normal:
@@ -348,7 +346,9 @@ def _find_kripke(premises, goal: Formula, dialect: Dialect,
 # --- relevant-dialect enumeration -----------------------------------------
 
 
-def _involutions(k: int) -> list[tuple[int, ...]]:
+@functools.cache
+def _involutions(k: int) -> tuple[tuple[int, ...], ...]:
+    """Star involutions of k states, ascending."""
     out: list[tuple[int, ...]] = []
 
     def build(mapping: dict[int, int]):
@@ -361,127 +361,198 @@ def _involutions(k: int) -> list[tuple[int, ...]]:
             build({**mapping, i: j, j: i})
 
     build({})
-    return sorted(out)
+    return tuple(sorted(out))
 
 
-def _star_mask(mask: int, sigma: tuple[int, ...]) -> int:
-    # states whose star image falls outside the mask
-    out = 0
-    for w, img in enumerate(sigma):
-        if not mask >> img & 1:
-            out |= 1 << w
-    return out
+# The jrc filter complements against the slice's all-ones int, never with ~:
+# a bitwise operation on a negative int of 2**16 bits costs several times
+# one on a nonnegative int.
+def _restrict(row: list[int], nodes, w: int, truth, full: int) -> list[int]:
+    # cut a row down to the bodies of the nodes true at w
+    for nd, body in nodes:
+        off, inside = full ^ truth[nd][w], truth[body]
+        row = [cell & (off | inside[v]) for v, cell in enumerate(row)]
+    return row
 
 
-def _bit_states(mask: int, k: int) -> list[int]:
-    return [i for i in range(k) if mask >> i & 1]
+def _escapes(row: list[int], nodes, w: int, truth, full: int) -> int:
+    # codes where each node false at w has a row state outside its body
+    ok = full
+    for nd, body in nodes:
+        esc, inside = truth[nd][w], truth[body]
+        for v, cell in enumerate(row):
+            esc |= cell ^ (cell & inside[v])
+        ok &= esc
+    return ok
 
 
 class _RoutleySearch:
-    def __init__(self, premises, goal: Formula):
-        seq = (*premises, goal)
-        self.premises = premises
-        self.goal = goal
-        self.universe = sorted(closure(seq), key=formula_key)
-        self.atom_names = sorted({a for f in seq for a in atoms(f)})
-        self.index = {f: i for i, f in enumerate(self.universe)}
-        self.modal = [f for f in self.universe
+    """Countermodels at the normal state w0 of Routley models.
+
+    For each state count k and star involution, a model code holds the
+    truth of the modal subformulas (relevant implications, conditionals,
+    justifications) in its low bits and the atom valuation above them: bit
+    g * k + w is group g at state w, the modal formulas first. Ascending
+    codes thus walk assignment by assignment, and _realize builds the
+    maximal accessibility rows for a code, which succeeds exactly when some
+    model realizes its truth values.
+
+    The walk takes 2**_SLICE_BITS codes at a time, one code per bit of a
+    Python int, as _find_kripke does. survivors evaluates the sequent at w0
+    and every test of _realize on the whole slice; only the codes that keep
+    their bit are realized and re-verified, in ascending order, so the first
+    model and witness are those of a code-by-code walk.
+    """
+
+    def __init__(self, sig: SearchSignature, premises, goal: Formula):
+        self.sig, self.premises, self.goal = sig, premises, goal
+        index = {f: i for i, f in enumerate(sig.universe)}
+        self.modal = [f for f in sig.universe
                       if isinstance(f, (RelImp, RelCf, Just))]
-        midx = {f: i for i, f in enumerate(self.modal)}
+        group = {f: i for i, f in enumerate(self.modal)}
+        group.update((Atom(a), len(self.modal) + i)
+                     for i, a in enumerate(sig.atoms))
         plan: list[tuple] = []
-        for f in self.universe:
-            if isinstance(f, Atom):
-                plan.append(("atom", self.atom_names.index(f.name)))
-            elif isinstance(f, Neg):
-                plan.append(("neg", self.index[f.inner]))
+        for f in sig.universe:
+            if isinstance(f, Neg):
+                plan.append(("neg", index[f.inner], 0))
             elif isinstance(f, And):
-                plan.append(("and", self.index[f.left], self.index[f.right]))
+                plan.append(("and", index[f.left], index[f.right]))
             else:
-                plan.append(("modal", midx[f]))
+                plan.append(("slot", group[f], 0))
         self.plan = plan
+        self.groups = len(group)
+        self.premise_ix = [index[p] for p in premises]
+        self.goal_ix = index[goal]
         cf_nodes = [f for f in self.modal if isinstance(f, RelCf)]
-        self.antecedents = list(dict.fromkeys(f.left for f in cf_nodes))
-        self.cf_by_ante = {a: [f for f in cf_nodes if f.left == a]
-                           for a in self.antecedents}
+        self.cf_by_ante = {a: [f for f in cf_nodes if f.left is a]
+                           for a in sig.antecedents}
+        self.cf_ix = [(index[a], [(index[f], index[f.right]) for f in nodes])
+                      for a, nodes in self.cf_by_ante.items()]
         self.imps = [f for f in self.modal if isinstance(f, RelImp)]
+        self.imp_ix = [(index[f], index[f.left], index[f.right])
+                       for f in self.imps]
         just_nodes = [f for f in self.modal if isinstance(f, Just)]
-        term_set: set[Term] = set()
-        for f in just_nodes:
-            term_set |= subterms(f.term)
-        self.terms = sorted(term_set, key=term_key)
-        self.just_by_term = {t: [f for f in just_nodes if f.term == t]
-                             for t in self.terms}
+        self.just_by_term = {t: [f for f in just_nodes if f.term is t]
+                             for t in sig.terms}
+        term_at = {t: i for i, t in enumerate(sig.terms)}
+        self.term_ix = [
+            ((term_at[t.left], term_at[t.right]) if isinstance(t, Sum) else None,
+             [(index[f], index[f.inner]) for f in nodes])
+            for t, nodes in self.just_by_term.items()]
 
-    def run(self, bound: int) -> tuple[RoutleyModel, str] | None:
-        for k in range(1, bound + 1):
-            found = self._run_size(k)
-            if found is not None:
-                return found
+    def run(self) -> tuple[RoutleyModel, str] | None:
+        for k in range(1, self.sig.bound + 1):
+            for sigma in _involutions(k):
+                for base, bits, full in _slices(self.groups * k):
+                    for j in _bits(self.survivors(k, sigma, bits, full)):
+                        found = self._verify(k, sigma, base | j)
+                        if found is not None:
+                            return found
         return None
 
-    def _run_size(self, k: int) -> tuple[RoutleyModel, str] | None:
-        full = (1 << k) - 1
-        modal_bits = len(self.modal) * k
-        atom_bits = len(self.atom_names) * k
-        for sigma in _involutions(k):
-            star_tab = np.array([_star_mask(m, sigma) for m in range(1 << k)],
-                                dtype=np.int64)
-            for assign in range(1 << atom_bits):
-                amasks = [assign >> i * k & full
-                          for i in range(len(self.atom_names))]
-                for base in range(0, 1 << modal_bits, _CHUNK):
-                    stop = min(base + _CHUNK, 1 << modal_bits)
-                    found = self._sweep_chunk(k, full, sigma, star_tab,
-                                              amasks, base, stop)
-                    if found is not None:
-                        return found
-        return None
-
-    def _sweep_chunk(self, k, full, sigma, star_tab, amasks, base, stop):
-        codes = np.arange(base, stop, dtype=np.int64)
-        vals: list = []
-        for ins in self.plan:
-            if ins[0] == "atom":
-                vals.append(amasks[ins[1]])
-            elif ins[0] == "neg":
-                v = vals[ins[1]]
-                vals.append(star_tab[v] if isinstance(v, np.ndarray)
-                            else int(star_tab[v]))
-            elif ins[0] == "and":
-                vals.append(vals[ins[1]] & vals[ins[2]])
+    def _truth(self, k: int, sigma, bits: list[int], full: int) -> list[list[int]]:
+        """Per universe formula and state, the int of the codes where the
+        code's truth values make the formula true there."""
+        truth: list[list[int]] = []
+        for op, a, b in self.plan:
+            if op == "slot":
+                col = bits[a * k:a * k + k]
+            elif op == "neg":
+                inner = truth[a]
+                col = [full ^ inner[img] for img in sigma]
             else:
-                vals.append(codes >> ins[1] * k & full)
-        ok = np.ones(len(codes), dtype=bool)
-        for p in self.premises:
-            ok &= np.asarray(vals[self.index[p]] & 1, dtype=bool)
-        ok &= ~np.asarray(vals[self.index[self.goal]] & 1, dtype=bool)
-        # implication truth at the normal state is forced by the diagonal
-        for f in self.imps:
-            want = np.asarray(
-                (vals[self.index[f.left]] & ~vals[self.index[f.right]] & full) == 0)
-            have = np.asarray((vals[self.index[f]] & 1) == 1)
-            ok &= ~(want ^ have)
-        for j in np.flatnonzero(ok):
-            masks = {f: int(v[j]) if isinstance(v, np.ndarray) else v
-                     for f, v in zip(self.universe, vals)}
-            model = self._realize(k, full, sigma, amasks, masks)
-            if model is None:
-                continue
-            seq = [*self.premises, self.goal]
-            if not check_jrc_conditions(model, seq).ok:
-                continue
-            if any(not eval_jrc(model, "w0", p) for p in self.premises):
-                continue
-            if eval_jrc(model, "w0", self.goal):
-                continue
-            return model, "w0"
-        return None
+                left, right = truth[a], truth[b]
+                col = [x & y for x, y in zip(left, right)]
+            truth.append(col)
+        return truth
+
+    def survivors(self, k: int, sigma, bits: list[int], full: int) -> int:
+        """Bit j set when code j of the slice makes the premises true and
+        the goal false at w0 and passes every test of _realize."""
+        truth = self._truth(k, sigma, bits, full)
+        states = range(k)
+        live = full ^ truth[self.goal_ix][0]
+        for p in self.premise_ix:
+            live &= truth[p][0]
+        # the ternary relation at w0 is its diagonal, so an implication
+        # holds there when its consequent holds wherever its antecedent does
+        for f, left, right in self.imp_ix:
+            fails = 0
+            for v in states:
+                fails |= truth[left][v] & (full ^ truth[right][v])
+            live &= fails ^ truth[f][0]
+        # conditional rows: inside the antecedent at w0, inside the true
+        # conditionals' consequents; self-support and escapes
+        for ante, nodes in self.cf_ix:
+            if not live:
+                return 0
+            at = truth[ante]
+            for w in states:
+                row = _restrict(at if w == 0 else [full] * k, nodes, w, truth, full)
+                live &= (full ^ (at[w] & (full ^ row[w]))) \
+                    & _escapes(row, nodes, w, truth, full)
+        # ternary slices at x >= 1: the (y, z) cells no true implication
+        # forbids, and a refuting cell for each false one
+        if self.imp_ix:
+            refute = [[truth[left][y] & (full ^ truth[right][z])
+                       for y in states for z in states]
+                      for _, left, right in self.imp_ix]
+            for x in range(1, k):
+                if not live:
+                    return 0
+                on = [truth[f][x] for f, _, _ in self.imp_ix]
+                cells = [full] * (k * k)
+                for holds, bad in zip(on, refute):
+                    cells = [c ^ (c & holds & b) for c, b in zip(cells, bad)]
+                for holds, bad in zip(on, refute):
+                    esc = holds
+                    for c, b in zip(cells, bad):
+                        esc |= c & b
+                    live &= esc
+        # term rows: a sum's row inside its parts', inside the true
+        # justifications' bodies; escapes
+        rows: list[list[list[int]]] = []
+        for parts, nodes in self.term_ix:
+            if not live:
+                return 0
+            per_state = []
+            for w in states:
+                if parts is None:
+                    row = [full] * k
+                else:
+                    row = [x & y for x, y in zip(rows[parts[0]][w], rows[parts[1]][w])]
+                row = _restrict(row, nodes, w, truth, full)
+                live &= _escapes(row, nodes, w, truth, full)
+                per_state.append(row)
+            rows.append(per_state)
+        return live
+
+    def _verify(self, k: int, sigma, code: int) -> tuple[RoutleyModel, str] | None:
+        """Realize one code and check the model it gives."""
+        truth = self._truth(k, sigma, [code >> i & 1 for i in range(self.groups * k)], 1)
+        masks = {f: sum(bit << w for w, bit in enumerate(col))
+                 for f, col in zip(self.sig.universe, truth)}
+        full = (1 << k) - 1
+        at = len(self.modal) * k
+        amasks = [code >> at + i * k & full for i in range(len(self.sig.atoms))]
+        model = self._realize(k, full, sigma, amasks, masks)
+        if model is None:
+            return None
+        seq = [*self.premises, self.goal]
+        if not check_jrc_conditions(model, seq).ok:
+            return None
+        if any(not eval_jrc(model, "w0", p) for p in self.premises):
+            return None
+        if eval_jrc(model, "w0", self.goal):
+            return None
+        return model, "w0"
 
     def _realize(self, k, full, sigma, amasks, masks) -> RoutleyModel | None:
         # conditional rows: maximal under antecedent truth at the normal
         # state, the true conditionals' consequents, and self-support
         overrides: dict[Formula, set] = {}
-        for ante in self.antecedents:
+        for ante in self.sig.antecedents:
             m_ante = masks[ante]
             pairs = set()
             for w in range(k):
@@ -494,7 +565,7 @@ class _RoutleySearch:
                 for nd in self.cf_by_ante[ante]:
                     if not masks[nd] >> w & 1 and not row & ~masks[nd.right] & full:
                         return None
-                pairs |= {(f"w{w}", f"w{v}") for v in _bit_states(row, k)}
+                pairs |= {(f"w{w}", f"w{v}") for v in _bits(row)}
             overrides[ante] = pairs
         ternary = {("w0", f"w{v}", f"w{v}") for v in range(k)}
         if self.imps:
@@ -514,7 +585,7 @@ class _RoutleySearch:
                         return None
                 ternary |= {(f"w{x}", f"w{y}", f"w{z}") for y, z in slice_pairs}
         rows_by_term: dict[Term, list[int]] = {}
-        for t in self.terms:
+        for t in self.sig.terms:
             rows = []
             for w in range(k):
                 row = full
@@ -530,10 +601,10 @@ class _RoutleySearch:
             rows_by_term[t] = rows
         term_rels = {
             t: {(f"w{a}", f"w{b}")
-                for a in range(k) for b in _bit_states(rows[a], k)}
+                for a in range(k) for b in _bits(rows[a])}
             for t, rows in rows_by_term.items()}
         valuation = {
-            f"w{i}": {name for name, am in zip(self.atom_names, amasks)
+            f"w{i}": {name for name, am in zip(self.sig.atoms, amasks)
                       if am >> i & 1}
             for i in range(k)}
         star = {f"w{i}": f"w{sigma[i]}" for i in range(k)}
@@ -561,9 +632,8 @@ def find_countermodel(premises, goal: Formula, profile: Dialect,
         raise ValueError("state bound must be at least 1")
     premises = tuple(premises)
     if profile is Dialect.JRC:
-        for f in (*premises, goal):
-            check_dialect_formula(f, profile)
-        return _RoutleySearch(premises, goal).run(bound)
+        sig = SearchSignature.for_sequent(premises, goal, profile, bound)
+        return _RoutleySearch(sig, premises, goal).run()
     return _find_kripke(premises, goal, profile, bound)
 
 
@@ -639,7 +709,7 @@ def sample_models(dialect: Dialect, atom_names, terms, count: int, rng,
     profile_for(dialect)  # reject dialects without a Kripke profile
     single_normal = dialect in (Dialect.LPCint, Dialect.LPCprime)
     all_terms = sorted({s for t in terms for s in subterms(t)}, key=term_key)
-    pool = sorted(closure(universe), key=formula_key)
+    pool = _sorted_by_key(closure(universe))
     out: list[KripkeModel] = []
     for _ in range(count):
         k = rng.randint(1, size_bound)

@@ -17,7 +17,7 @@ from condjust.syntax import (
     And, App, Atom, Bang, Box, Constant, Counterfactual, Dialect, Formula,
     Just, MatImp, Neg, Pair, RelCf, RelImp, Sum, Term, Variable,
     closure, formula_key, parse_formula, parse_term, print_formula,
-    print_term, subterms, term_key, terms_of,
+    print_term, subterms, term_key, terms_of, _sorted_by_key,
 )
 
 __all__ = [
@@ -477,7 +477,7 @@ def default_universe(m: KripkeModel, queries=()) -> set[Formula]:
 def _query_part(queries: frozenset[Formula]):
     """The sorted closure of the queries, the terms in it, and those terms
     sorted: everything in a condition check that the model does not change."""
-    formulas = tuple(sorted(closure(queries), key=formula_key))
+    formulas = tuple(_sorted_by_key(closure(queries)))
     terms: set[Term] = set()
     for f in queries:  # a subformula's terms are among its parent's
         terms |= terms_of(f)

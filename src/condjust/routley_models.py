@@ -16,7 +16,7 @@ from condjust.kripke_models import ConditionReport, ConditionResult, Pairs, RelS
 from condjust.syntax import (
     And, Atom, Box, Dialect, Formula, Just, Neg, RelCf, RelImp, Sum, Term,
     closure, formula_key, parse_formula, parse_term, print_formula,
-    print_term, subterms, term_key, terms_of,
+    print_term, subterms, term_key, terms_of, _sorted_by_key,
 )
 
 __all__ = [
@@ -182,8 +182,10 @@ def _jrc_term_universe(m: RoutleyModel, formulas) -> list[Term]:
 
 def check_jrc_conditions(m: RoutleyModel, universe) -> ConditionReport:
     """Star involution, ternary normality, and the three frame conditions."""
-    formulas = sorted(closure(universe), key=formula_key)
-    terms = _jrc_term_universe(m, formulas)
+    universe = tuple(universe)
+    formulas = _sorted_by_key(closure(universe))
+    # a subformula's terms are among its parent's
+    terms = _jrc_term_universe(m, universe)
     ev = _JrcEvaluator(m)
     results = [
         _star_involution(m),

@@ -459,7 +459,12 @@ def _print_prefix(f: Formula) -> str:
             term = print_term(f.term)
             parts.append(f"({term}):" if isinstance(f.term, (App, Sum)) else f"{term}:")
         f = f.inner
-    parts.append(f.name if isinstance(f, Atom) else f"({print_formula(f)})")
+    if isinstance(f, Atom):
+        parts.append(f.name)
+    elif isinstance(f, _FormulaNode):
+        parts.append(f"({print_formula(f)})")
+    else:
+        raise TypeError(f"not a formula node: {type(f).__name__}")
     return "".join(parts)
 
 
@@ -485,7 +490,9 @@ def _print_term_unary(t: Term) -> str:
         if isinstance(t.antecedent, _CONDITIONALS):
             body = f"({body})"
         return f"<{print_term(t.inner)},{body}>"
-    return f"({print_term(t)})"
+    if isinstance(t, (App, Sum)):
+        return f"({print_term(t)})"
+    raise TypeError(f"not a term node: {type(t).__name__}")
 
 
 # --- structural helpers ------------------------------------------------
@@ -579,6 +586,18 @@ def node_count(x: Formula | Term) -> int:
 def formula_key(f: Formula) -> tuple[int, str]:
     """Canonical sort key: smaller first, ties broken by printed form."""
     return (node_count(f), print_formula(f))
+
+
+def _sorted_by_key(formulas) -> list[Formula]:
+    """The formulas sorted by formula_key, printing only those whose sizes
+    tie: the suffixes of a deep chain differ in size and are never printed,
+    so the sort stays linear in the chain's depth."""
+    by_size: dict[int, list[Formula]] = {}
+    for f in formulas:
+        by_size.setdefault(node_count(f), []).append(f)
+    return [f for size in sorted(by_size) for f in (
+        sorted(by_size[size], key=print_formula)
+        if len(by_size[size]) > 1 else by_size[size])]
 
 
 def term_key(t: Term) -> tuple[int, str]:

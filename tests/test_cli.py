@@ -288,6 +288,13 @@ class TestFalsifyCommand:
         assert code == 0
         assert out.strip() == "no countermodel within 4 states"
 
+    def test_jrc_bound_four_walk_finishes(self, capsys):
+        # the jrc search rejects its codes in bit-sliced blocks too
+        code, out, _ = run(capsys, "falsify", "--dialect", "jrc",
+                           "--bound", "4", "s:(p & q) ~> s:p")
+        assert code == 0
+        assert out.strip() == "no countermodel within 4 states"
+
 
 class TestCheckProofCommand:
     def test_cc_lemma_ok(self, capsys, tmp_path):

@@ -1,12 +1,15 @@
 """Falsifier tests: bounded enumeration, oracle cross-checks, samplers."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import condjust.falsifier as falsifier
 import condjust.tableau as tableau
+from condjust.cli import parse_sequent
 from condjust.falsifier import (
     CrossCheckReport,
     SearchSignature,
@@ -224,6 +227,134 @@ class TestKripkePruning:
 
     def test_counterpossible_holds_at_bound_four(self):
         assert find_countermodel([], pf("false > p", L), L, 4) is None
+
+
+def vocabulary(sig):
+    """Atoms plus modal subformulas: the jrc search's bits per state."""
+    return len(sig.atoms) + sum(
+        isinstance(f, (RelImp, RelCf, Just)) for f in sig.universe)
+
+
+def routley_space(sig):
+    """Codes the jrc search walks when nothing refutes the sequent."""
+    return sum(len(falsifier._involutions(k)) << vocabulary(sig) * k
+               for k in range(1, sig.bound + 1))
+
+
+def routley_reference(sig, premises, goal):
+    """The code-by-code walk: star involution, then atom assignment, then
+    modal truth values. Yields (k, sigma, code), the model and whether the
+    model passes, for every code that _realize realizes; the search returns
+    the first model that passes."""
+    search = falsifier._RoutleySearch(sig, premises, goal)
+    modal = [f for f in sig.universe if isinstance(f, (RelImp, RelCf, Just))]
+    seq = [*premises, goal]
+    for k in range(1, sig.bound + 1):
+        full = (1 << k) - 1
+        for sigma in falsifier._involutions(k):
+            for assign in range(1 << len(sig.atoms) * k):
+                amasks = [assign >> i * k & full for i in range(len(sig.atoms))]
+                for code in range(1 << len(modal) * k):
+                    masks = {}
+                    for f in sig.universe:
+                        if isinstance(f, Atom):
+                            masks[f] = amasks[sig.atoms.index(f.name)]
+                        elif isinstance(f, Neg):
+                            masks[f] = sum(1 << w for w in range(k)
+                                           if not masks[f.inner] >> sigma[w] & 1)
+                        elif isinstance(f, And):
+                            masks[f] = masks[f.left] & masks[f.right]
+                        else:
+                            masks[f] = code >> modal.index(f) * k & full
+                    if not all(masks[p] & 1 for p in premises) or masks[goal] & 1:
+                        continue
+                    # an implication at w0 reads the diagonal
+                    if any((masks[f.left] & ~masks[f.right] & full == 0)
+                           != bool(masks[f] & 1)
+                           for f in modal if isinstance(f, RelImp)):
+                        continue
+                    model = search._realize(k, full, sigma, amasks, masks)
+                    if model is None:
+                        continue
+                    passes = check_jrc_conditions(model, seq).ok \
+                        and all(eval_jrc(model, "w0", p) for p in premises) \
+                        and not eval_jrc(model, "w0", goal)
+                    yield (k, sigma, assign << len(modal) * k | code), model, passes
+
+
+def draw_small_routley_search(data):
+    """A jrc sequent with at most one premise at bound 1 or 2, or 3 when the
+    vocabulary is at most two; None when the walk exceeds 2**13 codes."""
+    _, formula = ast_strategies(J)
+    goal = data.draw(formula)
+    premises = data.draw(st.lists(formula, max_size=1))
+    bound = data.draw(st.sampled_from([1, 2, 3]))
+    sig = SearchSignature.for_sequent(premises, goal, J, bound)
+    if bound == 3 and vocabulary(sig) > 2 or routley_space(sig) > 1 << 13:
+        return None
+    return sig, premises, goal
+
+
+def assert_filter_exact(sig, premises, goal):
+    search = falsifier._RoutleySearch(sig, premises, goal)
+    realized = {}
+    for (k, sigma, code), _, _ in routley_reference(sig, premises, goal):
+        realized[k, sigma] = realized.get((k, sigma), 0) | 1 << code
+    for k in range(1, sig.bound + 1):
+        full, pats = falsifier._slice_patterns(search.groups * k)
+        for sigma in falsifier._involutions(k):
+            live = search.survivors(k, sigma, list(pats), full)
+            assert live == realized.get((k, sigma), 0)
+
+
+class TestRoutleyPruning:
+    @PRUNING
+    @given(data=st.data())
+    def test_matches_code_by_code_walk(self, data):
+        drawn = draw_small_routley_search(data)
+        if drawn is None:
+            return
+        sig, premises, goal = drawn
+        want = next((hit for hit in routley_reference(sig, premises, goal)
+                     if hit[2]), None)
+        got = find_countermodel(premises, goal, J, sig.bound)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert routley_model_to_json(got[0]) == routley_model_to_json(want[1])
+            assert got[1] == "w0"
+
+    @PRUNING
+    @given(data=st.data())
+    def test_filter_keeps_exactly_the_realized_codes(self, data):
+        # stronger than the first-model comparison: every accepted code of
+        # any size keeps its bit, and a kept bit is one _realize accepts, so
+        # the filter neither drops a countermodel nor passes a code on
+        drawn = draw_small_routley_search(data)
+        if drawn is None:
+            return
+        assert_filter_exact(*drawn)
+
+    @pytest.mark.parametrize("text", [
+        "t:p |- (s+t):p", "s:p |- (s+t):p", "s:q, t:p |- (s+t):(p & q)",
+        "p, p ~> q |- q", "p -> q |- ~q -> ~p", "s:(p & q) ~> s:p",
+    ])
+    def test_filter_is_exact_on_fixed_sequents(self, text):
+        premises, goal = parse_sequent(text, J)
+        assert_filter_exact(
+            SearchSignature.for_sequent(premises, goal, J, 2), premises, goal)
+
+    def test_justified_conjunction_elimination_holds_at_bound_four(self):
+        assert find_countermodel([], pf("s:(p & q) ~> s:p"), J, 4) is None
+
+
+def test_import_does_not_load_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, condjust; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 class TestRoutleyCountermodels:

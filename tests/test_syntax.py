@@ -12,11 +12,13 @@ from hypothesis import given, strategies as st
 from condjust.syntax import (
     And, App, Atom, Bang, Box, Constant, Counterfactual, Dialect, DialectError,
     Just, MatImp, Neg, Pair, ParseError, RelCf, RelImp, Sum, Variable,
-    atoms, closure, node_count, parse_formula, parse_term, print_formula, print_term,
-    subformulas, subterms, terms_of,
+    _sorted_by_key, atoms, closure, formula_key, node_count, parse_formula,
+    parse_term, print_formula, print_term, subformulas, subterms, terms_of,
 )
 from condjust.falsifier import SearchSignature
 from condjust.hilbert import match_axiom
+from condjust.kripke_models import KripkeModel, check_conditions, profile_for
+from condjust.routley_models import RoutleyModel, check_jrc_conditions
 from util_gen import ast_strategies
 
 LPC = Dialect.LPCplus
@@ -268,6 +270,45 @@ def test_deep_unary_chains_print_and_get_a_signature():
     for i in range(3_000):
         g = Just(Variable("x"), g) if i % 2 else Box(g)
     assert print_formula(g) == "x:[]" * 1_500 + "q"
+
+
+@pytest.mark.parametrize("dialect", list(Dialect))
+@given(data=st.data())
+def test_sorted_by_key_is_the_formula_key_order(dialect, data):
+    _, formulas = ast_strategies(dialect)
+    universe = closure(data.draw(st.lists(formulas, min_size=1, max_size=3)))
+    assert _sorted_by_key(universe) == sorted(universe, key=formula_key)
+
+
+def test_deep_chain_gets_a_condition_report():
+    # The closure used to be sorted by printing every suffix of the chain.
+    f = p
+    for _ in range(3_000):
+        f = Neg(f)
+    kripke = KripkeModel(("w0",), {"w0"})
+    assert check_conditions(kripke, profile_for(LPC), [f]).ok
+    routley = RoutleyModel(("w0",), {"w0"}, {"w0": "w0"}, {("w0", "w0", "w0")})
+    # The Routley evaluator still recurses once per level.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10_000))
+    try:
+        assert check_jrc_conditions(routley, [f]).ok
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("bad", ["p", None, Variable("x"), And(p, "q")],
+                         ids=["str", "None", "term", "nested str"])
+def test_print_formula_rejects_a_non_formula(bad):
+    with pytest.raises(TypeError, match="not a formula node"):
+        print_formula(bad)
+
+
+@pytest.mark.parametrize("bad", [p, "x", None, Sum(Variable("x"), p)],
+                         ids=["formula", "str", "None", "nested formula"])
+def test_print_term_rejects_a_non_term(bad):
+    with pytest.raises(TypeError, match="not a term node"):
+        print_term(bad)
 
 
 def test_schemes_with_metavariables_still_match():
