@@ -277,7 +277,7 @@ class _KripkeFilter:
                     bad = 0
                     row = base + w * width
                     for v, edge in enumerate(bits[row:row + width]):
-                        bad |= edge & ~body[v]
+                        bad |= edge & (full ^ body[v])
                     col.append(full ^ bad)
             else:
                 inner = truth[ins[1]]
@@ -302,10 +302,10 @@ class _KripkeFilter:
             for w in normal:
                 row = bits[base + w * n:base + w * n + n]
                 if self.cond2:
-                    live &= ~ante[w] | row[w]
+                    live &= (full ^ ante[w]) | row[w]
                 if self.cond1:
                     for v in normal:
-                        live &= ~row[v] | ante[v]
+                        live &= (full ^ row[v]) | ante[v]
         for ti in self.reflexive:
             base = lay.term_at + ti * k * k
             for w in normal:
@@ -313,7 +313,7 @@ class _KripkeFilter:
         for ti, li, ri in self.sums:
             s, left, right = (lay.term_at + i * k * k for i in (ti, li, ri))
             for cell in range(n * k):
-                live &= ~bits[s + cell] | bits[left + cell] & bits[right + cell]
+                live &= (full ^ bits[s + cell]) | bits[left + cell] & bits[right + cell]
         return live
 
 

@@ -201,11 +201,25 @@ def profile_for(dialect: Dialect) -> VariantProfile:
 # --- dialect validation --------------------------------------------------
 
 
+# Interned subtrees each dialect has accepted. Nodes live as long as the
+# intern table, so this grows with it and no further; an accepted subtree
+# holds no offending constructor, so skipping it leaves the first error the
+# walk meets unchanged.
+_ACCEPTED: dict[Dialect, set[Formula | Term]] = {d: set() for d in Dialect}
+
+
 def check_dialect_formula(f: Formula, dialect: Dialect) -> None:
     """Reject constructors that the dialect's grammar does not admit."""
+    accepted = _ACCEPTED[dialect]
+    if f in accepted:
+        return
     stack: list[Formula | Term] = [f]
+    walked = []
     while stack:
         g = stack.pop()
+        if g in accepted:
+            continue
+        walked.append(g)
         if isinstance(g, Box):
             if dialect is not Dialect.L:
                 raise ValueError(f"box is not in dialect {dialect.value}")
@@ -244,6 +258,7 @@ def check_dialect_formula(f: Formula, dialect: Dialect) -> None:
         elif isinstance(g, Sum):
             stack.append(g.left)
             stack.append(g.right)
+    accepted.update(walked)
 
 
 # --- evaluation -----------------------------------------------------------

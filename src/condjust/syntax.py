@@ -435,16 +435,23 @@ _COND_OPS = {MatImp: "=>", Counterfactual: ">", RelImp: "->", RelCf: "~>"}
 
 def print_formula(f: Formula) -> str:
     """Render with minimal parentheses; parse_formula inverts this."""
-    op = _COND_OPS.get(type(f))
-    if op is not None:
-        return f"{_print_conj(f.left)} {op} {print_formula(f.right)}"
-    return _print_conj(f)
+    # Loops, not recursions, so deep right-nested conditionals and
+    # left-nested conjunctions print, as unary chains do in _print_prefix.
+    parts = []
+    while type(f) in _COND_OPS:
+        parts.append(f"{_print_conj(f.left)} {_COND_OPS[type(f)]} ")
+        f = f.right
+    parts.append(_print_conj(f))
+    return "".join(parts)
 
 
 def _print_conj(f: Formula) -> str:
-    if isinstance(f, And):
-        return f"{_print_conj(f.left)} & {_print_prefix(f.right)}"
-    return _print_prefix(f)
+    conjuncts = []
+    while isinstance(f, And):
+        conjuncts.append(_print_prefix(f.right))
+        f = f.left
+    conjuncts.append(_print_prefix(f))
+    return " & ".join(reversed(conjuncts))
 
 
 def _print_prefix(f: Formula) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .kripke_models import RelScheme, check_dialect_formula
 from .routley_models import RoutleyModel, check_jrc_conditions, eval_jrc
@@ -27,9 +28,11 @@ __all__ = [
     "prove", "extract_model", "verify_result",
 ]
 
+# Nodes are named tuples, so hashing and comparing them runs in C; their
+# formula and term fields are interned and hash by identity.
 
-@dataclass(frozen=True, order=True)
-class Label:
+
+class Label(NamedTuple):
     index: int
     sharped: bool = False
 
@@ -43,8 +46,7 @@ class Label:
 _ROOT = Label(0)
 
 
-@dataclass(frozen=True)
-class Signed:
+class Signed(NamedTuple):
     formula: Formula
     sign: bool
     label: Label
@@ -53,8 +55,7 @@ class Signed:
         return f"{print_formula(self.formula)}, {'+' if self.sign else '-'}{self.label}"
 
 
-@dataclass(frozen=True)
-class FormulaEdge:
+class FormulaEdge(NamedTuple):
     src: Label
     antecedent: Formula
     dst: Label
@@ -63,8 +64,7 @@ class FormulaEdge:
         return f"{self.src} -[{print_formula(self.antecedent)}]-> {self.dst}"
 
 
-@dataclass(frozen=True)
-class TermEdge:
+class TermEdge(NamedTuple):
     src: Label
     term: Term
     dst: Label
@@ -73,8 +73,7 @@ class TermEdge:
         return f"{self.src} -[{print_term(self.term)}]-> {self.dst}"
 
 
-@dataclass(frozen=True)
-class Ternary:
+class Ternary(NamedTuple):
     x: Label
     y: Label
     z: Label
@@ -96,19 +95,36 @@ class Budget:
             raise ValueError("budget must be positive")
 
 
+def _render(events) -> str:
+    """Trace text from ``(line, depth, expr, tag)`` events: a node event
+    reads ``line. expr  [tag]``, and one with no expr is its tag alone."""
+    return "\n".join(
+        "  " * depth + (tag if expr is None else f"{line}. {expr}  [{tag}]")
+        for line, depth, expr, tag in events)
+
+
 class Branch:
-    """One path of the tableau; copied when a branching rule fires."""
+    """One path of the tableau.  A branching rule's last alternative takes
+    the branch over; each earlier alternative works on a copy."""
 
     def __init__(self):
-        self.nodes: list[NodeExpr] = []
-        self.node_set: set[NodeExpr] = set()
-        self.node_line: dict[NodeExpr, int] = {}
+        self.nodes: dict[NodeExpr, int] = {}  # node -> its trace line, in order
+        # Rule partners filed under the key the other side looks them up by:
+        # (RelImp, x) and (Ternary, x) for T->, (RelCf, x, antecedent) and
+        # (FormulaEdge, x, antecedent) for T~>, (Just, x, term) and
+        # (TermEdge, x, term) for T:.  Tuples, oldest first, so a copy of
+        # the dict shares them.
+        self.partners: dict[tuple, tuple[NodeExpr, ...]] = {}
         self.next_fresh = 1
-        self.applied: set = set()
         self.agenda: list = []
         self.labels: dict[Label, None] = {}
         self.antecedents: dict[Formula, None] = {}
-        self.entries: list[tuple[int, int, str]] = []
+        # The trace is one event list shared by every branch of a proof; a
+        # branch's own path is the runs of it in trail, then the events from
+        # start on.
+        self.events: list[tuple] = []
+        self.trail: tuple[tuple[int, int], ...] = ()
+        self.start = 0
         self.depth = 0
         self.closed = False
         self.closure: tuple[int, int] | None = None
@@ -117,30 +133,37 @@ class Branch:
 
     def copy(self) -> "Branch":
         twin = Branch.__new__(Branch)
-        twin.nodes = list(self.nodes)
-        twin.node_set = set(self.node_set)
-        twin.node_line = dict(self.node_line)
-        twin.next_fresh = self.next_fresh
-        twin.applied = set(self.applied)
-        twin.agenda = list(self.agenda)
-        twin.labels = dict(self.labels)
-        twin.antecedents = dict(self.antecedents)
-        twin.entries = list(self.entries)
-        twin.depth = self.depth
-        twin.closed = self.closed
-        twin.closure = self.closure
-        twin.blocked = self.blocked
-        twin.complete = self.complete
+        twin.__dict__.update(self.__dict__)
+        twin.nodes = self.nodes.copy()
+        twin.partners = self.partners.copy()
+        twin.agenda = self.agenda.copy()
+        twin.labels = self.labels.copy()
+        twin.antecedents = self.antecedents.copy()
         return twin
 
     def text(self) -> str:
-        return "\n".join("  " * depth + line for _, depth, line in self.entries)
+        runs = (*self.trail, (self.start, len(self.events)))
+        return _render(e for start, stop in runs for e in self.events[start:stop])
 
 
-@dataclass(frozen=True)
 class Closed:
-    tree: str
-    steps: int
+    """A closed tableau after ``steps`` fired rule instances.  ``tree`` is
+    the trace of every branch in the order it grew, rendered from the trace
+    events when first read."""
+
+    def __init__(self, tree: str | None, steps: int, events=()):
+        self._tree = tree
+        self.steps = steps
+        self._events = events
+
+    @property
+    def tree(self) -> str:
+        if self._tree is None:
+            self._tree = _render(self._events)
+        return self._tree
+
+    def __repr__(self) -> str:
+        return f"Closed(tree={self.tree!r}, steps={self.steps!r})"
 
 
 @dataclass(frozen=True)
@@ -172,15 +195,12 @@ _BRANCHING = {"F&", "T->", "cut"}
 _CLOSED, _EXHAUSTED, _OPEN = "closed", "exhausted", "open"
 
 
-def _cond_antecedents(f: Formula):
-    """Antecedents of every conditional subformula, in pre-order."""
-    if isinstance(f, RelCf):
-        yield f.left
-    if isinstance(f, (Neg, Just)):
-        yield from _cond_antecedents(f.inner)
-    elif isinstance(f, (And, RelImp, RelCf)):
-        yield from _cond_antecedents(f.left)
-        yield from _cond_antecedents(f.right)
+def _merge(*parts: tuple) -> tuple:
+    """The parts' items in order, each at its first occurrence."""
+    nonempty = [p for p in parts if p]
+    if len(nonempty) < 2:
+        return nonempty[0] if nonempty else ()
+    return tuple(dict.fromkeys(x for p in nonempty for x in p))
 
 
 class _Prover:
@@ -191,138 +211,152 @@ class _Prover:
         self.seq = 0
         self.steps = 0
         self.line_no = 0
-        self.log: list[str] = []
         self.step_capped = False
+        self.antecedents_of: dict[Formula, tuple[Formula, ...]] = {}
+
+    def _cond_antecedents(self, f: Formula) -> tuple[Formula, ...]:
+        """Antecedents of f's conditional subformulas in pre-order, each
+        once.  Computed children first with an explicit stack, once per
+        formula and proof."""
+        memo = self.antecedents_of
+        done = memo.get(f)
+        if done is not None:
+            return done
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            if g in memo:
+                stack.pop()
+                continue
+            kind = type(g)
+            if kind is Neg or kind is Just:
+                kids = (g.inner,)
+            elif kind is And or kind is RelImp or kind is RelCf:
+                kids = (g.left, g.right)
+            else:
+                kids = ()
+            missing = [k for k in kids if k not in memo]
+            if missing:
+                stack.extend(reversed(missing))
+                continue
+            stack.pop()
+            own = (g.left,) if kind is RelCf else ()
+            memo[g] = _merge(own, *(memo[k] for k in kids))
+        return memo[f]
 
     # -- trace -------------------------------------------------------------
 
-    def _emit(self, branch: Branch, text: str, numbered=True) -> int:
-        if numbered:
-            self.line_no += 1
-            line = f"{self.line_no}. {text}"
-        else:
-            line = text
-        branch.entries.append((self.line_no, branch.depth, line))
-        self.log.append("  " * branch.depth + line)
-        return self.line_no
+    def _note(self, branch: Branch, text: str):
+        """An unnumbered trace line: a closure or the end of a branch."""
+        branch.events.append((self.line_no, branch.depth, None, text))
 
     # -- branch growth -----------------------------------------------------
 
     def add_node(self, branch: Branch, expr: NodeExpr, tag: str) -> bool:
         """Add expr if new; returns False when the branch just closed."""
-        if expr in branch.node_set:
+        nodes = branch.nodes
+        if expr in nodes:
             return True
-        branch.nodes.append(expr)
-        branch.node_set.add(expr)
-        line = self._emit(branch, f"{expr}  [{tag}]")
-        branch.node_line[expr] = line
+        self.line_no += 1
+        line = nodes[expr] = self.line_no
+        branch.events.append((line, branch.depth, expr, tag))
         self._enable(branch, expr)
-        if isinstance(expr, Signed):
-            twin = Signed(expr.formula, not expr.sign, expr.label)
-            if twin in branch.node_set:
-                pair = tuple(sorted((branch.node_line[twin], line)))
+        if type(expr) is Signed:
+            twin = nodes.get(Signed(expr.formula, not expr.sign, expr.label))
+            if twin is not None:
                 branch.closed = True
-                branch.closure = pair
-                self._emit(branch, f"closed [{pair[0]}, {pair[1]}]", numbered=False)
+                branch.closure = (twin, line)
+                self._note(branch, f"closed [{twin}, {line}]")
                 return False
         return True
 
-    def _enqueue(self, branch: Branch, rule: str, key: tuple, data: tuple):
-        if key in branch.applied:
-            return
-        branch.applied.add(key)
+    def _enqueue(self, branch: Branch, rule: str, data: tuple):
+        # Each instance is queued once: single-node rules when their node
+        # arrives, pair rules when the later partner arrives, norm per new
+        # label and cut per new (antecedent, label) pair.
         self.seq += 1
         heapq.heappush(branch.agenda, (_TIERS[rule], self.seq, rule, data))
+
+    def _pair(self, branch: Branch, rule: str, expr: NodeExpr,
+              mine: tuple, theirs: tuple, signed_first: bool):
+        """File expr under mine and queue rule with each partner filed
+        under theirs, oldest first; the signed node leads the data."""
+        index = branch.partners
+        index[mine] = index.get(mine, ()) + (expr,)
+        for other in index.get(theirs, ()):
+            self._enqueue(branch, rule,
+                          (expr, other) if signed_first else (other, expr))
 
     def _register_label(self, branch: Branch, x: Label):
         if x in branch.labels:
             return
         branch.labels[x] = None
-        self._enqueue(branch, "norm", ("norm", x), (x,))
+        self._enqueue(branch, "norm", (x,))
         for ante in branch.antecedents:
-            self._enqueue(branch, "cut", ("cut", ante, x), (ante, x))
+            self._enqueue(branch, "cut", (ante, x))
 
     def _register_antecedent(self, branch: Branch, ante: Formula):
         if ante in branch.antecedents:
             return
         branch.antecedents[ante] = None
         for x in branch.labels:
-            self._enqueue(branch, "cut", ("cut", ante, x), (ante, x))
+            self._enqueue(branch, "cut", (ante, x))
 
     def _enable(self, branch: Branch, expr: NodeExpr):
         """Queue every rule instance the new expression participates in."""
-        if isinstance(expr, Signed):
+        kind = type(expr)
+        if kind is Signed:
             f, x = expr.formula, expr.label
             self._register_label(branch, x)
-            for ante in _cond_antecedents(f):
+            for ante in self._cond_antecedents(f):
                 self._register_antecedent(branch, ante)
+            fkind = type(f)
             if expr.sign:
-                if isinstance(f, And):
-                    self._enqueue(branch, "T&", ("T&", expr), (expr,))
-                elif isinstance(f, Neg):
-                    self._enqueue(branch, "T~", ("T~", expr), (expr,))
-                elif isinstance(f, RelImp):
-                    for other in branch.nodes:
-                        if isinstance(other, Ternary) and other.x == x:
-                            self._enqueue(branch, "T->", ("T->", expr, other),
-                                          (expr, other))
-                elif isinstance(f, RelCf):
-                    for other in branch.nodes:
-                        if (isinstance(other, FormulaEdge) and other.src == x
-                                and other.antecedent == f.left):
-                            self._enqueue(branch, "T~>", ("T~>", expr, other),
-                                          (expr, other))
-                elif isinstance(f, Just):
-                    for other in branch.nodes:
-                        if (isinstance(other, TermEdge) and other.src == x
-                                and other.term == f.term):
-                            self._enqueue(branch, "T:", ("T:", expr, other),
-                                          (expr, other))
+                if fkind is And:
+                    self._enqueue(branch, "T&", (expr,))
+                elif fkind is Neg:
+                    self._enqueue(branch, "T~", (expr,))
+                elif fkind is RelImp:
+                    self._pair(branch, "T->", expr, (RelImp, x), (Ternary, x), True)
+                elif fkind is RelCf:
+                    self._pair(branch, "T~>", expr, (RelCf, x, f.left),
+                               (FormulaEdge, x, f.left), True)
+                elif fkind is Just:
+                    self._pair(branch, "T:", expr, (Just, x, f.term),
+                               (TermEdge, x, f.term), True)
             else:
-                if isinstance(f, Neg):
-                    self._enqueue(branch, "F~", ("F~", expr), (expr,))
-                elif isinstance(f, And):
-                    self._enqueue(branch, "F&", ("F&", expr), (expr,))
-                elif isinstance(f, RelImp):
-                    self._enqueue(branch, "F->", ("F->", expr), (expr,))
-                elif isinstance(f, RelCf):
-                    rule = "F~>0" if x == _ROOT else "F~>"
-                    self._enqueue(branch, rule, (rule, expr), (expr,))
-                elif isinstance(f, Just):
-                    self._enqueue(branch, "F:", ("F:", expr), (expr,))
-        elif isinstance(expr, FormulaEdge):
+                if fkind is Neg:
+                    self._enqueue(branch, "F~", (expr,))
+                elif fkind is And:
+                    self._enqueue(branch, "F&", (expr,))
+                elif fkind is RelImp:
+                    self._enqueue(branch, "F->", (expr,))
+                elif fkind is RelCf:
+                    self._enqueue(branch, "F~>0" if x == _ROOT else "F~>", (expr,))
+                elif fkind is Just:
+                    self._enqueue(branch, "F:", (expr,))
+        elif kind is FormulaEdge:
             self._register_label(branch, expr.src)
             self._register_label(branch, expr.dst)
-            for other in branch.nodes:
-                if (isinstance(other, Signed) and other.sign
-                        and isinstance(other.formula, RelCf)
-                        and other.label == expr.src
-                        and other.formula.left == expr.antecedent):
-                    self._enqueue(branch, "T~>", ("T~>", other, expr), (other, expr))
-        elif isinstance(expr, TermEdge):
+            self._pair(branch, "T~>", expr, (FormulaEdge, expr.src, expr.antecedent),
+                       (RelCf, expr.src, expr.antecedent), False)
+        elif kind is TermEdge:
             self._register_label(branch, expr.src)
             self._register_label(branch, expr.dst)
             if isinstance(expr.term, Sum):
-                self._enqueue(branch, "sum", ("sum", expr), (expr,))
-            for other in branch.nodes:
-                if (isinstance(other, Signed) and other.sign
-                        and isinstance(other.formula, Just)
-                        and other.label == expr.src
-                        and other.formula.term == expr.term):
-                    self._enqueue(branch, "T:", ("T:", other, expr), (other, expr))
+                self._enqueue(branch, "sum", (expr,))
+            self._pair(branch, "T:", expr, (TermEdge, expr.src, expr.term),
+                       (Just, expr.src, expr.term), False)
         else:
-            for lab in (expr.x, expr.y, expr.z):
+            for lab in expr:
                 self._register_label(branch, lab)
-            for other in branch.nodes:
-                if (isinstance(other, Signed) and other.sign
-                        and isinstance(other.formula, RelImp)
-                        and other.label == expr.x):
-                    self._enqueue(branch, "T->", ("T->", other, expr), (other, expr))
+            self._pair(branch, "T->", expr, (Ternary, expr.x), (RelImp, expr.x), False)
 
     # -- rule firing ---------------------------------------------------------
 
     def _cite(self, branch: Branch, rule: str, data: tuple) -> str:
-        sources = [branch.node_line[d] for d in data if d in branch.node_line]
+        nodes = branch.nodes
+        sources = [nodes[d] for d in data if d in nodes]
         return rule if not sources else rule + " " + " ".join(map(str, sources))
 
     def _fresh(self, branch: Branch, count: int) -> list[Label] | None:
@@ -425,14 +459,14 @@ class _Prover:
                 return _CLOSED
             if not branch.agenda:
                 if branch.blocked:
-                    self._emit(branch, "exhausted", numbered=False)
+                    self._note(branch, "exhausted")
                     return _EXHAUSTED
                 branch.complete = True
-                self._emit(branch, "open", numbered=False)
+                self._note(branch, "open")
                 return _OPEN
             if self.steps >= self.budget.max_steps:
                 self.step_capped = True
-                self._emit(branch, "exhausted", numbered=False)
+                self._note(branch, "exhausted")
                 return _EXHAUSTED
             _, _, rule, data = heapq.heappop(branch.agenda)
             if rule in _BRANCHING:
@@ -449,14 +483,17 @@ class _Prover:
 
     def search(self, root: Branch):
         any_exhausted = False
-        pending: list[tuple[Branch, list | None, str]] = [(root, None, "")]
+        # (branch, alternative nodes, tag, whether to copy the branch first)
+        pending: list[tuple[Branch, list | None, str, bool]] = [(root, None, "", False)]
         while pending:
             if self.step_capped:
                 return _EXHAUSTED
-            branch, alt, tag = pending.pop()
+            branch, alt, tag, fork = pending.pop()
             if alt is not None:
-                branch = branch.copy()
+                if fork:
+                    branch = branch.copy()
                 branch.depth += 1
+                branch.start = len(branch.events)
                 alive = True
                 for expr in alt:
                     if not self.add_node(branch, expr, tag):
@@ -474,8 +511,12 @@ class _Prover:
                 continue
             rule, data = outcome
             tag = self._cite(branch, rule, data)
-            for nodes in reversed(self._alternatives(rule, data)):
-                pending.append((branch, nodes, tag))
+            branch.trail += ((branch.start, len(branch.events)),)
+            # The last alternative pops last, after every copy is taken.
+            last, *earlier = reversed(self._alternatives(rule, data))
+            pending.append((branch, last, tag, False))
+            for nodes in earlier:
+                pending.append((branch, nodes, tag, True))
         return _EXHAUSTED if any_exhausted else _CLOSED
 
     def run(self) -> ProofResult:
@@ -488,7 +529,7 @@ class _Prover:
             model, root_state = extract_model(outcome)
             return Open(outcome, model, root_state)
         if outcome == _CLOSED:
-            return Closed("\n".join(self.log), self.steps)
+            return Closed(None, self.steps, root.events)
         why = ("step budget of %d reached" % self.budget.max_steps
                if self.step_capped
                else "fresh-label budget of %d blocked a branch"

@@ -640,3 +640,31 @@ def test_deep_goal_gets_a_countermodel():
     assert found is not None
     model, witness = found
     assert witness == "w0" and model.valuation == {"w0": frozenset()}
+
+
+def _gate_error(f, dialect, fresh: bool) -> str | None:
+    """check_dialect_formula's error for f, None if it passes; with fresh,
+    from a full walk that remembers no accepted subtree."""
+    km = condjust.kripke_models
+    saved = km._ACCEPTED
+    if fresh:
+        km._ACCEPTED = {d: set() for d in Dialect}
+    try:
+        km.check_dialect_formula(f, dialect)
+        return None
+    except ValueError as exc:
+        return str(exc)
+    finally:
+        km._ACCEPTED = saved
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_dialect_gate_memo_keeps_every_verdict(data):
+    # Each formula is checked against every dialect in a random order, so
+    # subtrees accepted earlier are skipped later, and a subtree accepted
+    # by one dialect meets the others.
+    for _ in range(2):
+        f = data.draw(ast_strategies(data.draw(st.sampled_from(list(Dialect))))[1])
+        for target in data.draw(st.permutations(list(Dialect))):
+            assert _gate_error(f, target, False) == _gate_error(f, target, True)

@@ -272,6 +272,20 @@ def test_deep_unary_chains_print_and_get_a_signature():
     assert print_formula(g) == "x:[]" * 1_500 + "q"
 
 
+def test_deep_binary_chains_print():
+    conj = q
+    for _ in range(2_999):
+        conj = And(conj, q)
+    assert print_formula(conj) == " & ".join(["q"] * 3_000)
+    for cls, op in ((RelCf, "~>"), (Counterfactual, ">"), (MatImp, "=>")):
+        cond = q
+        for _ in range(2_999):
+            cond = cls(q, cond)
+        assert print_formula(cond) == f" {op} ".join(["q"] * 3_000)
+    mixed = And(Neg(And(p, q)), RelCf(p, And(q, r)))
+    assert print_formula(RelImp(mixed, mixed)) == "~(p & q) & (p ~> q & r) -> ~(p & q) & (p ~> q & r)"
+
+
 @pytest.mark.parametrize("dialect", list(Dialect))
 @given(data=st.data())
 def test_sorted_by_key_is_the_formula_key_order(dialect, data):

@@ -11,7 +11,7 @@ from condjust.routley_models import (
     eval_jrc,
     routley_model_to_json,
 )
-from condjust.syntax import Dialect, parse_formula
+from condjust.syntax import Dialect, Neg, parse_formula
 from condjust.tableau import (
     Branch,
     Budget,
@@ -262,3 +262,15 @@ class TestExtraction:
     def test_root_state_is_normal(self):
         r = prove([], pf("(p & ~p) ~> q"), Budget(6, 500))
         assert r.root_state in r.extracted.normal
+
+
+class TestDeepInput:
+    def test_deep_negation_chain_gets_a_result(self):
+        goal = pf("q")
+        for _ in range(3_000):
+            goal = Neg(goal)
+        r = prove([], goal, Budget(8, 10_000))
+        assert isinstance(r, Open)
+        lines = r.branch.text().splitlines()
+        assert lines[3_000] == "3001. q, -0  [T~ 3000]"
+        assert lines[-1] == "open"
