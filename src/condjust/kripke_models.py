@@ -12,6 +12,8 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
+from operator import and_, or_
+from typing import NamedTuple
 
 from condjust.syntax import (
     And, App, Atom, Bang, Box, Constant, Counterfactual, Dialect, Formula,
@@ -24,7 +26,7 @@ __all__ = [
     "RelScheme", "KripkeModel", "VariantProfile",
     "ConstantSpecification", "Explicit", "AxiomaticallyAppropriate",
     "cs_entries", "profile_for",
-    "eval", "truthset", "valid_in_model", "consequence",
+    "eval", "eval_kripke", "truthset", "valid_in_model", "consequence",
     "check_conditions", "default_universe",
     "ConditionResult", "ConditionReport",
     "jtb", "knowledge",
@@ -45,6 +47,10 @@ Pairs = frozenset[tuple[str, str]]
 
 @dataclass(frozen=True, eq=False)
 class KripkeModel:
+    """A relational model. The constructor takes relations as sets of state
+    pairs and builds the bitset form from them; _from_masks takes the bitset
+    form and builds the pair fields only when they are first read."""
+
     states: tuple[str, ...]
     normal: frozenset[str]
     valuation: dict[str, frozenset[str]] = field(default_factory=dict)
@@ -57,10 +63,8 @@ class KripkeModel:
         states = tuple(self.states)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "normal", frozenset(self.normal))
-        if len(set(states)) != len(states) or not states:
-            raise ValueError("states must be a nonempty sequence without repeats")
-        if not self.normal <= set(states):
-            raise ValueError("normal states must be listed in states")
+        frame = _frame(states, self.normal)
+        index = frame.index
         object.__setattr__(
             self, "valuation",
             {w: frozenset(v) for w, v in self.valuation.items()})
@@ -77,11 +81,6 @@ class KripkeModel:
         # state i is bit i, a set of states is an int, a relation is a tuple
         # holding one such int (the row) per state.
         n = len(states)
-        index = dict(zip(states, range(n)))
-        normal_idx = tuple(sorted(map(index.__getitem__, self.normal)))
-        normal_mask = 0
-        for i in normal_idx:
-            normal_mask |= 1 << i
         atoms: dict[str, int] = {}
         for w, names in self.valuation.items():
             if w not in self.normal:
@@ -117,19 +116,127 @@ class KripkeModel:
             override_rows[f] = tuple(rows)
         vars(self).update(
             _index=index,
-            _normal_mask=normal_mask,
-            _normal_idx=normal_idx,
+            _normal_mask=frame.normal_mask,
+            _normal_idx=frame.normal_idx,
             _atoms=atoms,
             _members=members,
             _term_rows=term_rows,
             _override_rows=override_rows,
         )
 
+    @classmethod
+    def _from_masks(cls, states: tuple[str, ...], normal: frozenset[str],
+                    atoms: dict[str, int], members: dict[Formula, int],
+                    term_rows: dict[Term, tuple[int, ...]],
+                    override_rows: dict[Formula, tuple[int, ...]]) -> "KripkeModel":
+        """A model given in its bitset form, under the default relation
+        scheme, checked as the constructor checks the pair form. The dicts
+        are kept as given; the caller must not change them. The pair-form
+        fields are built on first read."""
+        frame = _frame(states, normal)
+        # Each test ORs or ANDs the masks together in C; the loops that name
+        # the offender run only once a test has failed.
+        if functools.reduce(or_, atoms.values(), 0) & ~frame.normal_mask:
+            a = next(a for a, mask in atoms.items() if mask & ~frame.normal_mask)
+            raise ValueError(f"valuation of {a!r} holds outside the normal states")
+        if functools.reduce(or_, members.values(), 0) & ~frame.nonnormal_mask:
+            f = next(f for f, mask in members.items() if mask & ~frame.nonnormal_mask)
+            raise ValueError(f"nonnormal_valuation of {print_formula(f)} holds "
+                             "outside the non-normal states")
+        for t, rows in term_rows.items():
+            if len(rows) != len(states) or any(map(and_, rows, frame.off_rows)):
+                raise ValueError(f"relation of {print_term(t)} mentions unknown states")
+        for f, rows in override_rows.items():
+            if len(rows) != len(states) or any(map(and_, rows, frame.off_normal_rows)):
+                raise ValueError(
+                    f"formula relation of {print_formula(f)} must join normal states")
+        m = object.__new__(cls)
+        vars(m).update(
+            states=states,
+            normal=normal,
+            formula_rel_default=RelScheme.TruthsetNormal,
+            _index=frame.index,
+            _normal_mask=frame.normal_mask,
+            _normal_idx=frame.normal_idx,
+            _atoms=atoms,
+            _members=members,
+            _term_rows=term_rows,
+            _override_rows=override_rows,
+        )
+        return m
+
     def state_index(self, w: str) -> int:
         try:
             return self._index[w]
         except KeyError:
             raise ValueError("tuple.index(x): x not in tuple") from None
+
+
+class _Frame(NamedTuple):
+    """What every model over the same states and normal states shares."""
+
+    index: dict[str, int]
+    normal_mask: int
+    normal_idx: tuple[int, ...]
+    nonnormal_mask: int
+    # per state, the bits a term row or an override row must not hold; any()
+    # over map(and_, ...) tests them without building a tuple per model
+    off_rows: tuple[int, ...]
+    off_normal_rows: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=64)
+def _frame(states: tuple[str, ...], normal: frozenset[str]) -> _Frame:
+    if len(set(states)) != len(states) or not states:
+        raise ValueError("states must be a nonempty sequence without repeats")
+    if not normal <= set(states):
+        raise ValueError("normal states must be listed in states")
+    index = dict(zip(states, range(len(states))))
+    normal_idx = tuple(sorted(map(index.__getitem__, normal)))
+    normal_mask = sum(1 << i for i in normal_idx)
+    full = (1 << len(states)) - 1
+    return _Frame(index, normal_mask, normal_idx, full ^ normal_mask,
+                  (~full,) * len(states),
+                  tuple(~normal_mask if normal_mask >> i & 1 else -1
+                        for i in range(len(states))))
+
+
+def _pairs(states: tuple[str, ...], rows: tuple[int, ...]) -> Pairs:
+    return frozenset((states[i], states[j]) for i, row in enumerate(rows) for j in _bits(row))
+
+
+def _holding(masks: dict, i: int) -> frozenset:
+    """The keys whose mask has bit i."""
+    return frozenset(key for key, mask in masks.items() if mask >> i & 1)
+
+
+class _View:
+    """A pair field of a model built by _from_masks, made from the masks on
+    first read and then kept on the model. A model from the constructor
+    holds the field itself, which hides this descriptor. (A __getattr__ on
+    the class would slow every attribute load of every model.)"""
+
+    def __init__(self, name: str, build):
+        self.name, self.build = name, build
+
+    def __get__(self, m, owner=None):
+        if m is None:
+            return self
+        value = vars(m)[self.name] = self.build(m)
+        return value
+
+
+# Set after the class is made, so that the dataclass fields keep their
+# default factories.
+KripkeModel.valuation = _View("valuation", lambda m: {
+    m.states[i]: _holding(m._atoms, i) for i in m._normal_idx})
+KripkeModel.nonnormal_valuation = _View("nonnormal_valuation", lambda m: {
+    w: _holding(m._members, i)
+    for i, w in enumerate(m.states) if not m._normal_mask >> i & 1})
+KripkeModel.term_rels = _View("term_rels", lambda m: {
+    t: _pairs(m.states, rows) for t, rows in m._term_rows.items()})
+KripkeModel.formula_rel_overrides = _View("formula_rel_overrides", lambda m: {
+    f: _pairs(m.states, rows) for f, rows in m._override_rows.items()})
 
 
 # --- constant specifications -------------------------------------------
@@ -400,6 +507,9 @@ def eval(m: KripkeModel, w: str, f: Formula, dialect: Dialect | None = None) -> 
     return bool(_Evaluator(m).mask(f) >> i & 1)
 
 
+eval_kripke = eval  # the same function, under a name that shadows no builtin
+
+
 def truthset(m: KripkeModel, f: Formula, dialect: Dialect | None = None) -> frozenset[str]:
     """States where f is true, non-normal states by literal membership."""
     if dialect is not None:
@@ -505,7 +615,7 @@ def check_conditions(m: KripkeModel, profile: VariantProfile, universe,
     formulas, query_terms, terms = _query_part(frozenset(universe))
     # The query terms are closed under subterms; the model may add others.
     extra: set[Term] = set()
-    for t in m.term_rels:
+    for t in m._term_rows:
         if t not in query_terms:
             extra |= subterms(t)
     if extra:
@@ -514,7 +624,7 @@ def check_conditions(m: KripkeModel, profile: VariantProfile, universe,
     results = []
     for cid in profile.conditions:
         passed, witness, detail = _CHECKS[cid](m, ev, formulas, terms, cs)
-        results.append(ConditionResult(cid, passed, witness, detail))
+        results.append(_PASSED[cid] if passed else ConditionResult(cid, passed, witness, detail))
     return ConditionReport(profile.name, tuple(results))
 
 
@@ -559,8 +669,9 @@ def _cond_weak_centering(m, ev, formulas, terms, cs):
 
 
 def _cond_constants(m, ev, formulas, terms, cs):
-    in_scope = set(formulas)
-    for name, f in cs_entries(cs):
+    entries = cs_entries(cs)
+    in_scope = set(formulas) if entries else ()
+    for name, f in entries:
         if f not in in_scope:
             continue
         ts = ev.mask(f)
@@ -725,6 +836,9 @@ _CHECKS = {
     "8": _cond_pair,
     "9": _cond_rel_extensionality,
 }
+
+# A frozen result per condition, shared by every report the condition passes.
+_PASSED = {cid: ConditionResult(cid, True) for cid in _CHECKS}
 
 
 # --- JSON documents ---------------------------------------------------------

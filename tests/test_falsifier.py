@@ -1,5 +1,7 @@
 """Falsifier tests: bounded enumeration, oracle cross-checks, samplers."""
 
+import dataclasses
+import pickle
 import random
 import subprocess
 import sys
@@ -18,6 +20,7 @@ from condjust.falsifier import (
     iter_kripke_models,
     sample_models,
 )
+from condjust.kripke_models import KripkeModel, RelScheme
 from condjust.kripke_models import (
     check_conditions,
     eval as kripke_eval,
@@ -510,3 +513,180 @@ class TestSampleModels:
     def test_rejects_unknown_dialect(self):
         with pytest.raises(ValueError):
             sample_models(J, ["p"], [], 1, random.Random(0))
+
+
+# --- models built from slot codes -----------------------------------------
+
+
+def pair_decode(sig, k, n, code):
+    """The slot code as pairs of state names, built through the validating
+    constructor; independent of _SlotLayout's offsets and of _from_masks."""
+    states = tuple(f"w{i}" for i in range(k))
+    valuation = {w: set() for w in states[:n]}
+    nn_val = {w: set() for w in states[n:]}
+    term_rels = {t: set() for t in sig.terms}
+    overrides = {f: set() for f in sig.antecedents}
+    slots = [(valuation[states[w]].add, a) for a in sig.atoms for w in range(n)]
+    slots += [(nn_val[states[n + w]].add, f)
+              for f in sig.universe for w in range(k - n)]
+    slots += [(term_rels[t].add, (states[a], states[b]))
+              for t in sig.terms for a in range(k) for b in range(k)]
+    slots += [(overrides[f].add, (states[a], states[b]))
+              for f in sig.antecedents for a in range(n) for b in range(n)]
+    for i, (add, item) in enumerate(slots):
+        if code >> i & 1:
+            add(item)
+    return KripkeModel(states, frozenset(states[:n]), valuation, nn_val,
+                       term_rels, overrides, RelScheme.TruthsetNormal)
+
+
+MASK_ATTRS = ("_index", "_normal_mask", "_normal_idx", "_atoms", "_members",
+              "_term_rows", "_override_rows")
+VIEWS = ("valuation", "nonnormal_valuation", "term_rels", "formula_rel_overrides")
+
+
+def assert_same_models(sig, goal, max_bits=None):
+    """Every code of every layout (of at most `max_bits` slots) decodes to
+    the model the pair decoder builds: same JSON, bitset form, views and
+    condition reports."""
+    profile = profile_for(sig.dialect)
+    for lay in falsifier._layouts(sig):
+        if max_bits is not None and lay.size > max_bits:
+            continue
+        for code in range(1 << lay.size):
+            got, want = lay.model(code), pair_decode(sig, lay.k, lay.n, code)
+            assert model_to_json(got, sig.dialect) == model_to_json(want, sig.dialect)
+            for name in MASK_ATTRS:
+                assert vars(got)[name] == vars(want)[name], name
+            assert check_conditions(got, profile, [goal]) == \
+                check_conditions(want, profile, [goal])
+            for name in VIEWS:
+                assert getattr(got, name) == getattr(want, name), name
+
+
+# Goals whose every layout at bound 2 has at most 12 slots, between them
+# covering atoms, literal memberships, term rows of each term kind and
+# override rows.
+MASK_GOALS = {
+    Dialect.LPCplus: "x:p > p",
+    Dialect.LPCint: "<x, p>:p",
+    Dialect.LPCprime: "(x.x):p",
+    Dialect.LPCKplus: "(x + x):p",
+    Dialect.J4Cplus: "!x:p",
+    Dialect.JCplus: "(p => q) > x:q",
+    Dialect.L: "[](p > q)",
+}
+
+
+class TestMaskModels:
+    @pytest.mark.parametrize("dialect", KRIPKE_DIALECTS, ids=lambda d: d.value)
+    def test_fixed_goal_decodes_like_pairs(self, dialect):
+        goal = pf(MASK_GOALS[dialect], dialect)
+        sig = SearchSignature.for_sequent([], goal, dialect, 2)
+        assert_same_models(sig, goal)
+
+    @pytest.mark.parametrize("dialect", KRIPKE_DIALECTS, ids=lambda d: d.value)
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_drawn_goal_decodes_like_pairs(self, dialect, data):
+        goal = data.draw(ast_strategies(dialect)[1])
+        bound = data.draw(st.sampled_from([1, 2]))
+        assert_same_models(SearchSignature.for_sequent([], goal, dialect, bound),
+                           goal, max_bits=10)
+
+    def test_three_state_layouts_decode_like_pairs(self):
+        goal = pf("p > q", L)
+        assert_same_models(SearchSignature.for_sequent([], goal, L, 3), goal,
+                           max_bits=11)
+
+    @pytest.mark.parametrize("text", ["p |- q > p", "~p |- x:p > q",
+                                      "p => q |- p > q"])
+    def test_witness_needs_the_premises(self, text):
+        # the goal fails at w0 too, where a premise is false
+        premises, goal = parse_sequent(text, L)
+        model, w = find_countermodel(premises, goal, L, 2)
+        assert w == first_witness(model, premises, goal) == "w1"
+        assert not kripke_eval(model, "w0", goal)
+
+    def sample(self):
+        """A model with every field nonempty: a term row, an override row, a
+        literal membership at the non-normal state."""
+        goal = pf("x:p > p", L)
+        sig = SearchSignature.for_sequent([], goal, L, 2)
+        lay = next(lay for lay in falsifier._layouts(sig) if (lay.k, lay.n) == (2, 1))
+        code = (1 << lay.size) - 1
+        return lay.model(code), pair_decode(sig, 2, 1, code)
+
+    def test_views_are_built_on_first_read(self):
+        m, want = self.sample()
+        assert not set(VIEWS) & set(vars(m))
+        check_conditions(m, profile_for(L), [pf("x:p > p", L)])
+        assert not set(VIEWS) & set(vars(m))
+        for name in VIEWS:
+            assert getattr(m, name) == getattr(want, name)
+            assert getattr(m, name) is getattr(m, name)
+
+    def test_passing_results_are_shared(self):
+        m, _ = self.sample()
+        first = check_conditions(m, profile_for(L), [pf("x:p > p", L)])
+        again = check_conditions(m, profile_for(L), [pf("p", L)])
+        passed = [(a, b) for a, b in zip(first.results, again.results)
+                  if a.passed and b.passed]
+        assert passed and all(a is b for a, b in passed)
+
+    def test_pickle_round_trip(self):
+        m, want = self.sample()
+        for forced in (False, True):
+            if forced:
+                repr(m)
+            back = pickle.loads(pickle.dumps(m))
+            assert model_to_json(back, L) == model_to_json(want, L)
+            for name in MASK_ATTRS:
+                assert vars(back)[name] == vars(want)[name]
+            for name in VIEWS:
+                assert getattr(back, name) == getattr(want, name)
+
+    def test_replace_validates_and_keeps_the_model(self):
+        m, want = self.sample()
+        other = dataclasses.replace(m, formula_rel_default=RelScheme.Empty)
+        assert other.formula_rel_default is RelScheme.Empty
+        for name in (*MASK_ATTRS, *VIEWS):
+            assert getattr(other, name) == getattr(want, name)
+        with pytest.raises(ValueError):
+            dataclasses.replace(m, normal=frozenset({"w9"}))
+
+    def test_repr_and_state_index(self):
+        m, _ = self.sample()
+        text = repr(m)
+        assert text.startswith("KripkeModel(states=('w0', 'w1'), ")
+        for name in VIEWS:
+            assert f"{name}={getattr(m, name)!r}" in text
+        assert m.state_index("w1") == 1
+        with pytest.raises(ValueError):
+            m.state_index("w2")
+        assert not hasattr(m, "no_such_field")
+
+    @pytest.mark.parametrize("change", [
+        {"states": ("w0", "w0")},
+        {"states": ()},
+        {"normal": frozenset({"w2"})},
+        {"atoms": {"p": 0b10}},
+        {"atoms": {"p": -1}},
+        {"members": {Atom("p"): 0b01}},
+        {"members": {Atom("p"): 0b100}},
+        {"term_rows": {Variable("x"): (0b11,)}},
+        {"term_rows": {Variable("x"): (0b100, 0)}},
+        {"term_rows": {Variable("x"): (-1, 0)}},
+        {"override_rows": {Atom("p"): (0b10, 0)}},
+        {"override_rows": {Atom("p"): (0b01, 0b01)}},
+        {"override_rows": {Atom("p"): (0b01,)}},
+    ], ids=lambda c: f"{next(iter(c))}={next(iter(c.values()))}")
+    def test_from_masks_rejects_broken_invariants(self, change):
+        fields = {"states": ("w0", "w1"), "normal": frozenset({"w0"}),
+                  "atoms": {"p": 0b01}, "members": {Atom("p"): 0b10},
+                  "term_rows": {Variable("x"): (0b11, 0b10)},
+                  "override_rows": {Atom("p"): (0b01, 0)}}
+        KripkeModel._from_masks(**fields)
+        with pytest.raises(ValueError):
+            KripkeModel._from_masks(**{**fields, **change})

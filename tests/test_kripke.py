@@ -668,3 +668,10 @@ def test_dialect_gate_memo_keeps_every_verdict(data):
         f = data.draw(ast_strategies(data.draw(st.sampled_from(list(Dialect))))[1])
         for target in data.draw(st.permutations(list(Dialect))):
             assert _gate_error(f, target, False) == _gate_error(f, target, True)
+
+
+def test_eval_kripke_is_the_relational_eval():
+    import condjust.kripke_models as km
+
+    assert condjust.eval_kripke is km.eval_kripke is km.eval
+    assert "eval_kripke" in condjust.__all__ and "eval" not in condjust.__all__
