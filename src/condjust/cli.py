@@ -81,20 +81,63 @@ def _load_json(path: str) -> dict:
         raise _InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_any_model(path: str):
-    """A model file plus its dialect; Routley models carry Dialect.JRC."""
+def _model_from_doc(doc: dict):
+    """A model document's model plus its dialect; Routley models carry
+    Dialect.JRC."""
+    if doc.get("dialect") == "jrc":
+        return load_routley_model(doc), Dialect.JRC
+    return load_model(doc)
+
+
+def _load_model_file(path: str):
     doc = _load_json(path)
     try:
-        if doc.get("dialect") == "jrc":
-            return load_routley_model(doc), Dialect.JRC
-        return load_model(doc)
+        return _model_from_doc(doc)
     except (ParseError, ValueError, KeyError, TypeError) as exc:
         raise _InputError(f"bad model file {path}: {exc}") from exc
 
 
-def _parse_or_die(text: str, dialect: Dialect) -> Formula:
+def _load_cs(path: str, dialect: Dialect):
     try:
-        return parse_formula(text, dialect)
+        return load_constant_specification(_load_json(path), dialect)
+    except (ParseError, ValueError, TypeError) as exc:
+        raise _InputError(f"bad constant specification: {exc}") from exc
+
+
+def _evaluate(model, dialect: Dialect, f: Formula, state: str | None) -> bool:
+    """Truth of f at the state, or at every normal state when state is None."""
+    if dialect is Dialect.JRC:
+        return jrc_valid(model, f) if state is None else eval_jrc(model, state, f)
+    if state is None:
+        return valid_in_model(model, f, dialect)
+    return kripke_eval(model, state, f, dialect)
+
+
+def _condition_report(model, dialect: Dialect, seeds, profile: str | None,
+                      load_cs) -> ConditionReport:
+    """The frame conditions of a model over the subformula closure of the
+    seed formulas (texts) and the model's own formulas. A relational model
+    is checked under the profile's dialect when one is given, with the
+    constant specification that load_cs (a function of the dialect, or
+    None) returns. Bad input raises ValueError."""
+    if dialect is Dialect.JRC:
+        if profile and profile != "jrc":
+            raise ValueError("routley model files always use the jrc profile")
+        if load_cs:
+            raise ValueError("constant specifications do not apply to jrc")
+        seeds = [parse_formula(t, dialect) for t in seeds]
+        return check_jrc_conditions(model, closure([*seeds, *model.formula_rel_overrides]))
+    if profile:
+        dialect = Dialect(profile)
+    variant = profile_for(dialect)
+    cs = load_cs(dialect) if load_cs else None
+    seeds = [parse_formula(t, dialect) for t in seeds]
+    return check_conditions(model, variant, default_universe(model, seeds), cs)
+
+
+def _parse_or_die(text: str, dialect: Dialect, parse=parse_formula):
+    try:
+        return parse(text, dialect)
     except ParseError as exc:
         raise _InputError(str(exc)) from exc
 
@@ -159,15 +202,10 @@ def _report_text(report: ConditionReport) -> str:
 
 def _cmd_parse(args) -> int:
     dialect = Dialect(args.dialect)
-    try:
-        if args.term:
-            node = parse_term(args.text, dialect)
-            canonical = print_term(node)
-        else:
-            node = parse_formula(args.text, dialect)
-            canonical = print_formula(node)
-    except ParseError as exc:
-        raise _InputError(str(exc)) from exc
+    if args.term:
+        canonical = print_term(_parse_or_die(args.text, dialect, parse_term))
+    else:
+        canonical = print_formula(_parse_or_die(args.text, dialect))
     _emit(args, {
         "dialect": dialect.value,
         "kind": "term" if args.term else "formula",
@@ -178,19 +216,12 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model, dialect = _load_any_model(args.model)
+    model, dialect = _load_model_file(args.model)
     f = _parse_or_die(args.text, dialect)
-    if args.valid:
-        value = jrc_valid(model, f) if dialect is Dialect.JRC \
-            else valid_in_model(model, f, dialect)
-        where = {"valid": True}
-    else:
-        states = set(model.states)
-        if args.state not in states:
-            raise _InputError(f"unknown state {args.state!r}")
-        value = eval_jrc(model, args.state, f) if dialect is Dialect.JRC \
-            else kripke_eval(model, args.state, f, dialect)
-        where = {"state": args.state}
+    if not args.valid and args.state not in model.states:
+        raise _InputError(f"unknown state {args.state!r}")
+    value = _evaluate(model, dialect, f, None if args.valid else args.state)
+    where = {"valid": True} if args.valid else {"state": args.state}
     _emit(args, {
         "model": args.model,
         "dialect": dialect.value,
@@ -202,40 +233,18 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check_model(args) -> int:
-    model, dialect = _load_any_model(args.model)
-    if dialect is Dialect.JRC:
-        if args.profile and args.profile != "jrc":
-            raise _InputError("routley model files always use the jrc profile")
-        if args.cs:
-            raise _InputError("constant specifications do not apply to jrc")
-        seeds = [_parse_or_die(t, dialect) for t in args.formulas]
-        universe = closure([*seeds, *model.formula_rel_overrides])
-        report = check_jrc_conditions(model, universe)
-    else:
-        if args.profile:
-            dialect = Dialect(args.profile)
-        try:
-            profile = profile_for(dialect)
-        except ValueError as exc:
-            raise _InputError(str(exc)) from exc
-        cs = None
-        if args.cs:
-            try:
-                cs = load_constant_specification(_load_json(args.cs), dialect)
-            except (ParseError, ValueError, TypeError) as exc:
-                raise _InputError(f"bad constant specification: {exc}") from exc
-        seeds = [_parse_or_die(t, dialect) for t in args.formulas]
-        universe = default_universe(model, seeds)
-        report = check_conditions(model, profile, universe, cs)
+    model, dialect = _load_model_file(args.model)
+    load_cs = (lambda d: _load_cs(args.cs, d)) if args.cs else None
+    try:
+        report = _condition_report(model, dialect, args.formulas, args.profile, load_cs)
+    except ValueError as exc:  # a ParseError too
+        raise _InputError(str(exc)) from exc
     _emit(args, _report_payload(report), _report_text(report))
     return 0
 
 
 def _cmd_prove(args) -> int:
-    try:
-        premises, goal = parse_sequent(args.sequent, Dialect.JRC)
-    except ParseError as exc:
-        raise _InputError(str(exc)) from exc
+    premises, goal = _parse_or_die(args.sequent, Dialect.JRC, parse_sequent)
     try:
         budget = Budget(args.budget_labels, args.budget_steps)
     except ValueError as exc:
@@ -271,10 +280,7 @@ def _cmd_prove(args) -> int:
 
 def _cmd_falsify(args) -> int:
     dialect = Dialect(args.dialect)
-    try:
-        premises, goal = parse_sequent(args.sequent, dialect)
-    except ParseError as exc:
-        raise _InputError(str(exc)) from exc
+    premises, goal = _parse_or_die(args.sequent, dialect, parse_sequent)
     try:
         found = find_countermodel(premises, goal, dialect, args.bound)
     except ValueError as exc:
@@ -310,12 +316,7 @@ def _read_derivation(args):
 
 def _cmd_check_proof(args) -> int:
     d, dialect = _read_derivation(args)
-    cs = None
-    if args.cs:
-        try:
-            cs = load_constant_specification(_load_json(args.cs), dialect)
-        except (ParseError, ValueError, TypeError) as exc:
-            raise _InputError(f"bad constant specification: {exc}") from exc
+    cs = _load_cs(args.cs, dialect) if args.cs else None
     res = check_derivation(d, dialect, cs)
     payload = {
         "ok": res.ok,
@@ -377,23 +378,10 @@ def _corpus_resource(name: str, base: Path, as_json: bool):
         raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _corpus_model(case: dict, base: Path):
-    doc = _corpus_resource(case["model"], base, as_json=True)
-    if doc.get("dialect") == "jrc":
-        return load_routley_model(doc), Dialect.JRC
-    return load_model(doc)
-
-
 def _case_eval(case: dict, base: Path) -> tuple[bool, str]:
-    model, dialect = _corpus_model(case, base)
+    model, dialect = _model_from_doc(_corpus_resource(case["model"], base, as_json=True))
     f = parse_formula(case["formula"], dialect)
-    if case["check"] == "valid":
-        got = jrc_valid(model, f) if dialect is Dialect.JRC \
-            else valid_in_model(model, f, dialect)
-    else:
-        w = case["state"]
-        got = eval_jrc(model, w, f) if dialect is Dialect.JRC \
-            else kripke_eval(model, w, f, dialect)
+    got = _evaluate(model, dialect, f, None if case["check"] == "valid" else case["state"])
     want = bool(case["expect"])
     if got != want:
         return False, f"expected {str(want).lower()}, got {str(got).lower()}"
@@ -401,21 +389,14 @@ def _case_eval(case: dict, base: Path) -> tuple[bool, str]:
 
 
 def _case_conditions(case: dict, base: Path) -> tuple[bool, str]:
-    model, dialect = _corpus_model(case, base)
-    if dialect is Dialect.JRC:
-        seeds = [parse_formula(t, dialect) for t in case.get("formulas", ())]
-        universe = closure([*seeds, *model.formula_rel_overrides])
-        report = check_jrc_conditions(model, universe)
-    else:
-        if "profile" in case:
-            dialect = Dialect(case["profile"])
-        cs = None
-        if "cs" in case:
-            cs = load_constant_specification(
-                _corpus_resource(case["cs"], base, as_json=True), dialect)
-        seeds = [parse_formula(t, dialect) for t in case.get("formulas", ())]
-        universe = default_universe(model, seeds)
-        report = check_conditions(model, profile_for(dialect), universe, cs)
+    model, dialect = _model_from_doc(_corpus_resource(case["model"], base, as_json=True))
+    load_cs = None
+    if "cs" in case:
+        def load_cs(d):
+            return load_constant_specification(
+                _corpus_resource(case["cs"], base, as_json=True), d)
+    report = _condition_report(
+        model, dialect, case.get("formulas", ()), case.get("profile"), load_cs)
     want_ok = bool(case["expect_ok"])
     if report.ok != want_ok:
         failures = ", ".join(r.condition for r in report.failures()) or "none"
@@ -619,8 +600,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # The parser, printers and evaluators recurse on the tree, so input
-        # nested past the interpreter's recursion limit is bad input.
+        # The parser recurses on the tree, so input nested past the
+        # interpreter's recursion limit is bad input.
         print("error: input nested too deeply", file=sys.stderr)
         return 2
 

@@ -60,23 +60,11 @@ class KripkeModel:
     formula_rel_default: RelScheme = RelScheme.TruthsetNormal
 
     def __post_init__(self):
-        states = tuple(self.states)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "normal", frozenset(self.normal))
+        _freeze(self, nonnormal_valuation={
+            w: frozenset(v) for w, v in self.nonnormal_valuation.items()})
+        states = self.states
         frame = _frame(states, self.normal)
         index = frame.index
-        object.__setattr__(
-            self, "valuation",
-            {w: frozenset(v) for w, v in self.valuation.items()})
-        object.__setattr__(
-            self, "nonnormal_valuation",
-            {w: frozenset(v) for w, v in self.nonnormal_valuation.items()})
-        object.__setattr__(
-            self, "term_rels",
-            {t: frozenset(tuple(p) for p in v) for t, v in self.term_rels.items()})
-        object.__setattr__(
-            self, "formula_rel_overrides",
-            {f: frozenset(tuple(p) for p in v) for f, v in self.formula_rel_overrides.items()})
         # The checks below also build the bitset form the evaluator reads:
         # state i is bit i, a set of states is an int, a relation is a tuple
         # holding one such int (the row) per state.
@@ -95,33 +83,17 @@ class KripkeModel:
             bit = 1 << index[w]
             for f in entry:
                 members[f] = members.get(f, 0) | bit
-        term_rows: dict[Term, tuple[int, ...]] = {}
-        for t, rel in self.term_rels.items():
-            rows = [0] * n
-            for a, b in rel:
-                i, j = index.get(a), index.get(b)
-                if i is None or j is None:
-                    raise ValueError(f"relation pair ({a!r}, {b!r}) mentions unknown states")
-                rows[i] |= 1 << j
-            term_rows[t] = tuple(rows)
-        override_rows: dict[Formula, tuple[int, ...]] = {}
-        for f, rel in self.formula_rel_overrides.items():
-            rows = [0] * n
-            for a, b in rel:
-                # Formula relations live on the normal states.
-                if a not in self.normal or b not in self.normal:
-                    raise ValueError(
-                        f"formula relation pair ({a!r}, {b!r}) must join normal states")
-                rows[index[a]] |= 1 << index[b]
-            override_rows[f] = tuple(rows)
         vars(self).update(
             _index=index,
             _normal_mask=frame.normal_mask,
             _normal_idx=frame.normal_idx,
             _atoms=atoms,
             _members=members,
-            _term_rows=term_rows,
-            _override_rows=override_rows,
+            _term_rows={t: _rows(rel, index, n, _UNKNOWN_PAIR)
+                        for t, rel in self.term_rels.items()},
+            # Formula relations live on the normal states.
+            _override_rows={f: _rows(rel, frame.normal_index, n, _ABNORMAL_PAIR)
+                            for f, rel in self.formula_rel_overrides.items()},
         )
 
     @classmethod
@@ -172,10 +144,24 @@ class KripkeModel:
             raise ValueError("tuple.index(x): x not in tuple") from None
 
 
+def _freeze(m, **fields) -> None:
+    """Store the given fields and the fields both model families share,
+    the latter as tuples and frozensets."""
+    vars(m).update(
+        states=tuple(m.states),
+        normal=frozenset(m.normal),
+        valuation={w: frozenset(v) for w, v in m.valuation.items()},
+        term_rels={t: frozenset(tuple(p) for p in v) for t, v in m.term_rels.items()},
+        formula_rel_overrides={
+            f: frozenset(tuple(p) for p in v) for f, v in m.formula_rel_overrides.items()},
+        **fields)
+
+
 class _Frame(NamedTuple):
     """What every model over the same states and normal states shares."""
 
     index: dict[str, int]
+    normal_index: dict[str, int]
     normal_mask: int
     normal_idx: tuple[int, ...]
     nonnormal_mask: int
@@ -195,10 +181,26 @@ def _frame(states: tuple[str, ...], normal: frozenset[str]) -> _Frame:
     normal_idx = tuple(sorted(map(index.__getitem__, normal)))
     normal_mask = sum(1 << i for i in normal_idx)
     full = (1 << len(states)) - 1
-    return _Frame(index, normal_mask, normal_idx, full ^ normal_mask,
-                  (~full,) * len(states),
+    return _Frame(index, {w: index[w] for w in normal}, normal_mask, normal_idx,
+                  full ^ normal_mask, (~full,) * len(states),
                   tuple(~normal_mask if normal_mask >> i & 1 else -1
                         for i in range(len(states))))
+
+
+_UNKNOWN_PAIR = "relation pair ({a!r}, {b!r}) mentions unknown states"
+_ABNORMAL_PAIR = "formula relation pair ({a!r}, {b!r}) must join normal states"
+
+
+def _rows(rel: Pairs, index: dict[str, int], n: int, fault: str) -> tuple[int, ...]:
+    """A relation as rows, one mask per state; a pair with a state outside
+    index raises ValueError with fault filled in."""
+    rows = [0] * n
+    for a, b in rel:
+        i, j = index.get(a), index.get(b)
+        if i is None or j is None:
+            raise ValueError(fault.format(a=a, b=b))
+        rows[i] |= 1 << j
+    return tuple(rows)
 
 
 def _pairs(states: tuple[str, ...], rows: tuple[int, ...]) -> Pairs:
@@ -392,10 +394,10 @@ def _diagonal(rows: tuple[int, ...]) -> int:
     return out
 
 
-def _inside(m: KripkeModel, rows: tuple[int, ...], target: int) -> int:
-    """Normal states whose row lies inside the target mask."""
+def _inside(idx, rows: tuple[int, ...], target: int) -> int:
+    """The states among idx whose row lies inside the target mask."""
     out = 0
-    for i in m._normal_idx:
+    for i in idx:
         if not rows[i] & ~target:
             out |= 1 << i
     return out
@@ -453,7 +455,7 @@ class _Evaluator:
                         stack.append(g.right)
                     continue
                 if rows is not None:
-                    value = _inside(m, rows, b)
+                    value = _inside(m._normal_idx, rows, b)
                 else:
                     shared = a & normal if scheme is RelScheme.TruthsetNormal else a
                     value = 0 if shared & ~b else -1
@@ -463,7 +465,7 @@ class _Evaluator:
                     stack.append(g.inner)
                     continue
                 rows = m._term_rows.get(g.term)
-                value = -1 if rows is None else _inside(m, rows, b)
+                value = -1 if rows is None else _inside(m._normal_idx, rows, b)
             elif kind is Box:
                 b = masks.get(g.inner)
                 if b is None:
@@ -532,8 +534,11 @@ def consequence(m: KripkeModel, premises, goal: Formula,
     if dialect is not None:
         for f in (*premises, goal):
             check_dialect_formula(f, dialect)
-    ev = _Evaluator(m)
-    counter = m._normal_mask & ~ev.mask(goal)
+    return _consequence(_Evaluator(m), premises, goal)
+
+
+def _consequence(ev, premises, goal: Formula) -> bool:
+    counter = ev.m._normal_mask & ~ev.mask(goal)
     for f in premises:
         counter &= ev.mask(f)
     return not counter
@@ -609,9 +614,10 @@ def _query_part(queries: frozenset[Formula]):
     return formulas, frozenset(terms), tuple(sorted(terms, key=term_key))
 
 
-def check_conditions(m: KripkeModel, profile: VariantProfile, universe,
-                     cs: ConstantSpecification | None = None) -> ConditionReport:
-    """Check the profile's frame conditions over a finite formula universe."""
+def _report(name: str, cids, checks: dict, m, ev, universe,
+            cs: ConstantSpecification | None = None) -> ConditionReport:
+    """Run the checks named by cids over the sorted closure of the universe,
+    its terms and the model's; each check reads only masks."""
     formulas, query_terms, terms = _query_part(frozenset(universe))
     # The query terms are closed under subterms; the model may add others.
     extra: set[Term] = set()
@@ -620,12 +626,17 @@ def check_conditions(m: KripkeModel, profile: VariantProfile, universe,
             extra |= subterms(t)
     if extra:
         terms = sorted(query_terms | extra, key=term_key)
-    ev = _Evaluator(m)
     results = []
-    for cid in profile.conditions:
-        passed, witness, detail = _CHECKS[cid](m, ev, formulas, terms, cs)
+    for cid in cids:
+        passed, witness, detail = checks[cid](m, ev, formulas, terms, cs)
         results.append(_PASSED[cid] if passed else ConditionResult(cid, passed, witness, detail))
-    return ConditionReport(profile.name, tuple(results))
+    return ConditionReport(name, tuple(results))
+
+
+def check_conditions(m: KripkeModel, profile: VariantProfile, universe,
+                     cs: ConstantSpecification | None = None) -> ConditionReport:
+    """Check the profile's frame conditions over a finite formula universe."""
+    return _report(profile.name, profile.conditions, _CHECKS, m, _Evaluator(m), universe, cs)
 
 
 # Each condition walks its formulas, terms and normal states in the same order
@@ -837,8 +848,9 @@ _CHECKS = {
     "9": _cond_rel_extensionality,
 }
 
-# A frozen result per condition, shared by every report the condition passes.
-_PASSED = {cid: ConditionResult(cid, True) for cid in _CHECKS}
+# A frozen result per condition, shared by every report the condition passes;
+# the jrc checks of routley_models add two condition ids of their own.
+_PASSED = {cid: ConditionResult(cid, True) for cid in (*_CHECKS, "star", "normality")}
 
 
 # --- JSON documents ---------------------------------------------------------
@@ -857,36 +869,48 @@ def load_model(doc: dict) -> tuple[KripkeModel, Dialect]:
         nonnormal_valuation={
             w: frozenset(parse_formula(s, dialect) for s in entries)
             for w, entries in doc.get("nonnormal_valuation", {}).items()},
-        term_rels={
-            parse_term(t, dialect): frozenset((a, b) for a, b in pairs)
-            for t, pairs in doc.get("term_rels", {}).items()},
-        formula_rel_overrides={
-            parse_formula(s, dialect): frozenset((a, b) for a, b in pairs)
-            for s, pairs in doc.get("formula_rels", {}).items()},
+        **_load_rels(doc, dialect),
         formula_rel_default=RelScheme(doc.get("formula_rel_default", "truthset_normal")),
     )
     return m, dialect
 
 
+def _load_rels(doc: dict, dialect: Dialect) -> dict:
+    """A model document's relations, as keyword arguments of either family."""
+    return {
+        "term_rels": {
+            parse_term(t, dialect): frozenset((a, b) for a, b in pairs)
+            for t, pairs in doc.get("term_rels", {}).items()},
+        "formula_rel_overrides": {
+            parse_formula(s, dialect): frozenset((a, b) for a, b in pairs)
+            for s, pairs in doc.get("formula_rels", {}).items()},
+    }
+
+
+def _dump_rels(m) -> dict:
+    """The relation entries of either family's model document."""
+    def pairs(rows):
+        return [[m.states[i], m.states[j]] for i, row in enumerate(rows) for j in _bits(row)]
+
+    return {
+        "term_rels": {
+            print_term(t): pairs(rows)
+            for t, rows in sorted(m._term_rows.items(), key=lambda kv: term_key(kv[0]))},
+        "formula_rels": {
+            print_formula(f): pairs(rows)
+            for f, rows in sorted(m._override_rows.items(), key=lambda kv: formula_key(kv[0]))},
+    }
+
+
 def model_to_json(m: KripkeModel, dialect: Dialect) -> dict:
-    idx = m.state_index
-
-    def pairs(rel):
-        return [list(p) for p in sorted(rel, key=lambda p: (idx(p[0]), idx(p[1])))]
-
     return {
         "dialect": dialect.value,
         "states": list(m.states),
-        "normal": sorted(m.normal, key=idx),
+        "normal": sorted(m.normal, key=m.state_index),
         "valuation": {w: sorted(m.valuation.get(w, ())) for w in m.states if w in m.normal},
         "nonnormal_valuation": {
             w: sorted(print_formula(f) for f in m.nonnormal_valuation.get(w, ()))
             for w in m.states if w not in m.normal},
-        "term_rels": {
-            print_term(t): pairs(rel)
-            for t, rel in sorted(m.term_rels.items(), key=lambda kv: term_key(kv[0]))},
-        "formula_rels": {
-            print_formula(f): pairs(rel)
-            for f, rel in sorted(m.formula_rel_overrides.items(), key=lambda kv: formula_key(kv[0]))},
+        **_dump_rels(m),
         "formula_rel_default": m.formula_rel_default.value,
     }

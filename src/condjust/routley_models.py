@@ -1,22 +1,31 @@
 """Routley-star models for the relevant dialect.
 
-Truth is compositional at every state: negation flips through the star
-involution, relevant implication quantifies over a ternary relation, and the
-relevant conditional and justification assertions read their accessibility
-relations exactly as in the relational models. Normal states are singled out
-by the normality condition on the ternary relation and carry the antecedent
-truth condition.
+Truth is compositional at every state: negation flips through the star map,
+relevant implication quantifies over a ternary relation, and the relevant
+conditional and justification assertions read their accessibility relations
+exactly as in the relational models. Normal states are singled out by the
+normality condition on the ternary relation and carry the antecedent truth
+condition.
+
+A model keeps the bitset form of kripke_models: state i is bit i, a set of
+states is an int, a relation is a tuple of rows, one such int per state. The
+ternary relation is a row tuple per first state x, row y holding the states z
+of the triples (x, y, z). The evaluator computes one truth-set mask per
+formula, children first, and every condition check reads only masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from condjust.kripke_models import ConditionReport, ConditionResult, Pairs, RelScheme
+from condjust.kripke_models import (
+    ConditionReport, KripkeModel, Pairs, RelScheme, _UNKNOWN_PAIR, _Evaluator,
+    _bits, _cond_antecedent_truth, _consequence, _diagonal, _dump_rels, _frame,
+    _freeze, _inside, _load_rels, _lowest, _report, _rows,
+)
 from condjust.syntax import (
     And, Atom, Box, Dialect, Formula, Just, Neg, RelCf, RelImp, Sum, Term,
-    closure, formula_key, parse_formula, parse_term, print_formula,
-    print_term, subterms, term_key, terms_of, _sorted_by_key,
+    print_formula, print_term,
 )
 
 __all__ = [
@@ -38,19 +47,9 @@ class RoutleyModel:
     formula_rel_default: RelScheme = RelScheme.TruthsetAll
 
     def __post_init__(self):
-        states = tuple(self.states)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "normal", frozenset(self.normal))
-        object.__setattr__(self, "star", dict(self.star))
-        object.__setattr__(self, "ternary", frozenset(tuple(t) for t in self.ternary))
-        object.__setattr__(
-            self, "valuation", {w: frozenset(v) for w, v in self.valuation.items()})
-        object.__setattr__(
-            self, "term_rels",
-            {t: frozenset(tuple(p) for p in v) for t, v in self.term_rels.items()})
-        object.__setattr__(
-            self, "formula_rel_overrides",
-            {f: frozenset(tuple(p) for p in v) for f, v in self.formula_rel_overrides.items()})
+        _freeze(self, star=dict(self.star),
+                ternary=frozenset(tuple(t) for t in self.ternary))
+        states = self.states
         all_states = set(states)
         if len(all_states) != len(states) or not states:
             raise ValueError("states must be a nonempty sequence without repeats")
@@ -58,208 +57,213 @@ class RoutleyModel:
             raise ValueError("normal states must be a nonempty subset of states")
         if set(self.star) != all_states or not set(self.star.values()) <= all_states:
             raise ValueError("star must map every state to a state")
+        # The checks below also build the bitset form the evaluator reads.
+        frame = _frame(states, self.normal)
+        index, n = frame.index, len(states)
+        tern = [[0] * n for _ in states]
         for triple in self.ternary:
             if len(triple) != 3 or not set(triple) <= all_states:
                 raise ValueError(f"bad ternary triple {triple!r}")
-        for w in self.valuation:
+            x, y, z = map(index.__getitem__, triple)
+            tern[x][y] |= 1 << z
+        atoms: dict[str, int] = {}
+        for w, names in self.valuation.items():
             if w not in all_states:
                 raise ValueError(f"valuation key {w!r} is not a state")
-        for rel in (*self.term_rels.values(), *self.formula_rel_overrides.values()):
-            for a, b in rel:
-                if a not in all_states or b not in all_states:
-                    raise ValueError(f"relation pair ({a!r}, {b!r}) mentions unknown states")
+            for a in names:
+                atoms[a] = atoms.get(a, 0) | 1 << index[w]
+        vars(self).update(
+            _index=index,
+            _normal_mask=frame.normal_mask,
+            _normal_idx=frame.normal_idx,
+            _full=(1 << n) - 1,
+            _star=tuple(index[self.star[w]] for w in states),
+            _tern=tuple(map(tuple, tern)),
+            _atoms=atoms,
+            _term_rows={t: _rows(rel, index, n, _UNKNOWN_PAIR)
+                        for t, rel in self.term_rels.items()},
+            _override_rows={f: _rows(rel, index, n, _UNKNOWN_PAIR)
+                            for f, rel in self.formula_rel_overrides.items()},
+        )
 
-    def state_index(self, w: str) -> int:
-        return self.states.index(w)
+    state_index = KripkeModel.state_index
 
 
-class _JrcEvaluator:
-    def __init__(self, m: RoutleyModel):
-        self.m = m
-        self.ts_cache: dict[Formula, frozenset[str]] = {}
-        self.rel_cache: dict[Formula, dict[str, frozenset[str]]] = {}
-        self.term_cache: dict[Term, dict[str, frozenset[str]]] = {}
-        by_first: dict[str, list[tuple[str, str]]] = {}
-        for a, b, c in m.ternary:
-            by_first.setdefault(a, []).append((b, c))
-        self.by_first = by_first
+class _JrcEvaluator(_Evaluator):
+    """Truth sets of one Routley model as int masks, bit i for state i,
+    cached per formula; every state follows the clauses. The relation rows
+    are read as the relational evaluator reads them."""
 
-    def truthset(self, f: Formula) -> frozenset[str]:
-        ts = self.ts_cache.get(f)
-        if ts is None:
-            ts = frozenset(w for w in self.m.states if self.holds(w, f))
-            self.ts_cache[f] = ts
-        return ts
-
-    def holds(self, w: str, f: Formula) -> bool:
+    def mask(self, f: Formula) -> int:
+        masks = self.masks
+        value = masks.get(f)
+        if value is not None:
+            return value
         m = self.m
-        if isinstance(f, Atom):
-            return f.name in m.valuation.get(w, frozenset())
-        if isinstance(f, Neg):
-            return not self.holds(m.star[w], f.inner)
-        if isinstance(f, And):
-            return self.holds(w, f.left) and self.holds(w, f.right)
-        if isinstance(f, RelImp):
-            return all(
-                not self.holds(b, f.left) or self.holds(c, f.right)
-                for b, c in self.by_first.get(w, ()))
-        if isinstance(f, RelCf):
-            return self.rel(f.left, w) <= self.truthset(f.right)
-        if isinstance(f, Just):
-            return self.term_rel(f.term, w) <= self.truthset(f.inner)
-        if isinstance(f, Box):
-            # Not part of the dialect's grammar; programmatic trees read it
-            # as truth at every normal state.
-            return self.m.normal <= self.truthset(f.inner)
-        raise ValueError(
-            f"{type(f).__name__} has no clause on Routley models; use a relational model")
-
-    def rel(self, f: Formula, w: str) -> frozenset[str]:
-        table = self.rel_cache.get(f)
-        if table is None:
-            ov = self.m.formula_rel_overrides.get(f)
-            if ov is not None:
-                rows: dict[str, set[str]] = {}
-                for a, b in ov:
-                    rows.setdefault(a, set()).add(b)
-                table = {v: frozenset(rows.get(v, ())) for v in self.m.states}
-            else:
-                scheme = self.m.formula_rel_default
-                if scheme is RelScheme.Empty:
-                    shared = frozenset()
-                elif scheme is RelScheme.TruthsetNormal:
-                    shared = self.truthset(f) & self.m.normal
+        full, everywhere = m._full, range(len(m.states))
+        overrides, scheme = m._override_rows, m.formula_rel_default
+        # Children first, with an explicit stack so that depth is unbounded:
+        # a node whose children are not all known pushes them and waits.
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            kind = type(g)
+            if kind is Atom:
+                value = m._atoms.get(g.name, 0)
+            elif kind is Neg:
+                a = masks.get(g.inner)
+                if a is None:
+                    stack.append(g.inner)
+                    continue
+                # true at w when the inner formula fails at star(w)
+                value = 0
+                for i, s in enumerate(m._star):
+                    if not a >> s & 1:
+                        value |= 1 << i
+            elif kind is And or kind is RelImp:
+                a, b = masks.get(g.left), masks.get(g.right)
+                if a is None or b is None:
+                    if a is None:
+                        stack.append(g.left)
+                    if b is None:
+                        stack.append(g.right)
+                    continue
+                if kind is And:
+                    value = a & b
                 else:
-                    shared = self.truthset(f)
-                table = {v: shared for v in self.m.states}
-            self.rel_cache[f] = table
-        return table[w]
-
-    def term_rel(self, t: Term, w: str) -> frozenset[str]:
-        table = self.term_cache.get(t)
-        if table is None:
-            rows: dict[str, set[str]] = {}
-            for a, b in self.m.term_rels.get(t, ()):
-                rows.setdefault(a, set()).add(b)
-            table = {v: frozenset(rows.get(v, ())) for v in self.m.states}
-            self.term_cache[t] = table
-        return table[w]
+                    # true at x when every triple (x, y, z) with the
+                    # antecedent at y has the consequent at z
+                    ys = list(_bits(a))
+                    value = 0
+                    for x, row in enumerate(m._tern):
+                        if not any(row[y] & ~b for y in ys):
+                            value |= 1 << x
+            elif kind is RelCf:
+                rows = overrides.get(g.left)
+                # The antecedent's truth set is read only by a default scheme.
+                a = 0 if rows is not None or scheme is RelScheme.Empty else masks.get(g.left)
+                b = masks.get(g.right)
+                if a is None or b is None:
+                    if a is None:
+                        stack.append(g.left)
+                    if b is None:
+                        stack.append(g.right)
+                    continue
+                if rows is not None:
+                    value = _inside(everywhere, rows, b)
+                else:
+                    shared = a & m._normal_mask if scheme is RelScheme.TruthsetNormal else a
+                    value = 0 if shared & ~b else full
+            elif kind is Just:
+                b = masks.get(g.inner)
+                if b is None:
+                    stack.append(g.inner)
+                    continue
+                rows = m._term_rows.get(g.term)
+                value = full if rows is None else _inside(everywhere, rows, b)
+            elif kind is Box:
+                # Not part of the dialect's grammar; programmatic trees read
+                # it as truth at every normal state.
+                b = masks.get(g.inner)
+                if b is None:
+                    stack.append(g.inner)
+                    continue
+                value = 0 if m._normal_mask & ~b else full
+            else:
+                raise ValueError(
+                    f"{kind.__name__} has no clause on Routley models; use a relational model")
+            masks[g] = value
+            stack.pop()
+        return masks[f]
 
 
 def eval_jrc(m: RoutleyModel, w: str, f: Formula) -> bool:
-    if w not in set(m.states):
+    i = m._index.get(w)
+    if i is None:
         raise ValueError(f"unknown state {w!r}")
-    return _JrcEvaluator(m).holds(w, f)
+    return bool(_JrcEvaluator(m).mask(f) >> i & 1)
 
 
 def truthset_jrc(m: RoutleyModel, f: Formula) -> frozenset[str]:
-    return _JrcEvaluator(m).truthset(f)
+    ts = _JrcEvaluator(m).mask(f)
+    return frozenset(w for i, w in enumerate(m.states) if ts >> i & 1)
 
 
 def jrc_consequence(m: RoutleyModel, premises, goal: Formula) -> bool:
     """Goal holds at every normal state where all premises hold."""
-    ev = _JrcEvaluator(m)
-    for w in m.states:
-        if w not in m.normal:
-            continue
-        if all(ev.holds(w, f) for f in premises) and not ev.holds(w, goal):
-            return False
-    return True
+    return _consequence(_JrcEvaluator(m), premises, goal)
 
 
 def jrc_valid(m: RoutleyModel, f: Formula) -> bool:
     return jrc_consequence(m, (), f)
 
 
-def _jrc_term_universe(m: RoutleyModel, formulas) -> list[Term]:
-    terms: set[Term] = set()
-    for t in m.term_rels:
-        terms |= subterms(t)
-    for f in formulas:
-        terms |= terms_of(f)
-    return sorted(terms, key=term_key)
-
-
 def check_jrc_conditions(m: RoutleyModel, universe) -> ConditionReport:
     """Star involution, ternary normality, and the three frame conditions."""
-    universe = tuple(universe)
-    formulas = _sorted_by_key(closure(universe))
-    # a subformula's terms are among its parent's
-    terms = _jrc_term_universe(m, universe)
-    ev = _JrcEvaluator(m)
-    results = [
-        _star_involution(m),
-        _normality(m, ev),
-        _jrc_antecedent_truth(m, ev, formulas),
-        _jrc_self_support(m, ev, formulas),
-        _jrc_sum(m, ev, terms),
-    ]
-    return ConditionReport("jrc", tuple(results))
+    return _report("jrc", _JRC_CHECKS, _JRC_CHECKS, m, _JrcEvaluator(m), universe)
 
 
-def _star_involution(m: RoutleyModel) -> ConditionResult:
-    for w in m.states:
-        if m.star[m.star[w]] != w:
-            return ConditionResult(
-                "star", False, (w,),
-                f"star(star({w})) = {m.star[m.star[w]]}, expected {w}")
-    return ConditionResult("star", True)
+# Each check has the signature of the kripke_models checks. Sum and self
+# support range over every state here, the relational ones over the normal
+# states only.
 
 
-def _normality(m: RoutleyModel, ev: _JrcEvaluator) -> ConditionResult:
-    for w in m.states:
-        if w not in m.normal:
-            continue
-        for b, c in ev.by_first.get(w, ()):
-            if b != c:
-                return ConditionResult(
-                    "normality", False, (w, b, c),
+def _star_involution(m, ev, formulas, terms, cs):
+    for i, s in enumerate(m._star):
+        if m._star[s] != i:
+            w = m.states[i]
+            return False, (w,), f"star(star({w})) = {m.states[m._star[s]]}, expected {w}"
+    return True, None, ""
+
+
+def _normality(m, ev, formulas, terms, cs):
+    # At a normal state x the ternary rows are exactly the diagonal: row y
+    # holds y and nothing else. The first stray triple is reported in state
+    # order, y before z.
+    for x in m._normal_idx:
+        w, rows = m.states[x], m._tern[x]
+        for y, row in enumerate(rows):
+            off = row & ~(1 << y)
+            if off:
+                b, c = m.states[y], _lowest(m, off)
+                return False, (w, b, c), (
                     f"normal state {w} has off-diagonal ternary triple ({w}, {b}, {c})")
-        for v in m.states:
-            if (w, v, v) not in m.ternary:
-                return ConditionResult(
-                    "normality", False, (w, v),
-                    f"normal state {w} lacks the diagonal triple ({w}, {v}, {v})")
-    return ConditionResult("normality", True)
+        missing = m._full & ~_diagonal(rows)
+        if missing:
+            v = _lowest(m, missing)
+            return False, (w, v), f"normal state {w} lacks the diagonal triple ({w}, {v}, {v})"
+    return True, None, ""
 
 
-def _jrc_antecedent_truth(m, ev, formulas) -> ConditionResult:
+def _jrc_self_support(m, ev, formulas, terms, cs):
     for f in formulas:
-        ts = ev.truthset(f)
-        for w in m.states:
-            if w not in m.normal:
-                continue
-            stray = ev.rel(f, w) - ts
-            if stray:
-                v = min(stray, key=m.state_index)
-                return ConditionResult(
-                    "1", False, (w, f, v),
-                    f"R[{print_formula(f)}]({w}) reaches {v} where the antecedent fails")
-    return ConditionResult("1", True)
+        missed = ev.mask(f) & ~_diagonal(ev.rel_rows(f))
+        if missed:
+            w = _lowest(m, missed)
+            return False, (w, f), (
+                f"{w} satisfies {print_formula(f)} but R[{print_formula(f)}]({w}) misses it")
+    return True, None, ""
 
 
-def _jrc_self_support(m, ev, formulas) -> ConditionResult:
-    for f in formulas:
-        ts = ev.truthset(f)
-        for w in m.states:
-            if w in ts and w not in ev.rel(f, w):
-                return ConditionResult(
-                    "2", False, (w, f),
-                    f"{w} satisfies {print_formula(f)} but R[{print_formula(f)}]({w}) misses it")
-    return ConditionResult("2", True)
-
-
-def _jrc_sum(m, ev, terms) -> ConditionResult:
+def _jrc_sum(m, ev, formulas, terms, cs):
     for t in terms:
         if not isinstance(t, Sum):
             continue
-        for w in m.states:
-            rows = ev.term_rel(t, w)
-            if not rows <= (ev.term_rel(t.left, w) & ev.term_rel(t.right, w)):
-                return ConditionResult(
-                    "3", False, (w, t.left, t.right),
-                    f"R[{print_term(t)}]({w}) exceeds the intersection of its parts")
-    return ConditionResult("3", True)
+        rows, left, right = ev.term_rows(t), ev.term_rows(t.left), ev.term_rows(t.right)
+        for i, row in enumerate(rows):
+            if row & ~(left[i] & right[i]):
+                return False, (m.states[i], t.left, t.right), (
+                    f"R[{print_term(t)}]({m.states[i]}) exceeds the intersection of its parts")
+    return True, None, ""
+
+
+_JRC_CHECKS = {
+    "star": _star_involution,
+    "normality": _normality,
+    "1": _cond_antecedent_truth,
+    "2": _jrc_self_support,
+    "3": _jrc_sum,
+}
 
 
 # --- JSON documents ---------------------------------------------------------
@@ -277,34 +281,21 @@ def load_routley_model(doc: dict) -> RoutleyModel:
         star={w: star_doc.get(w, w) for w in states},
         ternary=frozenset((a, b, c) for a, b, c in doc.get("ternary", [])),
         valuation={w: frozenset(v) for w, v in doc.get("valuation", {}).items()},
-        term_rels={
-            parse_term(t, dialect): frozenset((a, b) for a, b in pairs)
-            for t, pairs in doc.get("term_rels", {}).items()},
-        formula_rel_overrides={
-            parse_formula(s, dialect): frozenset((a, b) for a, b in pairs)
-            for s, pairs in doc.get("formula_rels", {}).items()},
+        **_load_rels(doc, dialect),
         formula_rel_default=RelScheme(doc.get("formula_rel_default", "truthset_all")),
     )
 
 
 def routley_model_to_json(m: RoutleyModel) -> dict:
-    idx = m.state_index
-
-    def pairs(rel):
-        return [list(p) for p in sorted(rel, key=lambda p: (idx(p[0]), idx(p[1])))]
-
+    s = m.states
     return {
         "dialect": "jrc",
-        "states": list(m.states),
-        "normal": sorted(m.normal, key=idx),
-        "star": {w: m.star[w] for w in m.states if m.star[w] != w},
-        "ternary": [list(t) for t in sorted(m.ternary, key=lambda t: tuple(map(idx, t)))],
-        "valuation": {w: sorted(m.valuation.get(w, ())) for w in m.states},
-        "term_rels": {
-            print_term(t): pairs(rel)
-            for t, rel in sorted(m.term_rels.items(), key=lambda kv: term_key(kv[0]))},
-        "formula_rels": {
-            print_formula(f): pairs(rel)
-            for f, rel in sorted(m.formula_rel_overrides.items(), key=lambda kv: formula_key(kv[0]))},
+        "states": list(s),
+        "normal": [s[i] for i in m._normal_idx],
+        "star": {w: s[j] for w, j in zip(s, m._star) if s[j] != w},
+        "ternary": [[s[x], s[y], s[z]] for x, rows in enumerate(m._tern)
+                    for y, row in enumerate(rows) for z in _bits(row)],
+        "valuation": {w: sorted(m.valuation.get(w, ())) for w in s},
+        **_dump_rels(m),
         "formula_rel_default": m.formula_rel_default.value,
     }

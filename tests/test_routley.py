@@ -1,17 +1,23 @@
 """Routley model evaluation, frame conditions, variable sharing."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from condjust.falsifier import find_countermodel
 from condjust.fixtures import fixture_json
+from condjust.kripke_models import ConditionReport, ConditionResult, RelScheme
 from condjust.routley_models import (
     RoutleyModel, check_jrc_conditions, eval_jrc, jrc_consequence, jrc_valid,
     load_routley_model, routley_model_to_json, truthset_jrc,
 )
 from condjust.syntax import (
-    And, Atom, Box, Dialect, Neg, RelCf, atoms, closure, node_count,
-    parse_formula, terms_of,
+    And, Atom, Box, Dialect, Just, Neg, RelCf, RelImp, Sum, Variable, atoms,
+    closure, formula_key, node_count, parse_formula, print_formula, print_term,
+    subterms, term_key, terms_of,
 )
+from condjust.tableau import Budget, prove, verify_result
 from util_gen import ast_strategies
 
 JRC = Dialect.JRC
@@ -106,6 +112,19 @@ def test_normality_violation_reported():
     rep = check_jrc_conditions(m, {p})
     bad = [r for r in rep.results if r.condition == "normality" and not r.passed]
     assert bad and bad[0].witness == ("a", "a", "b")
+    # With two off-diagonal triples the report names the first in state
+    # order (middle state, then last), whatever the hash seed.
+    m = RoutleyModel(
+        states=("a", "b", "c"),
+        normal=frozenset({"a"}),
+        star={"a": "a", "b": "b", "c": "c"},
+        ternary=frozenset({("a", "a", "b"), ("a", "b", "c"),
+                           ("a", "a", "a"), ("a", "b", "b"), ("a", "c", "c")}),
+    )
+    rep = check_jrc_conditions(m, {p})
+    bad = [r for r in rep.results if r.condition == "normality" and not r.passed]
+    assert bad and bad[0].witness == ("a", "a", "b")
+    assert bad[0].detail == "normal state a has off-diagonal ternary triple (a, a, b)"
 
 
 def test_missing_diagonal_reported():
@@ -149,6 +168,36 @@ def test_kripke_connectives_rejected():
     m = fixture_model("chisholm.json")
     with pytest.raises(ValueError):
         eval_jrc(m, "w", parse_formula("p > q", Dialect.LPCplus))
+    # the whole formula is evaluated, so the answer does not hang on p
+    mixed = parse_formula("p & (p > q)", Dialect.LPCplus)
+    for valuation in ({}, {"w0": {"p"}}):
+        one = RoutleyModel(("w0",), {"w0"}, {"w0": "w0"}, {("w0", "w0", "w0")}, valuation)
+        with pytest.raises(ValueError, match="no clause on Routley models"):
+            eval_jrc(one, "w0", mixed)
+
+
+# --- deep chains --------------------------------------------------------------
+
+
+def _negations(f, depth=3_000):
+    for _ in range(depth):
+        f = Neg(f)
+    return f
+
+
+def test_deep_chain_evaluates_at_the_default_recursion_limit():
+    m = RoutleyModel(("w0",), {"w0"}, {"w0": "w0"}, {("w0", "w0", "w0")})
+    f = _negations(p)
+    assert not eval_jrc(m, "w0", f)
+    assert check_jrc_conditions(m, [f]).ok
+
+
+def test_deep_chain_countermodel_is_found_and_verified():
+    found = find_countermodel([], _negations(p), JRC, 1)
+    assert found is not None
+    goal = _negations(q)
+    result = prove([], goal, Budget(8, 10_000))
+    assert verify_result(result, [], goal) is True
 
 
 # --- variable sharing -------------------------------------------------------
@@ -195,3 +244,156 @@ def test_variable_sharing_countermodel(data):
     m = _stratified_model(left, right)
     assert not eval_jrc(m, "w", goal)
     assert check_jrc_conditions(m, closure({goal})).ok
+
+
+# --- reference semantics ------------------------------------------------------
+
+
+class _Reference:
+    """The per-state recursive semantics and the five jrc checks, read off
+    the model's pair fields one state at a time."""
+
+    def __init__(self, m: RoutleyModel):
+        self.m = m
+
+    def holds(self, w, f):
+        m = self.m
+        if isinstance(f, Atom):
+            return f.name in m.valuation.get(w, frozenset())
+        if isinstance(f, Neg):
+            return not self.holds(m.star[w], f.inner)
+        if isinstance(f, And):
+            return self.holds(w, f.left) and self.holds(w, f.right)
+        if isinstance(f, RelImp):
+            return all(not self.holds(b, f.left) or self.holds(c, f.right)
+                       for a, b, c in m.ternary if a == w)
+        if isinstance(f, RelCf):
+            return self.rel(f.left, w) <= self.truthset(f.right)
+        if isinstance(f, Just):
+            return self.term_rel(f.term, w) <= self.truthset(f.inner)
+        if isinstance(f, Box):
+            return m.normal <= self.truthset(f.inner)
+        raise ValueError(f"{type(f).__name__} has no clause")
+
+    def truthset(self, f):
+        return frozenset(w for w in self.m.states if self.holds(w, f))
+
+    def rel(self, f, w):
+        m = self.m
+        if f in m.formula_rel_overrides:
+            return frozenset(b for a, b in m.formula_rel_overrides[f] if a == w)
+        if m.formula_rel_default is RelScheme.Empty:
+            return frozenset()
+        if m.formula_rel_default is RelScheme.TruthsetNormal:
+            return self.truthset(f) & m.normal
+        return self.truthset(f)
+
+    def term_rel(self, t, w):
+        return frozenset(b for a, b in self.m.term_rels.get(t, ()) if a == w)
+
+    def report(self, universe) -> ConditionReport:
+        m = self.m
+        formulas = sorted(closure(universe), key=formula_key)
+        terms = set()
+        for t in m.term_rels:
+            terms |= subterms(t)
+        for f in universe:
+            terms |= terms_of(f)
+        terms = sorted(terms, key=term_key)
+        return ConditionReport("jrc", (
+            self._star(), self._normality(), self._antecedent(formulas),
+            self._self_support(formulas), self._sum(terms)))
+
+    def _star(self):
+        star = self.m.star
+        for w in self.m.states:
+            if star[star[w]] != w:
+                return ConditionResult(
+                    "star", False, (w,), f"star(star({w})) = {star[star[w]]}, expected {w}")
+        return ConditionResult("star", True)
+
+    def _normality(self):
+        m = self.m
+        for w in (w for w in m.states if w in m.normal):
+            for b, c in itertools.product(m.states, repeat=2):
+                if b != c and (w, b, c) in m.ternary:
+                    return ConditionResult(
+                        "normality", False, (w, b, c),
+                        f"normal state {w} has off-diagonal ternary triple ({w}, {b}, {c})")
+            for v in m.states:
+                if (w, v, v) not in m.ternary:
+                    return ConditionResult(
+                        "normality", False, (w, v),
+                        f"normal state {w} lacks the diagonal triple ({w}, {v}, {v})")
+        return ConditionResult("normality", True)
+
+    def _antecedent(self, formulas):
+        m = self.m
+        for f in formulas:
+            ts = self.truthset(f)
+            for w in (w for w in m.states if w in m.normal):
+                stray = self.rel(f, w) - ts
+                if stray:
+                    v = min(stray, key=m.states.index)
+                    return ConditionResult(
+                        "1", False, (w, f, v),
+                        f"R[{print_formula(f)}]({w}) reaches {v} where the antecedent fails")
+        return ConditionResult("1", True)
+
+    def _self_support(self, formulas):
+        for f in formulas:
+            for w in self.m.states:
+                if w in self.truthset(f) and w not in self.rel(f, w):
+                    return ConditionResult(
+                        "2", False, (w, f),
+                        f"{w} satisfies {print_formula(f)} but "
+                        f"R[{print_formula(f)}]({w}) misses it")
+        return ConditionResult("2", True)
+
+    def _sum(self, terms):
+        for t in (t for t in terms if isinstance(t, Sum)):
+            for w in self.m.states:
+                if not self.term_rel(t, w) <= (self.term_rel(t.left, w)
+                                               & self.term_rel(t.right, w)):
+                    return ConditionResult(
+                        "3", False, (w, t.left, t.right),
+                        f"R[{print_term(t)}]({w}) exceeds the intersection of its parts")
+        return ConditionResult("3", True)
+
+
+@st.composite
+def _models_and_universes(draw):
+    _, formula = ast_strategies(JRC)
+    boxed = st.one_of(formula, st.builds(Box, formula),
+                      st.builds(And, formula, st.builds(Neg, st.builds(Box, formula))))
+    universe = draw(st.lists(boxed, min_size=1, max_size=2))
+    states = ("a", "b", "c")[:draw(st.integers(1, 3))]
+    pairs = st.frozensets(st.tuples(st.sampled_from(states), st.sampled_from(states)))
+    terms = sorted({s for f in universe for t in terms_of(f) for s in subterms(t)}
+                   | {Variable("x"), Sum(Variable("x"), Variable("y"))}, key=term_key)
+    antecedents = sorted(closure(universe), key=formula_key)
+    m = RoutleyModel(
+        states=states,
+        normal=draw(st.frozensets(st.sampled_from(states), min_size=1)),
+        star={w: draw(st.sampled_from(states)) for w in states},
+        ternary=draw(st.frozensets(st.tuples(*[st.sampled_from(states)] * 3))),
+        valuation={w: draw(st.frozensets(st.sampled_from(["p", "q", "r", "p0"])))
+                   for w in draw(st.frozensets(st.sampled_from(states)))},
+        term_rels={t: draw(pairs) for t in draw(st.frozensets(st.sampled_from(terms)))},
+        formula_rel_overrides={
+            f: draw(pairs) for f in draw(st.frozensets(st.sampled_from(antecedents)))},
+        formula_rel_default=draw(st.sampled_from(list(RelScheme))),
+    )
+    return m, universe
+
+
+@settings(max_examples=300, deadline=None)
+@given(_models_and_universes())
+def test_masks_agree_with_the_reference_semantics(drawn):
+    m, universe = drawn
+    ref = _Reference(m)
+    for f in closure(universe):
+        assert truthset_jrc(m, f) == ref.truthset(f), print_formula(f)
+        assert [eval_jrc(m, w, f) for w in m.states] == [ref.holds(w, f) for w in m.states]
+        assert jrc_valid(m, f) == (m.normal <= ref.truthset(f))
+    assert check_jrc_conditions(m, universe) == ref.report(universe)
