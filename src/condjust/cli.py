@@ -19,17 +19,13 @@ from pathlib import Path
 
 from condjust.syntax import (
     Dialect, Formula, ParseError, Term,
-    parse_formula, parse_term, print_formula, print_term, closure,
+    parse_formula, parse_term, print_formula, print_term,
 )
 from condjust.kripke_models import (
-    AxiomaticallyAppropriate, ConditionReport, default_universe,
+    AxiomaticallyAppropriate, ConditionReport, default_universe, eval_kripke,
     check_conditions, load_model, model_to_json, profile_for, valid_in_model,
 )
-from condjust.kripke_models import eval as kripke_eval
-from condjust.routley_models import (
-    check_jrc_conditions, eval_jrc, jrc_valid,
-    load_routley_model, routley_model_to_json,
-)
+from condjust.routley_models import check_jrc_conditions, load_routley_model
 from condjust.tableau import Budget, Closed, Exhausted, Open, prove, verify_result
 from condjust.falsifier import find_countermodel
 from condjust.hilbert import (
@@ -84,6 +80,8 @@ def _load_json(path: str) -> dict:
 def _model_from_doc(doc: dict):
     """A model document's model plus its dialect; Routley models carry
     Dialect.JRC."""
+    if not isinstance(doc, dict):
+        raise TypeError("a model document is a JSON object")
     if doc.get("dialect") == "jrc":
         return load_routley_model(doc), Dialect.JRC
     return load_model(doc)
@@ -106,11 +104,9 @@ def _load_cs(path: str, dialect: Dialect):
 
 def _evaluate(model, dialect: Dialect, f: Formula, state: str | None) -> bool:
     """Truth of f at the state, or at every normal state when state is None."""
-    if dialect is Dialect.JRC:
-        return jrc_valid(model, f) if state is None else eval_jrc(model, state, f)
     if state is None:
         return valid_in_model(model, f, dialect)
-    return kripke_eval(model, state, f, dialect)
+    return eval_kripke(model, state, f, dialect)
 
 
 def _condition_report(model, dialect: Dialect, seeds, profile: str | None,
@@ -125,8 +121,8 @@ def _condition_report(model, dialect: Dialect, seeds, profile: str | None,
             raise ValueError("routley model files always use the jrc profile")
         if load_cs:
             raise ValueError("constant specifications do not apply to jrc")
-        seeds = [parse_formula(t, dialect) for t in seeds]
-        return check_jrc_conditions(model, closure([*seeds, *model.formula_rel_overrides]))
+        return check_jrc_conditions(
+            model, default_universe(model, [parse_formula(t, dialect) for t in seeds]))
     if profile:
         dialect = Dialect(profile)
     variant = profile_for(dialect)
@@ -258,7 +254,7 @@ def _cmd_prove(args) -> int:
         }, f"CLOSED in {result.steps} steps\n{result.tree}")
         return 0
     if isinstance(result, Open):
-        doc = routley_model_to_json(result.extracted)
+        doc = model_to_json(result.extracted, Dialect.JRC)
         verified = verify_result(result, premises, goal)
         payload = {
             "verdict": "open",
@@ -290,8 +286,7 @@ def _cmd_falsify(args) -> int:
               f"no countermodel within {args.bound} states")
         return 0
     model, state = found
-    doc = routley_model_to_json(model) if dialect is Dialect.JRC \
-        else model_to_json(model, dialect)
+    doc = model_to_json(model, dialect)
     _emit(args, {"found": True, "state": state, "model": doc},
           f"countermodel falsifies the sequent at state {state}\n"
           f"{json.dumps(doc, indent=2, sort_keys=True)}")
@@ -463,8 +458,11 @@ _CASE_KINDS = {
 def run_corpus(doc: dict, base: Path | None = None) -> list[tuple[dict, bool, str]]:
     """Run every case and return (case, passed, detail) triples in order."""
     base = base or Path.cwd()
+    cases = doc.get("cases") if isinstance(doc, dict) else None
+    if not isinstance(cases, list) or not all(isinstance(c, dict) for c in cases):
+        raise _InputError("a corpus document is an object whose cases are a list of objects")
     outcomes = []
-    for case in doc["cases"]:
+    for case in cases:
         kind = case.get("check")
         runner = _CASE_KINDS.get(kind)
         if runner is None:

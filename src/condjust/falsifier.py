@@ -37,31 +37,14 @@ from .kripke_models import (
     eval as kripke_eval,  # not called here; perfbench's tracer patches this name
     profile_for,
     _bits,
-    _Evaluator,
+    _counterexamples,
     _lowest,
 )
-from .routley_models import RoutleyModel, check_jrc_conditions, eval_jrc
+from .routley_models import RoutleyModel, check_jrc_conditions
 from .syntax import (
-    And,
-    Atom,
-    Box,
-    Constant,
-    Counterfactual,
-    Dialect,
-    Formula,
-    Just,
-    MatImp,
-    Neg,
-    RelCf,
-    RelImp,
-    Sum,
-    Term,
-    Variable,
-    atoms,
-    closure,
-    subterms,
-    term_key,
-    _sorted_by_key,
+    And, Atom, Box, Constant, Counterfactual, Dialect, Formula, Just, MatImp,
+    Neg, RelCf, RelImp, Sum, Term, Variable, atoms, closure, subterms,
+    term_key, _sorted_by_key,
 )
 from .tableau import Closed, Exhausted, Open, ProofResult, prove, verify_result
 
@@ -346,15 +329,9 @@ def _find_kripke(premises, goal: Formula, dialect: Dialect,
         for base, bits, full in _slices(lay.size):
             for j in _bits(sieve.survivors(lay, bits, full)):
                 model = lay.model(base | j)
-                ev = _Evaluator(model)
-                refuted = model._normal_mask & ~ev.mask(goal)
-                for p in premises:
-                    refuted &= ev.mask(p)
-                if not refuted:
-                    continue
-                if not check_conditions(model, profile, seq).ok:
-                    continue
-                return model, _lowest(model, refuted)
+                refuted = _counterexamples(model, premises, goal)
+                if refuted and check_conditions(model, profile, seq).ok:
+                    return model, _lowest(model, refuted)
     return None
 
 
@@ -554,14 +531,11 @@ class _RoutleySearch:
         model = self._realize(k, full, sigma, amasks, masks)
         if model is None:
             return None
-        seq = [*self.premises, self.goal]
-        if not check_jrc_conditions(model, seq).ok:
-            return None
-        if any(not eval_jrc(model, "w0", p) for p in self.premises):
-            return None
-        if eval_jrc(model, "w0", self.goal):
-            return None
-        return model, "w0"
+        # w0 is the model's only normal state
+        if check_jrc_conditions(model, [*self.premises, self.goal]).ok \
+                and _counterexamples(model, self.premises, self.goal):
+            return model, "w0"
+        return None
 
     def _realize(self, k, full, sigma, amasks, masks) -> RoutleyModel | None:
         # conditional rows: maximal under antecedent truth at the normal

@@ -11,9 +11,9 @@ conclusion with an explicit term.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
+from condjust.falsifier import _slice_patterns
 from condjust.kripke_models import (
     AxiomaticallyAppropriate, ConstantSpecification, Explicit,
     check_dialect_formula,
@@ -198,45 +198,46 @@ def _match_template(tpl, node, subst: dict) -> bool:
     return True
 
 
-def _boolean_components(f: Formula) -> list[Formula]:
-    comps: dict[Formula, None] = {}
-
-    def scan(g: Formula) -> None:
-        if isinstance(g, Neg):
-            scan(g.inner)
-        elif isinstance(g, (And, MatImp)):
-            scan(g.left)
-            scan(g.right)
-        else:
-            comps.setdefault(g)
-
-    scan(f)
-    return list(comps)
-
-
-def _eval_skeleton(g: Formula, env: dict[Formula, bool]) -> bool:
-    v = env.get(g)
-    if v is not None:
-        return v
-    if isinstance(g, Neg):
-        return not _eval_skeleton(g.inner, env)
-    if isinstance(g, And):
-        return _eval_skeleton(g.left, env) and _eval_skeleton(g.right, env)
-    return (not _eval_skeleton(g.left, env)) or _eval_skeleton(g.right, env)
+def _boolean_components(f: Formula) -> tuple[list[Formula], list[Formula]]:
+    """The maximal non-Boolean subformulas in order of first occurrence, and
+    the Boolean ones, children before parents."""
+    comps: list[Formula] = []
+    connectives: list[Formula] = []
+    seen: set[Formula] = set()
+    stack = [(f, False)]
+    while stack:
+        g, expanded = stack.pop()
+        if expanded:
+            connectives.append(g)
+        elif g not in seen:
+            seen.add(g)
+            if isinstance(g, Neg):
+                stack += ((g, True), (g.inner, False))
+            elif isinstance(g, (And, MatImp)):
+                stack += ((g, True), (g.right, False), (g.left, False))
+            else:
+                comps.append(g)
+    return comps, connectives
 
 
 def _tautology(f: Formula) -> bool:
-    """Classical validity with maximal non-Boolean subformulas held opaque.
-
-    Formulas with more than 16 distinct components are not recognized.
-    """
-    comps = _boolean_components(f)
+    """Classical validity with maximal non-Boolean subformulas held opaque,
+    decided on every assignment at once: component i is the int whose bit j
+    is bit i of j, so bit j of a formula's int is its value under assignment
+    j. Formulas with more than 16 distinct components are not recognized."""
+    comps, connectives = _boolean_components(f)
     if len(comps) > _TAUT_VAR_CAP:
         return False
-    for bits in itertools.product((False, True), repeat=len(comps)):
-        if not _eval_skeleton(f, dict(zip(comps, bits))):
-            return False
-    return True
+    full, patterns = _slice_patterns(len(comps))
+    value = dict(zip(comps, patterns))
+    for g in connectives:
+        if isinstance(g, Neg):
+            value[g] = full ^ value[g.inner]
+        elif isinstance(g, And):
+            value[g] = value[g.left] & value[g.right]
+        else:
+            value[g] = (full ^ value[g.left]) | value[g.right]
+    return value[f] == full
 
 
 def _matches_scheme(f: Formula, scheme: str) -> dict | None:

@@ -5,6 +5,9 @@ normal states, and a literal formula valuation at non-normal states. Truth is
 compositional only at normal states; each counterfactual antecedent and each
 justification term gets an accessibility relation, with per-formula overrides
 on top of a default scheme derived from truth sets.
+
+The evaluation functions also take the Routley models of routley_models:
+each model class names its evaluator, so a model is read by its own family.
 """
 
 from __future__ import annotations
@@ -142,6 +145,15 @@ class KripkeModel:
             return self._index[w]
         except KeyError:
             raise ValueError("tuple.index(x): x not in tuple") from None
+
+    def _json_fields(self) -> dict:
+        s, normal = self.states, self.normal
+        return {
+            "valuation": {w: sorted(self.valuation.get(w, ())) for w in s if w in normal},
+            "nonnormal_valuation": {
+                w: sorted(print_formula(f) for f in self.nonnormal_valuation.get(w, ()))
+                for w in s if w not in normal},
+        }
 
 
 def _freeze(m, **fields) -> None:
@@ -479,6 +491,12 @@ class _Evaluator:
             stack.pop()
         return masks[f]
 
+    def holds(self, i: int, f: Formula) -> bool:
+        m = self.m
+        if not m._normal_mask >> i & 1:
+            return bool(m._members.get(f, 0) >> i & 1)  # literal, whatever f is
+        return bool(self.mask(f) >> i & 1)
+
     def term_rows(self, t: Term) -> tuple[int, ...]:
         rows = self.m._term_rows.get(t)
         return (0,) * len(self.m.states) if rows is None else rows
@@ -495,53 +513,66 @@ class _Evaluator:
         return (shared,) * len(self.m.states)
 
 
-def eval(m: KripkeModel, w: str, f: Formula, dialect: Dialect | None = None) -> bool:
+KripkeModel._evaluator = _Evaluator
+
+
+def _family(m, dialect: Dialect, formulas=()) -> None:
+    """Raise TypeError unless the dialect is read on the model's class
+    (Routley models for jrc), then check the formulas' grammar."""
+    if isinstance(m, KripkeModel) is (dialect is Dialect.JRC):
+        raise TypeError(f"dialect {dialect.value} needs a "
+                        f"{'RoutleyModel' if dialect is Dialect.JRC else 'KripkeModel'}")
+    for f in formulas:
+        check_dialect_formula(f, dialect)
+
+
+# Each model class names its evaluator, so one body serves both families.
+
+
+def eval(m, w: str, f: Formula, dialect: Dialect | None = None) -> bool:
     """Truth of f at state w."""
     i = m._index.get(w)
     if i is None:
         raise ValueError(f"unknown state {w!r}")
     if dialect is not None:
-        if dialect is Dialect.JRC:
-            raise ValueError("dialect jrc is evaluated on Routley models")
-        check_dialect_formula(f, dialect)
-    if not m._normal_mask >> i & 1:
-        return bool(m._members.get(f, 0) >> i & 1)  # literal, whatever f is
-    return bool(_Evaluator(m).mask(f) >> i & 1)
+        _family(m, dialect, (f,))
+    return m._evaluator(m).holds(i, f)
 
 
 eval_kripke = eval  # the same function, under a name that shadows no builtin
 
 
-def truthset(m: KripkeModel, f: Formula, dialect: Dialect | None = None) -> frozenset[str]:
-    """States where f is true, non-normal states by literal membership."""
+def truthset(m, f: Formula, dialect: Dialect | None = None) -> frozenset[str]:
+    """States where f is true, relational non-normal states by membership."""
     if dialect is not None:
-        check_dialect_formula(f, dialect)
-    ts = _Evaluator(m).mask(f)
+        _family(m, dialect, (f,))
+    ts = m._evaluator(m).mask(f)
     return frozenset(w for i, w in enumerate(m.states) if ts >> i & 1)
 
 
-def valid_in_model(m: KripkeModel, f: Formula, dialect: Dialect | None = None) -> bool:
+def valid_in_model(m, f: Formula, dialect: Dialect | None = None) -> bool:
     """True at every normal state."""
     if dialect is not None:
-        check_dialect_formula(f, dialect)
-    return not m._normal_mask & ~_Evaluator(m).mask(f)
+        _family(m, dialect, (f,))
+    return not m._normal_mask & ~m._evaluator(m).mask(f)
 
 
-def consequence(m: KripkeModel, premises, goal: Formula,
-                dialect: Dialect | None = None) -> bool:
+def consequence(m, premises, goal: Formula, dialect: Dialect | None = None) -> bool:
     """Goal holds at every normal state where all premises hold."""
     premises = tuple(premises)
     if dialect is not None:
-        for f in (*premises, goal):
-            check_dialect_formula(f, dialect)
-    return _consequence(_Evaluator(m), premises, goal)
+        _family(m, dialect, (*premises, goal))
+    return not _counterexamples(m, premises, goal)
 
 
-def _consequence(ev, premises, goal: Formula) -> bool:
-    counter = ev.m._normal_mask & ~ev.mask(goal)
+def _counterexamples(m, premises, goal: Formula) -> int:
+    """The normal states where every premise holds and the goal fails, as a
+    mask read off one evaluator."""
+    ev = m._evaluator(m)
+    counter = m._normal_mask & ~ev.mask(goal)
     for f in premises:
         counter &= ev.mask(f)
-    return not counter
+    return counter
 
 
 # --- knowledge macros -----------------------------------------------------
@@ -593,14 +624,10 @@ class ConditionReport:
         return tuple(r for r in self.results if not r.passed)
 
 
-def default_universe(m: KripkeModel, queries=()) -> set[Formula]:
+def default_universe(m, queries=()) -> set[Formula]:
     """Subformula closure of the queries, relation overrides and non-normal
     valuation entries: the formulas a condition check can say anything about."""
-    seeds = list(queries)
-    seeds.extend(m.formula_rel_overrides)
-    for entry in m.nonnormal_valuation.values():
-        seeds.extend(entry)
-    return closure(seeds)
+    return closure([*queries, *m._override_rows, *m._members])
 
 
 @functools.lru_cache(maxsize=256)
@@ -636,6 +663,8 @@ def _report(name: str, cids, checks: dict, m, ev, universe,
 def check_conditions(m: KripkeModel, profile: VariantProfile, universe,
                      cs: ConstantSpecification | None = None) -> ConditionReport:
     """Check the profile's frame conditions over a finite formula universe."""
+    if not isinstance(m, KripkeModel):
+        raise TypeError(f"check_conditions needs a KripkeModel, not {type(m).__name__}")
     return _report(profile.name, profile.conditions, _CHECKS, m, _Evaluator(m), universe, cs)
 
 
@@ -861,56 +890,56 @@ def load_model(doc: dict) -> tuple[KripkeModel, Dialect]:
     if "star" in doc or "ternary" in doc:
         raise ValueError("document describes a Routley model, not a relational one")
     dialect = Dialect(doc.get("dialect", "lpcplus"))
-    states = tuple(doc["states"])
-    m = KripkeModel(
-        states=states,
-        normal=frozenset(doc.get("normal", states)),
-        valuation={w: frozenset(v) for w, v in doc.get("valuation", {}).items()},
-        nonnormal_valuation={
-            w: frozenset(parse_formula(s, dialect) for s in entries)
-            for w, entries in doc.get("nonnormal_valuation", {}).items()},
-        **_load_rels(doc, dialect),
-        formula_rel_default=RelScheme(doc.get("formula_rel_default", "truthset_normal")),
-    )
+    m = KripkeModel(**_load_fields(doc, dialect, "truthset_normal"), nonnormal_valuation={
+        w: frozenset(parse_formula(s, dialect) for s in entries)
+        for w, entries in _object(doc, "nonnormal_valuation").items()})
     return m, dialect
 
 
-def _load_rels(doc: dict, dialect: Dialect) -> dict:
-    """A model document's relations, as keyword arguments of either family."""
+def _load_fields(doc: dict, dialect: Dialect, scheme: str) -> dict:
+    """The fields of a model document that both families share, as keyword
+    arguments; scheme is the family's default relation scheme."""
+    states = tuple(doc["states"])
     return {
+        "states": states,
+        "normal": frozenset(doc.get("normal", states)),
+        "valuation": {w: frozenset(v) for w, v in _object(doc, "valuation").items()},
         "term_rels": {
             parse_term(t, dialect): frozenset((a, b) for a, b in pairs)
-            for t, pairs in doc.get("term_rels", {}).items()},
+            for t, pairs in _object(doc, "term_rels").items()},
         "formula_rel_overrides": {
             parse_formula(s, dialect): frozenset((a, b) for a, b in pairs)
-            for s, pairs in doc.get("formula_rels", {}).items()},
+            for s, pairs in _object(doc, "formula_rels").items()},
+        "formula_rel_default": RelScheme(doc.get("formula_rel_default", scheme)),
     }
 
 
-def _dump_rels(m) -> dict:
-    """The relation entries of either family's model document."""
+def _object(doc: dict, key: str) -> dict:
+    """A model document's entry under key, which must be an object."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise TypeError(f"{key} must be a JSON object")
+    return value
+
+
+def model_to_json(m, dialect: Dialect) -> dict:
+    """The model's JSON document, in its family's format."""
+    _family(m, dialect)
+    s = m.states
+
     def pairs(rows):
-        return [[m.states[i], m.states[j]] for i, row in enumerate(rows) for j in _bits(row)]
+        return [[s[i], s[j]] for i, row in enumerate(rows) for j in _bits(row)]
 
     return {
+        "dialect": dialect.value,
+        "states": list(s),
+        "normal": [s[i] for i in m._normal_idx],
+        **m._json_fields(),
         "term_rels": {
             print_term(t): pairs(rows)
             for t, rows in sorted(m._term_rows.items(), key=lambda kv: term_key(kv[0]))},
         "formula_rels": {
             print_formula(f): pairs(rows)
             for f, rows in sorted(m._override_rows.items(), key=lambda kv: formula_key(kv[0]))},
-    }
-
-
-def model_to_json(m: KripkeModel, dialect: Dialect) -> dict:
-    return {
-        "dialect": dialect.value,
-        "states": list(m.states),
-        "normal": sorted(m.normal, key=m.state_index),
-        "valuation": {w: sorted(m.valuation.get(w, ())) for w in m.states if w in m.normal},
-        "nonnormal_valuation": {
-            w: sorted(print_formula(f) for f in m.nonnormal_valuation.get(w, ()))
-            for w in m.states if w not in m.normal},
-        **_dump_rels(m),
         "formula_rel_default": m.formula_rel_default.value,
     }

@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 from condjust.kripke_models import (
     ConditionReport, KripkeModel, Pairs, RelScheme, _UNKNOWN_PAIR, _Evaluator,
-    _bits, _cond_antecedent_truth, _consequence, _diagonal, _dump_rels, _frame,
-    _freeze, _inside, _load_rels, _lowest, _report, _rows,
+    _bits, _cond_antecedent_truth, _diagonal, _frame, _freeze, _inside,
+    _load_fields, _lowest, _object, _report, _rows, consequence, eval as _eval,
+    model_to_json, truthset, valid_in_model,
 )
 from condjust.syntax import (
     And, Atom, Box, Dialect, Formula, Just, Neg, RelCf, RelImp, Sum, Term,
@@ -87,6 +88,15 @@ class RoutleyModel:
         )
 
     state_index = KripkeModel.state_index
+
+    def _json_fields(self) -> dict:
+        s = self.states
+        return {
+            "star": {w: s[j] for w, j in zip(s, self._star) if s[j] != w},
+            "ternary": [[s[x], s[y], s[z]] for x, rows in enumerate(self._tern)
+                        for y, row in enumerate(rows) for z in _bits(row)],
+            "valuation": {w: sorted(self.valuation.get(w, ())) for w in s},
+        }
 
 
 class _JrcEvaluator(_Evaluator):
@@ -176,30 +186,37 @@ class _JrcEvaluator(_Evaluator):
             stack.pop()
         return masks[f]
 
-
-def eval_jrc(m: RoutleyModel, w: str, f: Formula) -> bool:
-    i = m._index.get(w)
-    if i is None:
-        raise ValueError(f"unknown state {w!r}")
-    return bool(_JrcEvaluator(m).mask(f) >> i & 1)
+    def holds(self, i: int, f: Formula) -> bool:
+        return bool(self.mask(f) >> i & 1)
 
 
-def truthset_jrc(m: RoutleyModel, f: Formula) -> frozenset[str]:
-    ts = _JrcEvaluator(m).mask(f)
-    return frozenset(w for i, w in enumerate(m.states) if ts >> i & 1)
+RoutleyModel._evaluator = _JrcEvaluator
+RoutleyModel._members = {}  # every state follows the clauses; none is literal
 
 
-def jrc_consequence(m: RoutleyModel, premises, goal: Formula) -> bool:
-    """Goal holds at every normal state where all premises hold."""
-    return _consequence(_JrcEvaluator(m), premises, goal)
+# The jrc names of the evaluation functions answer by the model's family too;
+# eval_jrc stays a function of its own, which perfbench's tracer tells apart.
+
+def eval_jrc(m, w: str, f: Formula) -> bool:
+    return _eval(m, w, f)
 
 
-def jrc_valid(m: RoutleyModel, f: Formula) -> bool:
-    return jrc_consequence(m, (), f)
+def truthset_jrc(m, f: Formula) -> frozenset[str]:
+    return truthset(m, f)
+
+
+def jrc_consequence(m, premises, goal: Formula) -> bool:
+    return consequence(m, premises, goal)
+
+
+def jrc_valid(m, f: Formula) -> bool:
+    return valid_in_model(m, f)
 
 
 def check_jrc_conditions(m: RoutleyModel, universe) -> ConditionReport:
     """Star involution, ternary normality, and the three frame conditions."""
+    if not isinstance(m, RoutleyModel):
+        raise TypeError(f"check_jrc_conditions needs a RoutleyModel, not {type(m).__name__}")
     return _report("jrc", _JRC_CHECKS, _JRC_CHECKS, m, _JrcEvaluator(m), universe)
 
 
@@ -273,29 +290,12 @@ def load_routley_model(doc: dict) -> RoutleyModel:
     dialect = Dialect(doc.get("dialect", "jrc"))
     if dialect is not Dialect.JRC:
         raise ValueError("Routley model documents must use dialect jrc")
-    states = tuple(doc["states"])
-    star_doc = doc.get("star", {})
+    fields = _load_fields(doc, dialect, "truthset_all")
+    star_doc = _object(doc, "star")
     return RoutleyModel(
-        states=states,
-        normal=frozenset(doc.get("normal", states)),
-        star={w: star_doc.get(w, w) for w in states},
-        ternary=frozenset((a, b, c) for a, b, c in doc.get("ternary", [])),
-        valuation={w: frozenset(v) for w, v in doc.get("valuation", {}).items()},
-        **_load_rels(doc, dialect),
-        formula_rel_default=RelScheme(doc.get("formula_rel_default", "truthset_all")),
-    )
+        **fields, star={w: star_doc.get(w, w) for w in fields["states"]},
+        ternary=frozenset((a, b, c) for a, b, c in doc.get("ternary", [])))
 
 
 def routley_model_to_json(m: RoutleyModel) -> dict:
-    s = m.states
-    return {
-        "dialect": "jrc",
-        "states": list(s),
-        "normal": [s[i] for i in m._normal_idx],
-        "star": {w: s[j] for w, j in zip(s, m._star) if s[j] != w},
-        "ternary": [[s[x], s[y], s[z]] for x, rows in enumerate(m._tern)
-                    for y, row in enumerate(rows) for z in _bits(row)],
-        "valuation": {w: sorted(m.valuation.get(w, ())) for w in s},
-        **_dump_rels(m),
-        "formula_rel_default": m.formula_rel_default.value,
-    }
+    return model_to_json(m, Dialect.JRC)

@@ -15,8 +15,8 @@ import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .kripke_models import RelScheme, check_dialect_formula
-from .routley_models import RoutleyModel, check_jrc_conditions, eval_jrc
+from .kripke_models import RelScheme, check_dialect_formula, _counterexamples
+from .routley_models import RoutleyModel, check_jrc_conditions
 from .syntax import (
     And, Atom, Dialect, Formula, Just, Neg, RelCf, RelImp, Sum, Term,
     print_formula, print_term,
@@ -592,11 +592,8 @@ def verify_result(r: ProofResult, premises, goal: Formula, size_bound: int = 3) 
         return True
     if isinstance(r, Open):
         m = r.extracted
-        if not check_jrc_conditions(m, (*premises, goal)).ok:
-            return False
-        if not all(eval_jrc(m, r.root_state, f) for f in premises):
-            return False
-        return not eval_jrc(m, r.root_state, goal)
+        return check_jrc_conditions(m, (*premises, goal)).ok and bool(
+            _counterexamples(m, premises, goal) >> m.state_index(r.root_state) & 1)
     if isinstance(r, Closed):
         from .falsifier import find_countermodel
 

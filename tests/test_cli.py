@@ -135,6 +135,18 @@ class TestEvalCommand:
         assert code == 2
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"states": ["w"], "valuation": []},
+        {"dialect": "jrc", "states": ["w"], "star": []},
+    ])
+    def test_model_that_is_not_an_object_exits_2(self, capsys, tmp_path, doc):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run(capsys, "eval", "--model", str(path), "--state", "w", "p")
+        assert code == 2
+        assert err.startswith("error: bad model file") and "JSON object" in err
+
     def test_bare_fixture_name_resolves(self, capsys):
         code, out, _ = run(capsys, "eval", "--model", "gettier.json",
                            "--state", "w", "(p|q) & (c.x):(p|q)")
@@ -423,6 +435,16 @@ class TestCorpusCommand:
         code, out, _ = run(capsys, "corpus", "--cases", str(cases))
         assert code == 1
         assert "case error" in out
+
+
+@pytest.mark.parametrize("doc", [[1], {"cases": 3}, {"cases": [1]}, {}])
+def test_corpus_that_is_not_a_list_of_objects_exits_2(capsys, tmp_path, doc):
+    cases = tmp_path / "cases.json"
+    cases.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "corpus", "--cases", str(cases))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "list of objects" in err
 
 
 def test_console_entry_point():

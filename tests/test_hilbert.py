@@ -1,8 +1,10 @@
 """Axiom matching, derivation checking, macro expansion, internalization."""
 
 import dataclasses
+import itertools
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from condjust.fixtures import fixture_json, fixture_text
 from condjust.hilbert import (
     CS, MP, RCEA, RCK, RCN, Axiom, CheckResult, Derivation, Hyp, Line, Nec,
-    axiom_schemes, check_derivation, derive_cc, derive_rck, expand_rck,
+    _boolean_components, _tautology, axiom_schemes, check_derivation, derive_cc, derive_rck, expand_rck,
     implication_form, internalize, load_constant_specification, match_axiom,
     parse_derivation, print_derivation,
 )
@@ -19,7 +21,7 @@ from condjust.kripke_models import (
     AxiomaticallyAppropriate, Explicit, eval as keval, load_model,
 )
 from condjust.syntax import (
-    And, App, Atom, Bang, Constant, Counterfactual, Dialect, Just, MatImp,
+    And, App, Atom, Bang, Constant, Counterfactual, Dialect, Just, MatImp, Neg,
     Pair, Sum, Variable, parse_formula, parse_term, print_formula,
 )
 
@@ -529,3 +531,97 @@ class TestSemanticSoundness:
         for line in d.lines:
             for w in sorted(model.normal):
                 assert keval(model, w, line.formula), (fixture, line.index, w)
+
+
+# --- the bit-sliced tautology check against the truth-table enumerator ---------
+
+
+def _enum_components(f):
+    comps = {}
+
+    def scan(g):
+        if isinstance(g, Neg):
+            scan(g.inner)
+        elif isinstance(g, (And, MatImp)):
+            scan(g.left)
+            scan(g.right)
+        else:
+            comps.setdefault(g)
+
+    scan(f)
+    return list(comps)
+
+
+def _enum_eval(g, env):
+    v = env.get(g)
+    if v is not None:
+        return v
+    if isinstance(g, Neg):
+        return not _enum_eval(g.inner, env)
+    if isinstance(g, And):
+        return _enum_eval(g.left, env) and _enum_eval(g.right, env)
+    return (not _enum_eval(g.left, env)) or _enum_eval(g.right, env)
+
+
+def _enum_tautology(f):
+    """The truth-table check the bit-sliced one replaced: every assignment
+    to the components, one at a time."""
+    comps = _enum_components(f)
+    if len(comps) > 16:
+        return False
+    for bits in itertools.product((False, True), repeat=len(comps)):
+        if not _enum_eval(f, dict(zip(comps, bits))):
+            return False
+    return True
+
+
+# Twelve opaque components: ten atoms and two non-Boolean formulas.
+_LEAVES = [Atom(f"p{i}") for i in range(10)] + [
+    Just(Variable("x"), Atom("p0")), Counterfactual(Atom("p1"), Atom("p2"))]
+_BOOLEAN = st.recursive(
+    st.sampled_from(_LEAVES),
+    lambda ch: st.one_of(st.builds(Neg, ch), st.builds(And, ch, ch),
+                         st.builds(MatImp, ch, ch)),
+    max_leaves=16)
+# Shapes that are often tautologies, so both verdicts are drawn.
+_SKELETONS = st.one_of(
+    _BOOLEAN,
+    st.builds(lambda a: MatImp(a, a), _BOOLEAN),
+    st.builds(lambda a, b: MatImp(And(a, b), b), _BOOLEAN, _BOOLEAN),
+    st.builds(lambda a, b: MatImp(a, MatImp(b, a)), _BOOLEAN, _BOOLEAN),
+    st.builds(lambda a, b: Neg(And(a, Neg(b))), _BOOLEAN, _BOOLEAN))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_SKELETONS)
+def test_bit_sliced_tautology_matches_the_enumerator(f):
+    comps, _ = _boolean_components(f)
+    assert comps == _enum_components(f)
+    assert len(comps) <= 12
+    assert _tautology(f) == _enum_tautology(f)
+
+
+def test_tautology_check_takes_deep_and_shared_formulas():
+    assert sys.getrecursionlimit() < 3000  # the chains are deeper than the limit
+    chain = MatImp(Atom("p"), Atom("p"))
+    for _ in range(1500):
+        chain = Neg(Neg(chain))
+    assert match_axiom(chain, LPC) == ("ax1", {})
+    assert match_axiom(Neg(chain), LPC) is None
+    negs = Atom("p")
+    for _ in range(3000):
+        negs = Neg(negs)
+    assert match_axiom(negs, LPC) is None
+    # 2**60 paths from the root, 61 distinct nodes
+    shared = Atom("p")
+    for _ in range(60):
+        shared = And(shared, shared)
+    assert match_axiom(MatImp(shared, Atom("p")), LPC) == ("ax1", {})
+
+
+def test_component_cap_is_kept():
+    conj = Atom("p0")
+    for i in range(1, 16):
+        conj = And(conj, Atom(f"p{i}"))
+    assert match_axiom(MatImp(conj, Atom("p0")), LPC) == ("ax1", {})
+    assert match_axiom(MatImp(And(conj, Atom("p16")), Atom("p0")), LPC) is None

@@ -15,7 +15,7 @@ from condjust.falsifier import find_countermodel
 from condjust.fixtures import fixture_json
 from condjust.kripke_models import (
     AxiomaticallyAppropriate, ConditionReport, Explicit, KripkeModel,
-    RelScheme, VariantProfile,
+    RelScheme, VariantProfile, _counterexamples,
     check_conditions, consequence, cs_entries, default_universe,
     eval as keval, jtb, knowledge, load_model, model_to_json, profile_for,
     truthset, valid_in_model,
@@ -559,6 +559,9 @@ def test_bitset_evaluator_matches_per_state_reference(drawn):
     expected = not any(all(ref.holds(w, f) for f in premises) and not ref.holds(w, goal)
                        for w in m.normal)
     assert consequence(m, premises, goal) == expected
+    counter = [w for w in m.normal
+               if all(ref.holds(w, f) for f in premises) and not ref.holds(w, goal)]
+    assert _counterexamples(m, premises, goal) == sum(1 << m.state_index(w) for w in counter)
 
 
 ALL_CONDITIONS = ("1", "2", "3", "4", "5", "5p", "6", "7", "8", "9")

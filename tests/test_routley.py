@@ -7,7 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from condjust.falsifier import find_countermodel
 from condjust.fixtures import fixture_json
-from condjust.kripke_models import ConditionReport, ConditionResult, RelScheme
+from condjust.kripke_models import (
+    ConditionReport, ConditionResult, KripkeModel, RelScheme, _counterexamples,
+    check_conditions, consequence, default_universe, eval_kripke, model_to_json,
+    profile_for, truthset, valid_in_model,
+)
 from condjust.routley_models import (
     RoutleyModel, check_jrc_conditions, eval_jrc, jrc_consequence, jrc_valid,
     load_routley_model, routley_model_to_json, truthset_jrc,
@@ -397,3 +401,67 @@ def test_masks_agree_with_the_reference_semantics(drawn):
         assert [eval_jrc(m, w, f) for w in m.states] == [ref.holds(w, f) for w in m.states]
         assert jrc_valid(m, f) == (m.normal <= ref.truthset(f))
     assert check_jrc_conditions(m, universe) == ref.report(universe)
+    *premises, goal = universe
+    counter = [w for w in m.states if w in m.normal
+               and all(ref.holds(w, f) for f in premises) and not ref.holds(w, goal)]
+    assert _counterexamples(m, premises, goal) == sum(1 << m.state_index(w) for w in counter)
+
+
+# --- calls that take a model of either family -----------------------------------
+
+# p true at the normal state w; v is non-normal and holds q literally.
+_KRIPKE = KripkeModel(("w", "v"), frozenset({"w"}), {"w": frozenset({"p"})},
+                      {"v": frozenset({q})})
+# star swaps a and b; p true at a only, so ~p holds at a and fails at b.
+_ROUTLEY = RoutleyModel(("a", "b"), frozenset({"a"}), {"a": "b", "b": "a"},
+                        {("a", "a", "a"), ("a", "b", "b")}, {"a": {"p"}},
+                        formula_rel_overrides={q: frozenset()})
+_LPC = Dialect.LPCplus
+
+# (call, answer): the answer by the model's own family, or the name of the
+# model class whose absence raises TypeError.
+_MIXED = {
+    "eval_jrc on a relational model": (lambda: eval_jrc(_KRIPKE, "v", q), True),
+    "eval_jrc at a normal state": (lambda: eval_jrc(_KRIPKE, "w", q), False),
+    "jrc_valid on a relational model": (lambda: jrc_valid(_KRIPKE, p), True),
+    "truthset_jrc on a relational model": (lambda: truthset_jrc(_KRIPKE, q), {"v"}),
+    "jrc_consequence on a relational model": (
+        lambda: jrc_consequence(_KRIPKE, [p], q), False),
+    "check_jrc_conditions on a relational model": (
+        lambda: check_jrc_conditions(_KRIPKE, [p]), "RoutleyModel"),
+    "routley_model_to_json on a relational model": (
+        lambda: routley_model_to_json(_KRIPKE), "RoutleyModel"),
+    "model_to_json of a relational model as jrc": (
+        lambda: model_to_json(_KRIPKE, JRC), "RoutleyModel"),
+    "eval_kripke under jrc on a relational model": (
+        lambda: eval_kripke(_KRIPKE, "w", p, JRC), "RoutleyModel"),
+    "eval_kripke on a Routley model": (lambda: eval_kripke(_ROUTLEY, "a", Neg(p)), True),
+    "eval_kripke at a non-normal Routley state": (
+        lambda: eval_kripke(_ROUTLEY, "b", Neg(p)), False),
+    "eval_kripke under jrc on a Routley model": (
+        lambda: eval_kripke(_ROUTLEY, "b", p, JRC), False),
+    "valid_in_model on a Routley model": (lambda: valid_in_model(_ROUTLEY, Neg(p)), True),
+    "truthset on a Routley model": (lambda: truthset(_ROUTLEY, Neg(p)), {"a"}),
+    "consequence on a Routley model": (
+        lambda: consequence(_ROUTLEY, [Neg(p)], q, JRC), False),
+    "default_universe of a Routley model": (
+        lambda: default_universe(_ROUTLEY, [Neg(p)]), {Neg(p), p, q}),
+    "model_to_json of a Routley model": (
+        lambda: sorted(model_to_json(_ROUTLEY, JRC)["star"].items()),
+        [("a", "b"), ("b", "a")]),
+    "check_conditions on a Routley model": (
+        lambda: check_conditions(_ROUTLEY, profile_for(_LPC), [p]), "KripkeModel"),
+    "model_to_json of a Routley model as lpcplus": (
+        lambda: model_to_json(_ROUTLEY, _LPC), "KripkeModel"),
+    "valid_in_model under lpcplus on a Routley model": (
+        lambda: valid_in_model(_ROUTLEY, p, _LPC), "KripkeModel"),
+}
+
+
+@pytest.mark.parametrize("call, answer", _MIXED.values(), ids=_MIXED)
+def test_calls_answer_by_the_models_family_or_raise_type_error(call, answer):
+    if answer in ("KripkeModel", "RoutleyModel"):
+        with pytest.raises(TypeError, match=answer):
+            call()
+    else:
+        assert call() == answer
