@@ -80,9 +80,7 @@ def _load_json(path: str) -> dict:
 def _model_from_doc(doc: dict):
     """A model document's model plus its dialect; Routley models carry
     Dialect.JRC."""
-    if not isinstance(doc, dict):
-        raise TypeError("a model document is a JSON object")
-    if doc.get("dialect") == "jrc":
+    if isinstance(doc, dict) and doc.get("dialect") == "jrc":
         return load_routley_model(doc), Dialect.JRC
     return load_model(doc)
 
@@ -598,8 +596,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # The parser recurses on the tree, so input nested past the
-        # interpreter's recursion limit is bad input.
+        # json.load recurses once per nesting level of a document, so a
+        # model, specification or corpus file nested past the interpreter's
+        # recursion limit is bad input.
         print("error: input nested too deeply", file=sys.stderr)
         return 2
 

@@ -887,6 +887,7 @@ _PASSED = {cid: ConditionResult(cid, True) for cid in (*_CHECKS, "star", "normal
 
 def load_model(doc: dict) -> tuple[KripkeModel, Dialect]:
     """Build a model from its JSON document; returns the declared dialect too."""
+    _check_document(doc)
     if "star" in doc or "ternary" in doc:
         raise ValueError("document describes a Routley model, not a relational one")
     dialect = Dialect(doc.get("dialect", "lpcplus"))
@@ -912,6 +913,11 @@ def _load_fields(doc: dict, dialect: Dialect, scheme: str) -> dict:
             for s, pairs in _object(doc, "formula_rels").items()},
         "formula_rel_default": RelScheme(doc.get("formula_rel_default", scheme)),
     }
+
+
+def _check_document(doc: dict) -> None:
+    if not isinstance(doc, dict):
+        raise TypeError("a model document must be a JSON object")
 
 
 def _object(doc: dict, key: str) -> dict:

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 from condjust.kripke_models import (
     ConditionReport, KripkeModel, Pairs, RelScheme, _UNKNOWN_PAIR, _Evaluator,
-    _bits, _cond_antecedent_truth, _diagonal, _frame, _freeze, _inside,
-    _load_fields, _lowest, _object, _report, _rows, consequence, eval as _eval,
-    model_to_json, truthset, valid_in_model,
+    _bits, _check_document, _cond_antecedent_truth, _diagonal, _frame,
+    _freeze, _inside, _load_fields, _lowest, _object, _report, _rows,
+    consequence, eval as _eval, model_to_json, truthset, valid_in_model,
 )
 from condjust.syntax import (
     And, Atom, Box, Dialect, Formula, Just, Neg, RelCf, RelImp, Sum, Term,
@@ -287,6 +287,7 @@ _JRC_CHECKS = {
 
 
 def load_routley_model(doc: dict) -> RoutleyModel:
+    _check_document(doc)
     dialect = Dialect(doc.get("dialect", "jrc"))
     if dialect is not Dialect.JRC:
         raise ValueError("Routley model documents must use dialect jrc")

@@ -200,306 +200,399 @@ class DialectError(ParseError):
     """A construct that exists in the grammar but not in the chosen dialect."""
 
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<op><=>|~>|->|=>|==|\[\]|[~&|@>:+.!()<,])
-      | (?P<ident>[a-z][a-z0-9_]*)
-    """,
-    re.VERBOSE,
-)
+# --- parsing ----------------------------------------------------------
+#
+# The grammar, loosest first: `==` and `<=>` (left), the conditionals `=>`,
+# `>`, `->` and `~>` (right), `|` and `@` (left), `&` (left), then the
+# prefixes `~`, `[]` and `t:`. Terms bind `+` (left) looser than `.` (left),
+# with `!` as their prefix; a pair `<t,A>` reads its antecedent at the `|`
+# level.
+#
+# One compiled pass turns the text into a list of token strings. Each match
+# takes in the whitespace before it, so no token is whitespace; a character
+# that starts no token becomes a one-character token of its own, and the
+# list ends with at least one "" for the end of input. Offsets are
+# recomputed from the text only for an error message.
+_TOKEN_RE = re.compile(r"\s*(<=>|~>|->|=>|==|\[\]|[~&|@>:+.!()<,]|[a-z][a-z0-9_]*|\S|\Z)")
+_OPERATORS = frozenset(["<=>", "~>", "->", "=>", "==", "[]", *"~&|@>:+.!()<,"])
 
 _RESERVED_TERM_VARS = re.compile(r"[xyz][0-9]*$")
 _CONSTANT_NAME = re.compile(r"c([0-9]*|_[a-z0-9_]+)$")
+# First letters of the identifiers that can only name an atom.
+_ATOM_START = frozenset("abdefghijklmnopqrstuvw")
+_TERM_FOLLOW = frozenset(":+.")
+
+# The parser is operator precedence over an operand stack and an operator
+# stack (Pratt, "Top down operator precedence", 1973; Dijkstra's
+# shunting-yard), so nesting depth costs list entries, not interpreter
+# frames. Operator-stack entries are ints whose bits from 16 up hold the
+# binding strength, so "reduce while the top binds at least this tightly" is
+# one int comparison. A context entry (strength 0) stops every reduction and
+# names what closes it.
+(_F_TOP, _F_PAREN, _F_PAIR, _T_TOP, _T_JUST, _T_JUST_MARKED, _T_PAREN,
+ _T_PAIR) = range(8)
+_CLOSERS = ("", ")", ">", "", ":", ":", ")", ",")
+_IFF_MAT, _IFF_CF, _IFF_REL = 16, 17, 18
+_MATIMP, _CF, _RELIMP, _RELCF = 32, 33, 34, 35
+_OR, _FUS, _FUS_GATED = 48, 49, 50
+_AND = 64
+_JUST = 80
+_NEG, _BOX, _BANG = 96, 97, 98  # the unary entries
+_SUM, _APP = 24, 40
+# Operand-position actions, never pushed.
+_JUSTIFY, _LPAREN, _FALSE, _TRUE, _NO_FORMULA, _NO_TERM = range(8, 14)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "op", "ident" or "end"
-    text: str
-    pos: int
+def _interned(cls):
+    # The constructor as the parser calls it: positional, and looking the
+    # interned node up before paying for the generic __new__.
+    get = _INTERNED.get
+    if len(cls._fields) == 1:
+        return lambda a: get((cls, a)) or cls(a)
+    return lambda a, b: get((cls, a, b)) or cls(a, b)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    out = []
+_atom, _variable, _constant, _neg, _box, _bang = map(
+    _interned, (Atom, Variable, Constant, Neg, Box, Bang))
+_and, _just, _pair, _rel_imp = map(_interned, (And, Just, Pair, RelImp))
+_FALSUM = And(Atom("p0"), Neg(Atom("p0")))
+_VERUM = Neg(_FALSUM)
+_BUILD = {
+    _AND: _and, _JUST: _just, _NEG: _neg, _BOX: _box, _BANG: _bang,
+    _SUM: _interned(Sum), _APP: _interned(App),
+    _MATIMP: _interned(MatImp), _CF: _interned(Counterfactual),
+    _RELIMP: _rel_imp, _RELCF: _interned(RelCf),
+    _OR: lambda a, b: _neg(_and(_neg(a), _neg(b))),
+    _FUS: lambda a, b: _neg(_rel_imp(a, _neg(b))),
+    _IFF_MAT: lambda a, b: And(MatImp(a, b), MatImp(b, a)),
+    _IFF_CF: lambda a, b: And(Counterfactual(a, b), Counterfactual(b, a)),
+    _IFF_REL: lambda a, b: And(RelCf(a, b), RelCf(b, a)),
+}
+# What a dialect error calls a gated token; the others are named by repr.
+_GATED_NAMES = {"==": "material biconditional", "[]": "box", "!": "proof checker",
+                ".": "term application", "<": "pair terms", "@": "fusion"}
+
+
+def _dialect_tables(d: Dialect) -> tuple[dict, dict, dict, dict]:
+    """The token tables of one dialect: formula operands, formula
+    operators, term operands, term operators. A negated entry is a token of
+    the grammar that the dialect leaves out."""
+    jrc = d is Dialect.JRC
+
+    def gate(entry, ok):
+        return entry if ok else -entry
+
+    f_operand = dict.fromkeys([*_OPERATORS, ""], _NO_FORMULA)
+    f_operand.update({"~": _NEG, "[]": gate(_BOX, d is Dialect.L), "!": _JUSTIFY,
+                      "<": _JUSTIFY, "(": _LPAREN, "false": _FALSE, "true": _TRUE})
+    # Fusion is gated where it is reduced, after its right operand.
+    f_operator = {"&": _AND, "|": _OR, "@": _FUS if jrc else _FUS_GATED,
+                  "=>": gate(_MATIMP, not jrc), ">": gate(_CF, not jrc),
+                  "->": gate(_RELIMP, jrc), "~>": gate(_RELCF, jrc),
+                  "==": gate(_IFF_MAT, not jrc), "<=>": _IFF_REL if jrc else _IFF_CF}
+    t_operand = dict.fromkeys([*_OPERATORS, "", "false", "true"], _NO_TERM)
+    t_operand.update({"!": gate(_BANG, not jrc), "(": _T_PAREN,
+                      "<": gate(_T_PAIR, d is Dialect.LPCint)})
+    t_operator = {"+": _SUM, ".": gate(_APP, not jrc)}
+    return f_operand, f_operator, t_operand, t_operator
+
+
+_TABLES = {d: _dialect_tables(d) for d in Dialect}
+
+
+class _Failure(tuple):
+    """(error class, message, token index, outermost open mark) from _run."""
+
+
+def _fail(message: str, i: int, marks: list[int], cls=ParseError) -> _Failure:
+    return _Failure((cls, message, i, marks[0] if marks else None))
+
+
+def _gated(tok: str, dialect: Dialect, i: int, marks: list[int]) -> _Failure:
+    what = _GATED_NAMES.get(tok) or repr(tok)
+    return _fail(f"{what} not available in dialect {dialect.value}", i, marks, DialectError)
+
+
+def _run(toks: list[str], dialect: Dialect, top: int, forced: set[int]):
+    """Parse the tokens from context `top` (_F_TOP or _T_TOP) and return
+    the node, or a _Failure for the first error met.
+
+    A `(` where a formula may start opens either a term before `:`
+    (`(x+y):p`) or a subformula. It can open a term only if the token after
+    its matching `)` continues one (`:`, `+` or `.`), and then, unless its
+    index is in `forced`, it is read as a term and marked until its `:`.
+    This gives the answers of recursive descent that tries the term reading
+    first and, on any error before the `:`, reads the `(` as a subformula:
+    that reading then meets an error too, at the latest at the token after
+    the `)`, and the error it meets is the one to report. So a failure under
+    a mark names the outermost open mark, and _parse runs again with that
+    `(` forced to the subformula reading.
+    """
+    f_operand, f_operator, t_operand, t_operator = _TABLES[dialect]
+    vals: list = []
+    ops = [top]
+    marks: list[int] = []
+    fusion = 0  # the last gated `@` pushed, reduced before any earlier one
+    match = None
     i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", i)
-        if m.lastgroup != "ws":
-            out.append(_Token(m.lastgroup, m.group(), i))
-        i = m.end()
-    out.append(_Token("end", "", len(text)))
-    return out
-
-
-class _Parser:
-    def __init__(self, text: str, dialect: Dialect):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.dialect = dialect
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def at(self, text: str) -> bool:
-        tok = self.tokens[self.i]
-        return tok.kind == "op" and tok.text == text
-
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if not self.at(text):
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.pos)
-        return self.next()
-
-    def fail(self, message: str) -> None:
-        tok = self.peek()
-        raise ParseError(message, tok.pos)
-
-    def need_dialect(self, ok: bool, what: str) -> None:
-        if not ok:
-            tok = self.peek()
-            raise DialectError(f"{what} not available in dialect {self.dialect.value}", tok.pos)
-
-    # --- formulas -----------------------------------------------------
-
-    def formula(self) -> Formula:
-        left = self.cond()
-        while self.at("==") or self.at("<=>"):
-            op = self.peek().text
-            if op == "==":
-                self.need_dialect(self.dialect is not Dialect.JRC, "material biconditional")
-            self.next()
-            right = self.cond()
-            if op == "==":
-                left = And(MatImp(left, right), MatImp(right, left))
-            elif self.dialect is Dialect.JRC:
-                left = And(RelCf(left, right), RelCf(right, left))
+    formula = top == _F_TOP
+    operand = True
+    while True:
+        tok = toks[i]
+        if operand:
+            if formula:
+                act = f_operand.get(tok)
+                if act is None:
+                    # An identifier, or a character that starts no token.
+                    if toks[i + 1] in _TERM_FOLLOW:
+                        ops.append(_T_JUST)
+                        formula = False
+                        continue
+                    first = tok[0]
+                    if first not in _ATOM_START:
+                        if _RESERVED_TERM_VARS.match(tok):
+                            return _fail(f"{tok!r} is reserved for justification terms", i, marks)
+                        if _CONSTANT_NAME.match(tok):
+                            return _fail(f"constant {tok!r} cannot be used as an atom", i, marks)
+                        if not "a" <= first <= "z":
+                            return _fail(f"expected a formula, found {tok!r}", i, marks)
+                    vals.append(_atom(tok))
+                elif act >= _NEG:
+                    ops.append(act)
+                    i += 1
+                    continue
+                elif act == _LPAREN:
+                    if match is None:
+                        match = _matching_parens(toks)
+                    j = match.get(i)
+                    if j is not None and toks[j + 1] in _TERM_FOLLOW and i not in forced:
+                        marks.append(i)
+                        ops.append(_T_JUST_MARKED)
+                        formula = False
+                    else:
+                        ops.append(_F_PAREN)
+                        i += 1
+                    continue
+                elif act == _JUSTIFY:
+                    ops.append(_T_JUST)
+                    formula = False
+                    continue
+                elif act == _FALSE:
+                    vals.append(_FALSUM)
+                elif act == _TRUE:
+                    vals.append(_VERUM)
+                elif act == _NO_FORMULA:
+                    return _fail(f"expected a formula, found {tok or 'end of input'!r}", i, marks)
+                else:
+                    return _gated(tok, dialect, i, marks)
             else:
-                left = And(Counterfactual(left, right), Counterfactual(right, left))
-        return left
+                act = t_operand.get(tok)
+                if act is None:
+                    if not "a" <= tok[0] <= "z":
+                        return _fail(f"expected a term, found {tok!r}", i, marks)
+                    if _CONSTANT_NAME.match(tok):
+                        if dialect is Dialect.JRC:
+                            return _fail("constants not available in dialect jrc", i, marks, DialectError)
+                        vals.append(_constant(tok))
+                    else:
+                        vals.append(_variable(tok))
+                elif act == _NO_TERM:
+                    if tok == "false" or tok == "true":
+                        return _fail(f"{tok!r} cannot name a term", i, marks)
+                    return _fail(f"expected a term, found {tok or 'end of input'!r}", i, marks)
+                elif act > 0:
+                    ops.append(act)
+                    i += 1
+                    continue
+                else:
+                    return _gated(tok, dialect, i, marks)
+            i += 1
+            operand = False
+            continue
 
-    def cond(self) -> Formula:
-        left = self.disj()
-        for op, cls in (("=>", MatImp), (">", Counterfactual), ("->", RelImp), ("~>", RelCf)):
-            if self.at(op):
-                jrc_only = cls in (RelImp, RelCf)
-                self.need_dialect((self.dialect is Dialect.JRC) == jrc_only, f"{op!r}")
-                self.next()
-                return cls(left, self.cond())
-        return left
-
-    def disj(self) -> Formula:
-        left = self.conj()
-        while self.at("|") or self.at("@"):
-            op = self.next()
-            right = self.conj()
-            if op.text == "@":
-                if self.dialect is not Dialect.JRC:
-                    raise DialectError(f"fusion not available in dialect {self.dialect.value}", op.pos)
-                left = Neg(RelImp(left, Neg(right)))
+        # An operand is complete: `tok` continues or ends its expression.
+        code = (f_operator if formula else t_operator).get(tok)
+        if code is None:
+            bound = _IFF_MAT
+        else:
+            entry = code if code > 0 else -code
+            # Conditionals nest to the right, everything else to the left.
+            bound = _OR if _MATIMP <= entry <= _RELCF else entry & ~15
+        while ops[-1] >= bound:
+            op = ops.pop()
+            if op >= _NEG:
+                vals[-1] = _BUILD[op](vals[-1])
+            elif op != _FUS_GATED:
+                right = vals.pop()
+                vals[-1] = _BUILD[op](vals[-1], right)
             else:
-                left = Neg(And(Neg(left), Neg(right)))
-        return left
+                return _gated("@", dialect, fusion, marks)
+        # A pair's antecedent stops before the conditionals.
+        if code is not None and (ops[-1] != _F_PAIR or entry >= _OR):
+            if code < 0:
+                return _gated(tok, dialect, i, marks)
+            if entry == _FUS_GATED:
+                fusion = i
+            ops.append(entry)
+            i += 1
+            operand = True
+            continue
+        context = ops[-1]
+        closer = _CLOSERS[context]
+        if tok != closer:
+            if not closer:
+                what = "formula" if context == _F_TOP else "term"
+                return _fail(f"unexpected {tok!r} after {what}", i, marks)
+            return _fail(f"expected {closer!r}, found {tok or 'end of input'!r}", i, marks)
+        if not closer:
+            return vals[0]
+        ops.pop()
+        i += 1
+        if context == _F_PAIR:
+            antecedent = vals.pop()
+            vals[-1] = _pair(vals[-1], antecedent)
+            formula = False
+        elif context == _T_PAIR:
+            ops.append(_F_PAIR)
+            formula = operand = True
+        elif context == _T_JUST or context == _T_JUST_MARKED:
+            if context == _T_JUST_MARKED:
+                marks.pop()
+            ops.append(_JUST)
+            formula = operand = True
 
-    def conj(self) -> Formula:
-        left = self.prefix()
-        while self.at("&"):
-            self.next()
-            left = And(left, self.prefix())
-        return left
 
-    def prefix(self) -> Formula:
-        tok = self.peek()
-        if self.at("~"):
-            self.next()
-            return Neg(self.prefix())
-        if self.at("[]"):
-            self.need_dialect(self.dialect is Dialect.L, "box")
-            self.next()
-            return Box(self.prefix())
-        if self.at("!") or self.at("<"):
-            return self.justified()
-        if self.at("("):
-            # A parenthesis can open a compound term (`(x+y):p`) or a
-            # subformula; commit to the term reading only if ':' follows.
-            mark = self.i
-            try:
-                term = self.term()
-                self.expect(":")
-            except ParseError:
-                self.i = mark
-                self.next()
-                inner = self.formula()
-                self.expect(")")
-                return inner
-            return Just(term, self.prefix())
-        if tok.kind == "ident":
-            if tok.text in ("false", "true"):
-                self.next()
-                bot = And(Atom("p0"), Neg(Atom("p0")))
-                return bot if tok.text == "false" else Neg(bot)
-            after = self.tokens[self.i + 1]
-            if after.kind == "op" and after.text in (":", "+", "."):
-                return self.justified()
-            if _RESERVED_TERM_VARS.match(tok.text):
-                raise ParseError(f"{tok.text!r} is reserved for justification terms", tok.pos)
-            if _CONSTANT_NAME.match(tok.text):
-                raise ParseError(f"constant {tok.text!r} cannot be used as an atom", tok.pos)
-            self.next()
-            return Atom(tok.text)
-        self.fail(f"expected a formula, found {tok.text or 'end of input'!r}")
+def _matching_parens(toks: list[str]) -> dict[int, int]:
+    """The index of each closed `(` mapped to the index of its `)`."""
+    match = {}
+    opened = []
+    for k, tok in enumerate(toks):
+        if tok == "(":
+            opened.append(k)
+        elif tok == ")" and opened:
+            match[opened.pop()] = k
+    return match
 
-    def justified(self) -> Formula:
-        term = self.term()
-        self.expect(":")
-        return Just(term, self.prefix())
 
-    # --- terms --------------------------------------------------------
-
-    def term(self) -> Term:
-        left = self.term_app()
-        while self.at("+"):
-            self.next()
-            left = Sum(left, self.term_app())
-        return left
-
-    def term_app(self) -> Term:
-        left = self.term_unary()
-        while self.at("."):
-            self.need_dialect(self.dialect is not Dialect.JRC, "term application")
-            self.next()
-            left = App(left, self.term_unary())
-        return left
-
-    def term_unary(self) -> Term:
-        tok = self.peek()
-        if self.at("!"):
-            self.need_dialect(self.dialect is not Dialect.JRC, "proof checker")
-            self.next()
-            return Bang(self.term_unary())
-        if self.at("("):
-            self.next()
-            inner = self.term()
-            self.expect(")")
-            return inner
-        if self.at("<"):
-            self.need_dialect(self.dialect is Dialect.LPCint, "pair terms")
-            self.next()
-            inner = self.term()
-            self.expect(",")
-            antecedent = self.disj()
-            self.expect(">")
-            return Pair(inner, antecedent)
-        if tok.kind == "ident":
-            if tok.text in ("false", "true"):
-                raise ParseError(f"{tok.text!r} cannot name a term", tok.pos)
-            self.next()
-            if _CONSTANT_NAME.match(tok.text):
-                if self.dialect is Dialect.JRC:
-                    raise DialectError("constants not available in dialect jrc", tok.pos)
-                return Constant(tok.text)
-            return Variable(tok.text)
-        self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
+def _parse(text: str, dialect: Dialect, top: int):
+    toks = _TOKEN_RE.findall(text)
+    forced: set[int] = set()
+    while True:
+        out = _run(toks, dialect, top, forced)
+        if out.__class__ is not _Failure:
+            return out
+        cls, message, index, mark = out
+        if not forced:
+            # A character that starts no token is the error, wherever it
+            # is; a parse that succeeds has met none.
+            for m in _TOKEN_RE.finditer(text):
+                tok = m.group(1)
+                if len(tok) == 1 and tok not in _OPERATORS and not "a" <= tok <= "z":
+                    raise ParseError(f"unexpected character {tok!r}", m.start(1))
+        if mark is None:
+            for n, m in enumerate(_TOKEN_RE.finditer(text)):
+                if n == index:
+                    raise cls(message, m.start(1))
+        forced.add(mark)
 
 
 def parse_formula(text: str, dialect: Dialect) -> Formula:
     """Parse text in the given dialect, expanding derived connectives."""
-    p = _Parser(text, dialect)
-    f = p.formula()
-    tok = p.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected {tok.text!r} after formula", tok.pos)
-    return f
+    return _parse(text, dialect, _F_TOP)
 
 
 def parse_term(text: str, dialect: Dialect) -> Term:
     """Parse a bare justification term."""
-    p = _Parser(text, dialect)
-    t = p.term()
-    tok = p.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected {tok.text!r} after term", tok.pos)
-    return t
+    return _parse(text, dialect, _T_TOP)
 
 
 # --- printing ---------------------------------------------------------
 
-_COND_OPS = {MatImp: "=>", Counterfactual: ">", RelImp: "->", RelCf: "~>"}
+# Binding strength of each node class: formulas 1 (conditionals), 2 (`&`),
+# 3 (prefixes and atoms); terms 11 (`+`), 12 (`.`), 13 (the rest). A child
+# printed where at least `need` is required and its class binds looser gets
+# parentheses; `need` above 10 asks for a term.
+_STRENGTH = {
+    Atom: 3, Neg: 3, Box: 3, Just: 3, And: 2,
+    MatImp: 1, Counterfactual: 1, RelImp: 1, RelCf: 1,
+    Constant: 13, Variable: 13, Bang: 13, Pair: 13, App: 12, Sum: 11,
+}
+_COND_OPS = {MatImp: " => ", Counterfactual: " > ", RelImp: " -> ", RelCf: " ~> "}
 
 
 def print_formula(f: Formula) -> str:
     """Render with minimal parentheses; parse_formula inverts this."""
-    # Loops, not recursions, so deep right-nested conditionals and
-    # left-nested conjunctions print, as unary chains do in _print_prefix.
-    parts = []
-    while type(f) in _COND_OPS:
-        parts.append(f"{_print_conj(f.left)} {_COND_OPS[type(f)]} ")
-        f = f.right
-    parts.append(_print_conj(f))
-    return "".join(parts)
-
-
-def _print_conj(f: Formula) -> str:
-    conjuncts = []
-    while isinstance(f, And):
-        conjuncts.append(_print_prefix(f.right))
-        f = f.left
-    conjuncts.append(_print_prefix(f))
-    return " & ".join(reversed(conjuncts))
-
-
-def _print_prefix(f: Formula) -> str:
-    # A loop, not a recursion, so deep unary chains print.
-    parts = []
-    while isinstance(f, (Neg, Box, Just)):
-        if isinstance(f, Neg):
-            parts.append("~")
-        elif isinstance(f, Box):
-            parts.append("[]")
-        else:
-            term = print_term(f.term)
-            parts.append(f"({term}):" if isinstance(f.term, (App, Sum)) else f"{term}:")
-        f = f.inner
-    if isinstance(f, Atom):
-        parts.append(f.name)
-    elif isinstance(f, _FormulaNode):
-        parts.append(f"({print_formula(f)})")
-    else:
-        raise TypeError(f"not a formula node: {type(f).__name__}")
-    return "".join(parts)
+    return _print(f, 1)
 
 
 def print_term(t: Term) -> str:
-    if isinstance(t, Sum):
-        return f"{print_term(t.left)}+{_print_term_app(t.right)}"
-    return _print_term_app(t)
+    return _print(t, 11)
 
 
-def _print_term_app(t: Term) -> str:
-    if isinstance(t, App):
-        return f"{_print_term_app(t.left)}.{_print_term_unary(t.right)}"
-    return _print_term_unary(t)
-
-
-def _print_term_unary(t: Term) -> str:
-    if isinstance(t, Bang):
-        return "!" + _print_term_unary(t.inner)
-    if isinstance(t, (Constant, Variable)):
-        return t.name
-    if isinstance(t, Pair):
-        body = print_formula(t.antecedent)
-        if isinstance(t.antecedent, _CONDITIONALS):
-            body = f"({body})"
-        return f"<{print_term(t.inner)},{body}>"
-    if isinstance(t, (App, Sum)):
-        return f"({print_term(t)})"
-    raise TypeError(f"not a term node: {type(t).__name__}")
+def _print(node, need: int) -> str:
+    # One loop over an explicit stack of pending nodes and literal text, so
+    # nesting depth costs list entries, not interpreter frames. The leftmost
+    # child of each node is printed next without a trip through the stack.
+    out: list[str] = []
+    pending: list = []
+    while True:
+        cls = type(node)
+        strength = _STRENGTH.get(cls)
+        if strength is None or (strength > 10) != (need > 10):
+            kind = "term" if need > 10 else "formula"
+            raise TypeError(f"not a {kind} node: {cls.__name__}")
+        if strength < need:
+            out.append("(")
+            pending.append(")")
+            need = 1 if need < 10 else 11
+        if cls is Atom or cls is Variable or cls is Constant:
+            out.append(node.name)
+        elif cls is Neg:
+            out.append("~")
+            node, need = node.inner, 3
+            continue
+        elif cls is And:
+            pending += ((node.right, 3), " & ")
+            node, need = node.left, 2
+            continue
+        elif cls is Just:
+            pending += ((node.inner, 3), ":")
+            node, need = node.term, 13
+            continue
+        elif cls in _COND_OPS:
+            pending += ((node.right, 1), _COND_OPS[cls])
+            node, need = node.left, 2
+            continue
+        elif cls is Box:
+            out.append("[]")
+            node, need = node.inner, 3
+            continue
+        elif cls is Sum:
+            pending += ((node.right, 12), "+")
+            node, need = node.left, 11
+            continue
+        elif cls is App:
+            pending += ((node.right, 13), ".")
+            node, need = node.left, 12
+            continue
+        elif cls is Bang:
+            out.append("!")
+            node, need = node.inner, 13
+            continue
+        else:
+            out.append("<")
+            pending += (">", (node.antecedent, 2), ",")
+            node, need = node.inner, 11
+            continue
+        while pending:
+            item = pending.pop()
+            if item.__class__ is str:
+                out.append(item)
+            else:
+                node, need = item
+                break
+        else:
+            return "".join(out)
 
 
 # --- structural helpers ------------------------------------------------

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from condjust.cli import main, parse_sequent
 from condjust.fixtures import fixture_json, fixture_text
@@ -84,14 +88,16 @@ class TestParseCommand:
             main(["parse", "--dialect", "k45", "p"])
         assert exc.value.code == 2
 
-    def test_too_deep_exits_2(self):
+    def test_deep_negation_parses(self):
+        # The parser keeps its own stacks, so depth is not bounded by the
+        # interpreter's recursion limit.
         proc = subprocess.run(
             [sys.executable, "-m", "condjust.cli", "parse", "--dialect", "lpcplus",
              "~" * 3000 + "p"],
             capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert proc.stderr == "error: input nested too deeply\n"
-        assert proc.stdout == ""
+        assert proc.returncode == 0
+        assert proc.stdout == "~" * 3000 + "p\n"
+        assert proc.stderr == ""
 
 
 class TestEvalCommand:
@@ -426,6 +432,17 @@ class TestCorpusCommand:
         assert code == 2
         assert "unknown check kind" in err
 
+    def test_too_deep_exits_2(self, tmp_path):
+        # json.load still recurses once per nesting level of a document.
+        cases = tmp_path / "cases.json"
+        cases.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "condjust.cli", "corpus", "--cases", str(cases)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: input nested too deeply\n"
+        assert proc.stdout == ""
+
     def test_case_errors_count_as_failures(self, capsys, tmp_path):
         cases = tmp_path / "cases.json"
         cases.write_text(json.dumps({"cases": [
@@ -445,6 +462,57 @@ def test_corpus_that_is_not_a_list_of_objects_exits_2(capsys, tmp_path, doc):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "list of objects" in err
+
+
+def _exit_and_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    # Only text the console can write: stdout and stderr are strict UTF-8.
+    return code, (out.getvalue() + err.getvalue()).encode("utf-8")
+
+
+# Prefix chains, conjunction and conditional chains and redundant
+# parentheses, each repeated up to 1,000 times around the text so far. Deep
+# term chains are left out: each `!` level adds slots to the countermodel
+# search at any bound.
+_WRAPS = {
+    "~": lambda text, n: "~" * n + text,
+    "x:": lambda text, n: "x:" * n + text,
+    "&": lambda text, n: " & ".join([text] + ["q"] * n),
+    ">": lambda text, n: "q > " * n + text,
+    "()": lambda text, n: "(" * n + text + ")" * n,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.binary(max_size=40), command=st.sampled_from(["parse", "falsify"]),
+       dialect=st.sampled_from([d.value for d in Dialect]))
+def test_random_bytes_exit_cleanly(data, command, dialect):
+    # argv reaches the program decoded as the console decodes it.
+    code, output = _exit_and_output(
+        [command, "--dialect", dialect, "--", os.fsdecode(data)])
+    assert code in (0, 2, 3)
+    assert b"Traceback" not in output
+
+
+@settings(max_examples=15, deadline=None)
+@given(wraps=st.lists(st.tuples(st.sampled_from(sorted(_WRAPS)), st.integers(1, 1_000)),
+                      min_size=1, max_size=3),
+       command=st.sampled_from(["parse", "falsify"]))
+def test_deep_trees_exit_cleanly(wraps, command):
+    text = "p"
+    for wrap, n in wraps:
+        text = _WRAPS[wrap](text, n)
+    argv = [command, "--dialect", "lpcplus", text]
+    if command == "falsify":
+        argv += ["--bound", "1"]
+    code, output = _exit_and_output(argv)
+    assert code in (0, 2, 3)
+    assert b"Traceback" not in output
 
 
 def test_console_entry_point():

@@ -20,6 +20,7 @@ from condjust.kripke_models import (
     eval as keval, jtb, knowledge, load_model, model_to_json, profile_for,
     truthset, valid_in_model,
 )
+from condjust.routley_models import load_routley_model
 from condjust.syntax import (
     And, App, Atom, Bang, Box, Constant, Counterfactual, Dialect, Just, MatImp,
     Neg, Pair, Sum, Variable, closure, formula_key, parse_formula, parse_term,
@@ -288,6 +289,15 @@ def test_model_json_roundtrip():
         assert m2.term_rels == m.term_rels
         assert m2.formula_rel_overrides == m.formula_rel_overrides
         assert m2.formula_rel_default == m.formula_rel_default
+
+
+@pytest.mark.parametrize("load,doc", [
+    (load_model, [1]), (load_model, "x"), (load_model, None),
+    (load_routley_model, None), (load_routley_model, ["jrc"]),
+], ids=["kripke list", "kripke str", "kripke None", "routley None", "routley list"])
+def test_loading_a_document_that_is_not_an_object_raises_type_error(load, doc):
+    with pytest.raises(TypeError, match="a model document must be a JSON object"):
+        load(doc)
 
 
 def _random_safe_model(rng):

@@ -20,6 +20,7 @@ from condjust.hilbert import match_axiom
 from condjust.kripke_models import KripkeModel, check_conditions, profile_for
 from condjust.routley_models import RoutleyModel, check_jrc_conditions
 from util_gen import ast_strategies
+import seed_syntax
 
 LPC = Dialect.LPCplus
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -196,6 +197,126 @@ def test_term_roundtrip(dialect, data):
     terms, _ = ast_strategies(dialect)
     t = data.draw(terms)
     assert parse_term(print_term(t), dialect) == t
+
+
+# --- the seed parser and printer as references ---------------------------
+
+# Operators, identifiers of every kind, fragments that open a term with a
+# parenthesis or a pair, and characters that start no token.
+_SOUP = [
+    "~", "[]", "&", "|", "@", "=>", ">", "->", "~>", "==", "<=>", "(", ")",
+    "(", ")", "<", ",", ":", "+", ".", "!", "p", "q", "p0", "x", "y1", "s",
+    "c", "c1", "c_ax", "false", "true", "(x):", "(s+t).", "<s,", "A", "1",
+    "=", "[", "$",
+]
+
+
+def _outcome(parse, text, dialect):
+    try:
+        return parse(text, dialect)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.pos
+
+
+def _same_outcome(text, dialect, term):
+    if term:
+        new, old = parse_term, seed_syntax.parse_term
+    else:
+        new, old = parse_formula, seed_syntax.parse_formula
+    got, want = _outcome(new, text, dialect), _outcome(old, text, dialect)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got is want
+
+
+@pytest.mark.parametrize("dialect", list(Dialect))
+@given(pieces=st.lists(st.tuples(st.sampled_from(_SOUP), st.sampled_from(["", " "])),
+                       max_size=24),
+       term=st.booleans())
+def test_parser_matches_the_seed_parser_on_token_soup(dialect, pieces, term):
+    # The same node, or the same error class, message and offset.
+    _same_outcome("".join(tok + gap for tok, gap in pieces), dialect, term)
+
+
+@pytest.mark.parametrize("dialect", list(Dialect))
+@given(data=st.data())
+def test_parser_matches_the_seed_parser_on_damaged_formulas(dialect, data):
+    _, formulas = ast_strategies(dialect)
+    toks = print_formula(data.draw(formulas)).replace("(", " ( ").replace(")", " ) ").split()
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(toks)))
+        if data.draw(st.booleans()) and at < len(toks):
+            del toks[at]
+        else:
+            toks.insert(at, data.draw(st.sampled_from(_SOUP)))
+    _same_outcome(" ".join(toks), dialect, False)
+
+
+@pytest.mark.parametrize("dialect", list(Dialect))
+@given(data=st.data())
+def test_printer_matches_the_seed_printer(dialect, data):
+    terms, formulas = ast_strategies(dialect)
+    f, t = data.draw(formulas), data.draw(terms)
+    assert print_formula(f) == seed_syntax.print_formula(f)
+    assert print_term(t) == seed_syntax.print_term(t)
+
+
+_DEEP = 100_000
+
+
+def _chain(wrap, leaf, depth=_DEEP):
+    for _ in range(depth):
+        leaf = wrap(leaf)
+    return leaf
+
+
+@pytest.mark.parametrize("shape,dialect", [
+    ("~", LPC), ("[]", Dialect.L), ("x:", LPC), ("&", LPC), ("& nested right", LPC),
+    (">", LPC), ("> nested left", LPC), ("!", LPC),
+])
+def test_deep_chains_round_trip(shape, dialect):
+    # At the default recursion limit: parsing and printing keep their own
+    # stacks.
+    f = {
+        "~": lambda: _chain(Neg, p),
+        "[]": lambda: _chain(Box, p),
+        "x:": lambda: _chain(lambda g: Just(Variable("x"), g), p),
+        "&": lambda: _chain(lambda g: And(g, q), p),
+        "& nested right": lambda: _chain(lambda g: And(q, g), p),
+        ">": lambda: _chain(lambda g: Counterfactual(q, g), p),
+        "> nested left": lambda: _chain(lambda g: Counterfactual(g, q), p),
+        "!": lambda: Just(_chain(Bang, Variable("x")), p),
+    }[shape]()
+    assert parse_formula(print_formula(f), dialect) is f
+
+
+def test_deep_redundant_parentheses_parse():
+    assert parse_formula("(" * _DEEP + "p" + ")" * _DEEP, LPC) is p
+    x = Variable("x")
+    assert parse_formula("(" * _DEEP + "x" + ")" * _DEEP + ":p", LPC) is Just(x, p)
+    assert parse_term("(" * _DEEP + "x" + ")" * _DEEP, LPC) is x
+
+
+def test_deep_chains_print_as_the_seed_printer_would():
+    # Each shape once had a printer that recursed per level.
+    x, y = Variable("x"), Variable("y")
+    cases = [
+        (_chain(lambda g: And(q, g), p, 3_000), "q & (" * 2_999 + "q & p" + ")" * 2_999),
+        (_chain(lambda g: Counterfactual(g, q), p, 3_000), "(" * 2_999 + "p > q" + ") > q" * 2_999),
+        (_chain(lambda g: MatImp(g, q), p, 3_000), "(" * 2_999 + "p => q" + ") => q" * 2_999),
+        (_chain(lambda g: Neg(And(g, q)), p, 3_000), "~(" * 3_000 + "p" + " & q)" * 3_000),
+    ]
+    for f, text in cases:
+        assert print_formula(f) == text
+    terms = [
+        (_chain(lambda t: Sum(t, y), x, 3_000), "x" + "+y" * 3_000),
+        (_chain(lambda t: Sum(y, t), x, 3_000), "y+(" * 2_999 + "y+x" + ")" * 2_999),
+        (_chain(lambda t: App(y, t), x, 3_000), "y.(" * 2_999 + "y.x" + ")" * 2_999),
+        (_chain(Bang, x, 3_000), "!" * 3_000 + "x"),
+    ]
+    for t, text in terms:
+        assert print_term(t) == text
 
 
 # --- hash-consing ---------------------------------------------------------
