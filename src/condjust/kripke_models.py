@@ -22,7 +22,8 @@ from condjust.syntax import (
     And, App, Atom, Bang, Box, Constant, Counterfactual, Dialect, Formula,
     Just, MatImp, Neg, Pair, RelCf, RelImp, Sum, Term, Variable,
     closure, formula_key, parse_formula, parse_term, print_formula,
-    print_term, subterms, term_key, terms_of, _sorted_by_key,
+    print_term, subterms, term_key, terms_of, _CONDITIONALS, _INTERNED,
+    _sorted_by_key,
 )
 
 __all__ = [
@@ -225,10 +226,10 @@ def _holding(masks: dict, i: int) -> frozenset:
 
 
 class _View:
-    """A pair field of a model built by _from_masks, made from the masks on
-    first read and then kept on the model. A model from the constructor
-    holds the field itself, which hides this descriptor. (A __getattr__ on
-    the class would slow every attribute load of every model.)"""
+    """A field made from a model's other fields on first read, then kept on
+    the model: the pair fields of a model built by _from_masks, and the
+    default scheme's scope. A constructed model holds its pair fields, which
+    hide this descriptor. (A __getattr__ would slow every attribute load.)"""
 
     def __init__(self, name: str, build):
         self.name, self.build = name, build
@@ -251,6 +252,10 @@ KripkeModel.term_rels = _View("term_rels", lambda m: {
     t: _pairs(m.states, rows) for t, rows in m._term_rows.items()})
 KripkeModel.formula_rel_overrides = _View("formula_rel_overrides", lambda m: {
     f: _pairs(m.states, rows) for f, rows in m._override_rows.items()})
+# The states a default scheme's row R_f(w), the truth set of f, is cut to.
+KripkeModel._scope = _View("_scope", lambda m: (
+    m._normal_mask if m.formula_rel_default is RelScheme.TruthsetNormal
+    else 0 if m.formula_rel_default is RelScheme.Empty else -1))
 
 
 # --- constant specifications -------------------------------------------
@@ -415,10 +420,63 @@ def _inside(idx, rows: tuple[int, ...], target: int) -> int:
     return out
 
 
+# A formula's evaluation plan: its distinct subformulas, children first, in
+# the order _plan's walk finishes them. It does not depend on the model, and
+# nodes are interned for good, so one plan per node serves every model. The
+# table is cleared before it would exceed _PLAN_CAP entries per interned node.
+class _Plans(dict):
+    # The count of entries held lives on the table, so no module name is rebound.
+    total = 0
+
+
+_PLANS: dict[Formula, tuple[Formula, ...]] = _Plans()
+_PLAN_CAP = 8
+
+
+def _plan(f: Formula) -> tuple[Formula, ...]:
+    plan = _PLANS.get(f)
+    if plan is None:
+        # An explicit stack, so that depth is unbounded: a node whose children
+        # are not all finished pushes them, left before right, and waits. The
+        # tree alone fixes the order, so the same clause raises on every run.
+        done: dict[Formula, None] = {}
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            kind = type(g)
+            if kind is Neg or kind is Just or kind is Box:
+                if g.inner not in done:
+                    stack.append(g.inner)
+                    continue
+            elif kind is And or kind in _CONDITIONALS:
+                if g.left not in done or g.right not in done:
+                    stack += [c for c in (g.left, g.right) if c not in done]
+                    continue
+            done[g] = None
+            stack.pop()
+        if _PLANS.total + len(done) > _PLAN_CAP * len(_INTERNED):
+            _PLANS.clear()
+            _PLANS.total = 0
+        _PLANS[f] = plan = tuple(done)
+        _PLANS.total += len(plan)
+    return plan
+
+
+def _children(g) -> tuple:
+    kind = type(g)
+    if kind is Neg or kind is Just or kind is Box:
+        return (g.inner,)
+    if kind in _CONDITIONALS or kind is And:
+        return g.left, g.right
+    return ()
+
+
 class _Evaluator:
     """Truth sets of one model as int masks, bit i for state i, cached per
     formula. At normal states a formula's bits follow its clause; at
     non-normal states they are the literal valuation's memberships."""
+
+    __slots__ = ("m", "masks")
 
     def __init__(self, m: KripkeModel):
         self.m = m
@@ -427,69 +485,47 @@ class _Evaluator:
     def mask(self, f: Formula) -> int:
         masks = self.masks
         value = masks.get(f)
-        if value is not None:
-            return value
+        if value is None:
+            if masks and all(c in masks for c in _children(f)):
+                order = (f,)  # built over cached formulas, as condition checks build them
+            else:
+                order = [g for g in _plan(f) if g not in masks] if masks else _plan(f)
+            self.fill(order)
+            value = masks[f]
+        return value
+
+    def fill(self, order) -> None:
+        """Cache the mask of each formula in order, none cached yet, children first."""
+        masks = self.masks
         m = self.m
-        normal, members = m._normal_mask, m._members
-        overrides, scheme = m._override_rows, m.formula_rel_default
-        # Children first, with an explicit stack so that depth is unbounded:
-        # a node whose children are not all known pushes them and waits.
-        stack = [f]
-        while stack:
-            g = stack[-1]
+        normal, members, atoms = m._normal_mask, m._members, m._atoms
+        overrides, terms, idx, scope = m._override_rows, m._term_rows, m._normal_idx, m._scope
+        for g in order:
             kind = type(g)
             if kind is Atom:
-                value = m._atoms.get(g.name, 0)
-            elif kind is Neg:
-                a = masks.get(g.inner)
-                if a is None:
-                    stack.append(g.inner)
-                    continue
-                value = ~a
-            elif kind is And or kind is MatImp:
-                a, b = masks.get(g.left), masks.get(g.right)
-                if a is None or b is None:
-                    if a is None:
-                        stack.append(g.left)
-                    if b is None:
-                        stack.append(g.right)
-                    continue
-                value = a & b if kind is And else ~a | b
+                value = atoms.get(g.name, 0)
             elif kind is Counterfactual:
                 rows = overrides.get(g.left)
-                # The antecedent's truth set is read only by a default scheme.
-                a = 0 if rows is not None or scheme is RelScheme.Empty else masks.get(g.left)
-                b = masks.get(g.right)
-                if a is None or b is None:
-                    if a is None:
-                        stack.append(g.left)
-                    if b is None:
-                        stack.append(g.right)
-                    continue
+                b = masks[g.right]
                 if rows is not None:
-                    value = _inside(m._normal_idx, rows, b)
+                    value = _inside(idx, rows, b)
                 else:
-                    shared = a & normal if scheme is RelScheme.TruthsetNormal else a
-                    value = 0 if shared & ~b else -1
+                    value = 0 if masks[g.left] & scope & ~b else -1
+            elif kind is MatImp:
+                value = ~masks[g.left] | masks[g.right]
             elif kind is Just:
-                b = masks.get(g.inner)
-                if b is None:
-                    stack.append(g.inner)
-                    continue
-                rows = m._term_rows.get(g.term)
-                value = -1 if rows is None else _inside(m._normal_idx, rows, b)
+                rows = terms.get(g.term)
+                value = -1 if rows is None else _inside(idx, rows, masks[g.inner])
+            elif kind is And:
+                value = masks[g.left] & masks[g.right]
+            elif kind is Neg:
+                value = ~masks[g.inner]
             elif kind is Box:
-                b = masks.get(g.inner)
-                if b is None:
-                    stack.append(g.inner)
-                    continue
-                value = 0 if normal & ~b else -1
+                value = 0 if normal & ~masks[g.inner] else -1
             else:
                 raise ValueError(
                     f"{kind.__name__} has no clause on relational models; use a Routley model")
-            masks[g] = value & normal | members.get(g, 0)
-            stack.pop()
-        return masks[f]
+            masks[g] = value & normal | members[g] if g in members else value & normal
 
     def holds(self, i: int, f: Formula) -> bool:
         m = self.m
@@ -506,11 +542,8 @@ class _Evaluator:
         rows = self.m._override_rows.get(f)
         if rows is not None:
             return rows
-        scheme = self.m.formula_rel_default
-        shared = 0 if scheme is RelScheme.Empty else self.mask(f)
-        if scheme is RelScheme.TruthsetNormal:
-            shared &= self.m._normal_mask
-        return (shared,) * len(self.m.states)
+        scope = self.m._scope
+        return (scope and self.mask(f) & scope,) * len(self.m.states)
 
 
 KripkeModel._evaluator = _Evaluator
@@ -646,6 +679,7 @@ def _report(name: str, cids, checks: dict, m, ev, universe,
     """Run the checks named by cids over the sorted closure of the universe,
     its terms and the model's; each check reads only masks."""
     formulas, query_terms, terms = _query_part(frozenset(universe))
+    ev.fill(formulas)  # sorted by size, so children come first
     # The query terms are closed under subterms; the model may add others.
     extra: set[Term] = set()
     for t in m._term_rows:

@@ -104,93 +104,59 @@ class _JrcEvaluator(_Evaluator):
     cached per formula; every state follows the clauses. The relation rows
     are read as the relational evaluator reads them."""
 
-    def mask(self, f: Formula) -> int:
+    __slots__ = ()
+
+    def fill(self, order) -> None:
         masks = self.masks
-        value = masks.get(f)
-        if value is not None:
-            return value
         m = self.m
         full, everywhere = m._full, range(len(m.states))
-        overrides, scheme = m._override_rows, m.formula_rel_default
-        # Children first, with an explicit stack so that depth is unbounded:
-        # a node whose children are not all known pushes them and waits.
-        stack = [f]
-        while stack:
-            g = stack[-1]
+        overrides, scope = m._override_rows, m._scope
+        for g in order:
             kind = type(g)
             if kind is Atom:
                 value = m._atoms.get(g.name, 0)
             elif kind is Neg:
-                a = masks.get(g.inner)
-                if a is None:
-                    stack.append(g.inner)
-                    continue
                 # true at w when the inner formula fails at star(w)
+                a = masks[g.inner]
                 value = 0
                 for i, s in enumerate(m._star):
                     if not a >> s & 1:
                         value |= 1 << i
-            elif kind is And or kind is RelImp:
-                a, b = masks.get(g.left), masks.get(g.right)
-                if a is None or b is None:
-                    if a is None:
-                        stack.append(g.left)
-                    if b is None:
-                        stack.append(g.right)
-                    continue
-                if kind is And:
-                    value = a & b
-                else:
-                    # true at x when every triple (x, y, z) with the
-                    # antecedent at y has the consequent at z
-                    ys = list(_bits(a))
-                    value = 0
-                    for x, row in enumerate(m._tern):
-                        if not any(row[y] & ~b for y in ys):
-                            value |= 1 << x
+            elif kind is And:
+                value = masks[g.left] & masks[g.right]
+            elif kind is RelImp:
+                # true at x when every triple (x, y, z) with the antecedent
+                # at y has the consequent at z
+                ys, b = list(_bits(masks[g.left])), masks[g.right]
+                value = 0
+                for x, row in enumerate(m._tern):
+                    if not any(row[y] & ~b for y in ys):
+                        value |= 1 << x
             elif kind is RelCf:
                 rows = overrides.get(g.left)
-                # The antecedent's truth set is read only by a default scheme.
-                a = 0 if rows is not None or scheme is RelScheme.Empty else masks.get(g.left)
-                b = masks.get(g.right)
-                if a is None or b is None:
-                    if a is None:
-                        stack.append(g.left)
-                    if b is None:
-                        stack.append(g.right)
-                    continue
+                b = masks[g.right]
                 if rows is not None:
                     value = _inside(everywhere, rows, b)
                 else:
-                    shared = a & m._normal_mask if scheme is RelScheme.TruthsetNormal else a
-                    value = 0 if shared & ~b else full
+                    value = 0 if masks[g.left] & scope & ~b else full
             elif kind is Just:
-                b = masks.get(g.inner)
-                if b is None:
-                    stack.append(g.inner)
-                    continue
                 rows = m._term_rows.get(g.term)
-                value = full if rows is None else _inside(everywhere, rows, b)
+                value = full if rows is None else _inside(everywhere, rows, masks[g.inner])
             elif kind is Box:
                 # Not part of the dialect's grammar; programmatic trees read
                 # it as truth at every normal state.
-                b = masks.get(g.inner)
-                if b is None:
-                    stack.append(g.inner)
-                    continue
-                value = 0 if m._normal_mask & ~b else full
+                value = 0 if m._normal_mask & ~masks[g.inner] else full
             else:
                 raise ValueError(
                     f"{kind.__name__} has no clause on Routley models; use a relational model")
             masks[g] = value
-            stack.pop()
-        return masks[f]
 
     def holds(self, i: int, f: Formula) -> bool:
         return bool(self.mask(f) >> i & 1)
 
 
 RoutleyModel._evaluator = _JrcEvaluator
+RoutleyModel._scope = KripkeModel._scope
 RoutleyModel._members = {}  # every state follows the clauses; none is literal
 
 

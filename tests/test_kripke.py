@@ -23,8 +23,8 @@ from condjust.kripke_models import (
 from condjust.routley_models import load_routley_model
 from condjust.syntax import (
     And, App, Atom, Bang, Box, Constant, Counterfactual, Dialect, Just, MatImp,
-    Neg, Pair, Sum, Variable, closure, formula_key, parse_formula, parse_term,
-    print_formula, print_term, subterms, term_key, terms_of,
+    Neg, Pair, RelCf, RelImp, Sum, Variable, closure, formula_key, parse_formula,
+    parse_term, print_formula, print_term, subterms, term_key, terms_of,
 )
 from util_gen import ast_strategies
 
@@ -574,6 +574,24 @@ def test_bitset_evaluator_matches_per_state_reference(drawn):
     assert _counterexamples(m, premises, goal) == sum(1 << m.state_index(w) for w in counter)
 
 
+@settings(deadline=None, max_examples=200)
+@given(drawn=_models(), data=st.data())
+def test_warm_evaluator_matches_per_state_reference(drawn, data):
+    """One evaluator first evaluates other formulas, some drawn afresh and
+    some from the model's pool, while the plan table holds the plans of
+    earlier draws on other models; the targets' plans then run over a
+    partly filled mask cache."""
+    m, fs = drawn
+    ref = _RefEvaluator(m)
+    pool = sorted(closure(fs), key=formula_key)
+    ev = m._evaluator(m)
+    for f in data.draw(st.lists(st.one_of(_FORMULAS, st.sampled_from(pool)), max_size=4)):
+        ev.mask(f)
+    for f in data.draw(st.permutations(pool)):
+        expected = sum(1 << i for i, w in enumerate(m.states) if ref.holds(w, f))
+        assert ev.mask(f) == expected, print_formula(f)
+
+
 ALL_CONDITIONS = ("1", "2", "3", "4", "5", "5p", "6", "7", "8", "9")
 
 
@@ -646,6 +664,34 @@ def test_deep_formulas_evaluate():
     assert not valid_in_model(m, Neg(deep))
     assert consequence(m, [deep], p)
     assert not consequence(m, [deep], q)
+
+
+def test_plan_table_stays_under_its_cap():
+    """Querying each subformula of a deep chain builds one plan per
+    subformula, of quadratic total length; the table is cleared before its
+    plans would hold more than _PLAN_CAP entries per interned node."""
+    km = condjust.kripke_models
+    m, _ = load_model({"states": ["w"], "valuation": {"w": ["p"]}})
+    chain = [p]
+    for _ in range(3_000):
+        chain.append(Neg(chain[-1]))
+    for depth, f in enumerate(chain):
+        assert valid_in_model(m, f) == (depth % 2 == 0)
+        assert km._PLANS.total <= km._PLAN_CAP * len(condjust.syntax._INTERNED)
+    assert km._PLANS.total == sum(map(len, km._PLANS.values()))
+    assert km._PLANS.total < sum(range(1, len(chain) + 1))  # the table was cleared
+
+
+def test_first_foreign_connective_named_is_fixed_by_the_tree():
+    """Two foreign connectives side by side: the error names the right one,
+    which the evaluation plan finishes first, on a cold or a warm table."""
+    m, _ = fixture_model("gettier.json")
+    for _ in range(2):
+        for call in (lambda f: keval(m, "w", f), lambda f: valid_in_model(m, f)):
+            with pytest.raises(ValueError) as err:
+                call(And(RelImp(p, q), RelCf(p, q)))
+            assert str(err.value) == \
+                "RelCf has no clause on relational models; use a Routley model"
 
 
 def test_deep_goal_gets_a_countermodel():

@@ -17,9 +17,9 @@ from condjust.routley_models import (
     load_routley_model, routley_model_to_json, truthset_jrc,
 )
 from condjust.syntax import (
-    And, Atom, Box, Dialect, Just, Neg, RelCf, RelImp, Sum, Variable, atoms,
-    closure, formula_key, node_count, parse_formula, print_formula, print_term,
-    subterms, term_key, terms_of,
+    And, Atom, Box, Counterfactual, Dialect, Just, MatImp, Neg, RelCf, RelImp,
+    Sum, Variable, atoms, closure, formula_key, node_count, parse_formula,
+    print_formula, print_term, subterms, term_key, terms_of,
 )
 from condjust.tableau import Budget, prove, verify_result
 from util_gen import ast_strategies
@@ -178,6 +178,19 @@ def test_kripke_connectives_rejected():
         one = RoutleyModel(("w0",), {"w0"}, {"w0": "w0"}, {("w0", "w0", "w0")}, valuation)
         with pytest.raises(ValueError, match="no clause on Routley models"):
             eval_jrc(one, "w0", mixed)
+
+
+
+def test_first_foreign_connective_named_is_fixed_by_the_tree():
+    """Two foreign connectives side by side: the error names the right one,
+    which the evaluation plan finishes first, on a cold or a warm table."""
+    one = RoutleyModel(("w0",), {"w0"}, {"w0": "w0"}, {("w0", "w0", "w0")})
+    for _ in range(2):
+        for call in (lambda f: eval_jrc(one, "w0", f), lambda f: jrc_valid(one, f)):
+            with pytest.raises(ValueError) as err:
+                call(And(Counterfactual(p, q), MatImp(p, q)))
+            assert str(err.value) == \
+                "MatImp has no clause on Routley models; use a relational model"
 
 
 # --- deep chains --------------------------------------------------------------
@@ -405,6 +418,25 @@ def test_masks_agree_with_the_reference_semantics(drawn):
     counter = [w for w in m.states if w in m.normal
                and all(ref.holds(w, f) for f in premises) and not ref.holds(w, goal)]
     assert _counterexamples(m, premises, goal) == sum(1 << m.state_index(w) for w in counter)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=_models_and_universes(), data=st.data())
+def test_warm_evaluator_agrees_with_the_reference_semantics(drawn, data):
+    """One evaluator first evaluates other formulas, some drawn afresh and
+    some from the universe's closure, while the plan table holds the plans
+    of earlier draws on other models; the targets' plans then run over a
+    partly filled mask cache."""
+    m, universe = drawn
+    ref = _Reference(m)
+    pool = sorted(closure(universe), key=formula_key)
+    ev = m._evaluator(m)
+    _, formula = ast_strategies(JRC)
+    for f in data.draw(st.lists(st.one_of(formula, st.sampled_from(pool)), max_size=4)):
+        ev.mask(f)
+    for f in data.draw(st.permutations(pool)):
+        expected = sum(1 << i for i, w in enumerate(m.states) if ref.holds(w, f))
+        assert ev.mask(f) == expected, print_formula(f)
 
 
 # --- calls that take a model of either family -----------------------------------
