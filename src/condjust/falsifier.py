@@ -7,10 +7,11 @@ overrides for the conditional antecedents that occur in the sequent) and
 filtered through the dialect's frame conditions. For the relevant dialect
 the walk runs, per star involution, over the atom valuation and truth
 assignments to the conditional, implication, and justification
-subformulas; accessibility rows are then realized maximally, which succeeds
-exactly when some model realizes the assignment, and every hit is
-re-verified by the condition checker and the evaluator before it is
-returned.
+subformulas; accessibility rows are realized maximally, which succeeds
+exactly when some model realizes the assignment. The realization is
+computed once, bit-sliced; a hit's model is read off the same routine run
+on that single code and re-verified by the condition checker and the
+evaluator before it is returned.
 
 Both searches take 2**16 model codes at a time, one code per bit of a
 Python int, and evaluate the sequent and the cheap necessary conditions on
@@ -385,25 +386,23 @@ class _RoutleySearch:
     truth of the modal subformulas (relevant implications, conditionals,
     justifications) in its low bits and the atom valuation above them: bit
     g * k + w is group g at state w, the modal formulas first. Ascending
-    codes thus walk assignment by assignment, and _realize builds the
-    maximal accessibility rows for a code, which succeeds exactly when some
-    model realizes its truth values.
+    codes thus walk assignment by assignment.
 
-    The walk takes 2**_SLICE_BITS codes at a time, one code per bit of a
-    Python int, as _find_kripke does. survivors evaluates the sequent at w0
-    and every test of _realize on the whole slice; only the codes that keep
-    their bit are realized and re-verified, in ascending order, so the first
-    model and witness are those of a code-by-code walk.
+    realize, the one realization, builds the maximal accessibility rows and
+    tests them bit-sliced on 2**_SLICE_BITS codes at a time, one code per
+    bit of a Python int, as _find_kripke does; a code passes exactly when
+    some model realizes its truth values. Kept codes are re-verified in
+    ascending order, so the first model and witness are those of a
+    code-by-code walk. A kept code's model is read off realize run on that
+    code alone, where every cell is 0 or 1.
     """
 
     def __init__(self, sig: SearchSignature, premises, goal: Formula):
         self.sig, self.premises, self.goal = sig, premises, goal
         index = {f: i for i, f in enumerate(sig.universe)}
-        self.modal = [f for f in sig.universe
-                      if isinstance(f, (RelImp, RelCf, Just))]
-        group = {f: i for i, f in enumerate(self.modal)}
-        group.update((Atom(a), len(self.modal) + i)
-                     for i, a in enumerate(sig.atoms))
+        modal = [f for f in sig.universe if isinstance(f, (RelImp, RelCf, Just))]
+        group = {f: i for i, f in enumerate(modal)}
+        group.update((Atom(a), len(modal) + i) for i, a in enumerate(sig.atoms))
         plan: list[tuple] = []
         for f in sig.universe:
             if isinstance(f, Neg):
@@ -414,24 +413,20 @@ class _RoutleySearch:
                 plan.append(("slot", group[f], 0))
         self.plan = plan
         self.groups = len(group)
+        self.atoms_at = len(modal)
         self.premise_ix = [index[p] for p in premises]
         self.goal_ix = index[goal]
-        cf_nodes = [f for f in self.modal if isinstance(f, RelCf)]
-        self.cf_by_ante = {a: [f for f in cf_nodes if f.left is a]
-                           for a in sig.antecedents}
-        self.cf_ix = [(index[a], [(index[f], index[f.right]) for f in nodes])
-                      for a, nodes in self.cf_by_ante.items()]
-        self.imps = [f for f in self.modal if isinstance(f, RelImp)]
+        self.cf_ix = [(index[a], [(index[f], index[f.right]) for f in modal
+                                  if isinstance(f, RelCf) and f.left is a])
+                      for a in sig.antecedents]
         self.imp_ix = [(index[f], index[f.left], index[f.right])
-                       for f in self.imps]
-        just_nodes = [f for f in self.modal if isinstance(f, Just)]
-        self.just_by_term = {t: [f for f in just_nodes if f.term is t]
-                             for t in sig.terms}
+                       for f in modal if isinstance(f, RelImp)]
         term_at = {t: i for i, t in enumerate(sig.terms)}
         self.term_ix = [
             ((term_at[t.left], term_at[t.right]) if isinstance(t, Sum) else None,
-             [(index[f], index[f.inner]) for f in nodes])
-            for t, nodes in self.just_by_term.items()]
+             [(index[f], index[f.inner]) for f in modal
+              if isinstance(f, Just) and f.term is t])
+            for t in sig.terms]
 
     def run(self) -> tuple[RoutleyModel, str] | None:
         for k in range(1, self.sig.bound + 1):
@@ -443,9 +438,22 @@ class _RoutleySearch:
                             return found
         return None
 
-    def _truth(self, k: int, sigma, bits: list[int], full: int) -> list[list[int]]:
-        """Per universe formula and state, the int of the codes where the
-        code's truth values make the formula true there."""
+    def survivors(self, k: int, sigma, bits: list[int], full: int) -> int:
+        """Bit j set when code j of the slice makes the premises true and
+        the goal false at w0 and some model realizes it."""
+        return self.realize(k, sigma, bits, full)[0]
+
+    def realize(self, k: int, sigma, bits: list[int], full: int):
+        """The live codes of the slice and the maximal rows they realize.
+
+        Returns (live, cf_rows, slices, term_rows): per antecedent and per
+        term one row per state, and per state x >= 1 the ternary (y, z)
+        cells, row-major, when the sequent has an implication. A row is a
+        list of cells, cell v the int of the codes whose row holds v. The
+        rows are cut short once no code is live.
+        """
+        # per universe formula and state, the int of the codes whose truth
+        # values make the formula true there
         truth: list[list[int]] = []
         for op, a, b in self.plan:
             if op == "slot":
@@ -457,16 +465,13 @@ class _RoutleySearch:
                 left, right = truth[a], truth[b]
                 col = [x & y for x, y in zip(left, right)]
             truth.append(col)
-        return truth
-
-    def survivors(self, k: int, sigma, bits: list[int], full: int) -> int:
-        """Bit j set when code j of the slice makes the premises true and
-        the goal false at w0 and passes every test of _realize."""
-        truth = self._truth(k, sigma, bits, full)
         states = range(k)
         live = full ^ truth[self.goal_ix][0]
         for p in self.premise_ix:
             live &= truth[p][0]
+        cf_rows: list[list[list[int]]] = []
+        slices: list[list[int]] = []
+        term_rows: list[list[list[int]]] = []
         # the ternary relation at w0 is its diagonal, so an implication
         # holds there when its consequent holds wherever its antecedent does
         for f, left, right in self.imp_ix:
@@ -478,12 +483,15 @@ class _RoutleySearch:
         # conditionals' consequents; self-support and escapes
         for ante, nodes in self.cf_ix:
             if not live:
-                return 0
+                return 0, cf_rows, slices, term_rows
             at = truth[ante]
+            per_state = []
             for w in states:
                 row = _restrict(at if w == 0 else [full] * k, nodes, w, truth, full)
                 live &= (full ^ (at[w] & (full ^ row[w]))) \
                     & _escapes(row, nodes, w, truth, full)
+                per_state.append(row)
+            cf_rows.append(per_state)
         # ternary slices at x >= 1: the (y, z) cells no true implication
         # forbids, and a refuting cell for each false one
         if self.imp_ix:
@@ -492,7 +500,7 @@ class _RoutleySearch:
                       for _, left, right in self.imp_ix]
             for x in range(1, k):
                 if not live:
-                    return 0
+                    return 0, cf_rows, slices, term_rows
                 on = [truth[f][x] for f, _, _ in self.imp_ix]
                 cells = [full] * (k * k)
                 for holds, bad in zip(on, refute):
@@ -502,110 +510,57 @@ class _RoutleySearch:
                     for c, b in zip(cells, bad):
                         esc |= c & b
                     live &= esc
+                slices.append(cells)
         # term rows: a sum's row inside its parts', inside the true
         # justifications' bodies; escapes
-        rows: list[list[list[int]]] = []
         for parts, nodes in self.term_ix:
             if not live:
-                return 0
+                return 0, cf_rows, slices, term_rows
             per_state = []
             for w in states:
                 if parts is None:
                     row = [full] * k
                 else:
-                    row = [x & y for x, y in zip(rows[parts[0]][w], rows[parts[1]][w])]
+                    row = [x & y for x, y in zip(term_rows[parts[0]][w],
+                                                 term_rows[parts[1]][w])]
                 row = _restrict(row, nodes, w, truth, full)
                 live &= _escapes(row, nodes, w, truth, full)
                 per_state.append(row)
-            rows.append(per_state)
-        return live
+            term_rows.append(per_state)
+        return live, cf_rows, slices, term_rows
 
     def _verify(self, k: int, sigma, code: int) -> tuple[RoutleyModel, str] | None:
-        """Realize one code and check the model it gives."""
-        truth = self._truth(k, sigma, [code >> i & 1 for i in range(self.groups * k)], 1)
-        masks = {f: sum(bit << w for w, bit in enumerate(col))
-                 for f, col in zip(self.sig.universe, truth)}
-        full = (1 << k) - 1
-        at = len(self.modal) * k
-        amasks = [code >> at + i * k & full for i in range(len(self.sig.atoms))]
-        model = self._realize(k, full, sigma, amasks, masks)
-        if model is None:
-            return None
+        """Build the model of one code the filter kept, with the rows
+        realize builds for that code alone, and check it."""
+        bits = [code >> i & 1 for i in range(self.groups * k)]
+        _, cf_rows, slices, term_rows = self.realize(k, sigma, bits, 1)
+        states = tuple([f"w{i}" for i in range(k)])
+
+        def pairs(rows):
+            return {(states[w], states[v]) for w, row in enumerate(rows)
+                    for v, cell in enumerate(row) if cell}
+
+        ternary = {("w0", w, w) for w in states}
+        ternary |= {(states[x], states[c // k], states[c % k])
+                    for x, cells in enumerate(slices, 1)
+                    for c, cell in enumerate(cells) if cell}
+        at = self.atoms_at * k
+        model = RoutleyModel(
+            states=states,
+            normal=frozenset({"w0"}),
+            star={w: states[s] for w, s in zip(states, sigma)},
+            ternary=frozenset(ternary),
+            valuation={w: {a for i, a in enumerate(self.sig.atoms)
+                           if bits[at + i * k + v]}
+                       for v, w in enumerate(states)},
+            term_rels=dict(zip(self.sig.terms, map(pairs, term_rows))),
+            formula_rel_overrides=dict(zip(self.sig.antecedents, map(pairs, cf_rows))),
+            formula_rel_default=RelScheme.TruthsetAll)
         # w0 is the model's only normal state
         if check_jrc_conditions(model, [*self.premises, self.goal]).ok \
                 and _counterexamples(model, self.premises, self.goal):
             return model, "w0"
         return None
-
-    def _realize(self, k, full, sigma, amasks, masks) -> RoutleyModel | None:
-        # conditional rows: maximal under antecedent truth at the normal
-        # state, the true conditionals' consequents, and self-support
-        overrides: dict[Formula, set] = {}
-        for ante in self.sig.antecedents:
-            m_ante = masks[ante]
-            pairs = set()
-            for w in range(k):
-                row = full & (m_ante if w == 0 else full)
-                for nd in self.cf_by_ante[ante]:
-                    if masks[nd] >> w & 1:
-                        row &= masks[nd.right]
-                if m_ante >> w & 1 and not row >> w & 1:
-                    return None
-                for nd in self.cf_by_ante[ante]:
-                    if not masks[nd] >> w & 1 and not row & ~masks[nd.right] & full:
-                        return None
-                pairs |= {(f"w{w}", f"w{v}") for v in _bits(row)}
-            overrides[ante] = pairs
-        ternary = {("w0", f"w{v}", f"w{v}") for v in range(k)}
-        if self.imps:
-            for x in range(1, k):
-                slice_pairs = [
-                    (y, z) for y in range(k) for z in range(k)
-                    if all(not masks[nd] >> x & 1
-                           or not masks[nd.left] >> y & 1
-                           or masks[nd.right] >> z & 1
-                           for nd in self.imps)]
-                for nd in self.imps:
-                    if masks[nd] >> x & 1:
-                        continue
-                    if not any(masks[nd.left] >> y & 1
-                               and not masks[nd.right] >> z & 1
-                               for y, z in slice_pairs):
-                        return None
-                ternary |= {(f"w{x}", f"w{y}", f"w{z}") for y, z in slice_pairs}
-        rows_by_term: dict[Term, list[int]] = {}
-        for t in self.sig.terms:
-            rows = []
-            for w in range(k):
-                row = full
-                if isinstance(t, Sum):
-                    row &= rows_by_term[t.left][w] & rows_by_term[t.right][w]
-                for nd in self.just_by_term[t]:
-                    if masks[nd] >> w & 1:
-                        row &= masks[nd.inner]
-                for nd in self.just_by_term[t]:
-                    if not masks[nd] >> w & 1 and not row & ~masks[nd.inner] & full:
-                        return None
-                rows.append(row)
-            rows_by_term[t] = rows
-        term_rels = {
-            t: {(f"w{a}", f"w{b}")
-                for a in range(k) for b in _bits(rows[a])}
-            for t, rows in rows_by_term.items()}
-        valuation = {
-            f"w{i}": {name for name, am in zip(self.sig.atoms, amasks)
-                      if am >> i & 1}
-            for i in range(k)}
-        star = {f"w{i}": f"w{sigma[i]}" for i in range(k)}
-        return RoutleyModel(
-            states=tuple(f"w{i}" for i in range(k)),
-            normal=frozenset({"w0"}),
-            star=star,
-            ternary=frozenset(ternary),
-            valuation=valuation,
-            term_rels=term_rels,
-            formula_rel_overrides=overrides,
-            formula_rel_default=RelScheme.TruthsetAll)
 
 
 # --- entry points ----------------------------------------------------------

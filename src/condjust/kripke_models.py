@@ -926,7 +926,8 @@ def load_model(doc: dict) -> tuple[KripkeModel, Dialect]:
         raise ValueError("document describes a Routley model, not a relational one")
     dialect = Dialect(doc.get("dialect", "lpcplus"))
     m = KripkeModel(**_load_fields(doc, dialect, "truthset_normal"), nonnormal_valuation={
-        w: frozenset(parse_formula(s, dialect) for s in entries)
+        w: frozenset(parse_formula(s, dialect)
+                     for s in _array(entries, f"nonnormal_valuation[{w!r}]"))
         for w, entries in _object(doc, "nonnormal_valuation").items()})
     return m, dialect
 
@@ -934,16 +935,19 @@ def load_model(doc: dict) -> tuple[KripkeModel, Dialect]:
 def _load_fields(doc: dict, dialect: Dialect, scheme: str) -> dict:
     """The fields of a model document that both families share, as keyword
     arguments; scheme is the family's default relation scheme."""
-    states = tuple(doc["states"])
+    states = tuple(_array(doc["states"], "states"))
     return {
         "states": states,
-        "normal": frozenset(doc.get("normal", states)),
-        "valuation": {w: frozenset(v) for w, v in _object(doc, "valuation").items()},
+        "normal": frozenset(_array(doc.get("normal", doc["states"]), "normal")),
+        "valuation": {w: frozenset(_array(v, f"valuation[{w!r}]"))
+                      for w, v in _object(doc, "valuation").items()},
         "term_rels": {
-            parse_term(t, dialect): frozenset((a, b) for a, b in pairs)
+            parse_term(t, dialect): frozenset(
+                (a, b) for a, b in _array(pairs, f"term_rels[{t!r}]", nested=True))
             for t, pairs in _object(doc, "term_rels").items()},
         "formula_rel_overrides": {
-            parse_formula(s, dialect): frozenset((a, b) for a, b in pairs)
+            parse_formula(s, dialect): frozenset(
+                (a, b) for a, b in _array(pairs, f"formula_rels[{s!r}]", nested=True))
             for s, pairs in _object(doc, "formula_rels").items()},
         "formula_rel_default": RelScheme(doc.get("formula_rel_default", scheme)),
     }
@@ -959,6 +963,13 @@ def _object(doc: dict, key: str) -> dict:
     value = doc.get(key, {})
     if not isinstance(value, dict):
         raise TypeError(f"{key} must be a JSON object")
+    return value
+
+
+def _array(value, key: str, nested: bool = False) -> list:
+    """A model document's value named key: an array, of arrays if nested."""
+    if not isinstance(value, list) or nested and not all(isinstance(x, list) for x in value):
+        raise TypeError(f"{key} must be a JSON array{' of arrays' * nested}")
     return value
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from condjust.kripke_models import (
     ConditionReport, KripkeModel, Pairs, RelScheme, _UNKNOWN_PAIR, _Evaluator,
-    _bits, _check_document, _cond_antecedent_truth, _diagonal, _frame,
+    _array, _bits, _check_document, _cond_antecedent_truth, _diagonal, _frame,
     _freeze, _inside, _load_fields, _lowest, _object, _report, _rows,
     consequence, eval as _eval, model_to_json, truthset, valid_in_model,
 )
@@ -261,7 +261,8 @@ def load_routley_model(doc: dict) -> RoutleyModel:
     star_doc = _object(doc, "star")
     return RoutleyModel(
         **fields, star={w: star_doc.get(w, w) for w in fields["states"]},
-        ternary=frozenset((a, b, c) for a, b, c in doc.get("ternary", [])))
+        ternary=frozenset(
+            (a, b, c) for a, b, c in _array(doc.get("ternary", []), "ternary", nested=True)))
 
 
 def routley_model_to_json(m: RoutleyModel) -> dict:

@@ -543,6 +543,7 @@ def prove(premises, goal: Formula, budget: Budget | dict | None = None) -> Proof
         budget = Budget()
     elif not isinstance(budget, Budget):
         budget = Budget(**budget)
+    premises = tuple(premises)
     for f in (*premises, goal):
         check_dialect_formula(f, Dialect.JRC)
     return _Prover(premises, goal, budget).run()
@@ -588,6 +589,7 @@ def extract_model(branch: Branch) -> tuple[RoutleyModel, str]:
 
 def verify_result(r: ProofResult, premises, goal: Formula, size_bound: int = 3) -> bool:
     """Check a verdict against the semantics; Exhausted is vacuously fine."""
+    premises = tuple(premises)
     if isinstance(r, Exhausted):
         return True
     if isinstance(r, Open):

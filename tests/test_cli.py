@@ -153,6 +153,30 @@ class TestEvalCommand:
         assert code == 2
         assert err.startswith("error: bad model file") and "JSON object" in err
 
+    @pytest.mark.parametrize("doc,key", [
+        ({"states": ["w0"], "valuation": {"w0": "pq"}}, "valuation['w0']"),
+        ({"states": "ab"}, "states"),
+        ({"states": ["a", "b"], "normal": "a"}, "normal"),
+        ({"states": ["a", "b"], "term_rels": {"x": ["ab"]}}, "term_rels['x']"),
+        ({"states": ["a", "b"], "formula_rels": {"p": "ab"}}, "formula_rels['p']"),
+        ({"dialect": "jrc", "states": ["a", "b"], "ternary": ["aaa", "abb", "bbb"]},
+         "ternary"),
+        ({"states": ["a", "b"], "normal": ["a"], "nonnormal_valuation": {"b": "p"}},
+         "nonnormal_valuation['b']"),
+    ], ids=["valuation", "states", "normal", "term_rels", "formula_rels",
+            "ternary", "nonnormal_valuation"])
+    @pytest.mark.parametrize("command", ["eval", "check-model"])
+    def test_string_where_an_array_belongs_exits_2(self, capsys, tmp_path, doc,
+                                                   key, command):
+        # a string would otherwise be read one character at a time
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        args = ["--state", doc["states"][0], "p"] if command == "eval" else []
+        code, _, err = run(capsys, command, "--model", str(path), *args)
+        assert code == 2
+        assert err.startswith("error: bad model file")
+        assert f"{key} must be a JSON array" in err
+
     def test_bare_fixture_name_resolves(self, capsys):
         code, out, _ = run(capsys, "eval", "--model", "gettier.json",
                            "--state", "w", "(p|q) & (c.x):(p|q)")

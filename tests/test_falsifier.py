@@ -20,7 +20,7 @@ from condjust.falsifier import (
     iter_kripke_models,
     sample_models,
 )
-from condjust.kripke_models import KripkeModel, RelScheme
+from condjust.kripke_models import KripkeModel, RelScheme, _bits
 from condjust.kripke_models import (
     check_conditions,
     eval as kripke_eval,
@@ -28,19 +28,23 @@ from condjust.kripke_models import (
     profile_for,
 )
 from condjust.routley_models import (
+    RoutleyModel,
     check_jrc_conditions,
     eval_jrc,
     routley_model_to_json,
+    truthset_jrc,
 )
 from condjust.syntax import (
     And,
     Atom,
     Dialect,
+    Formula,
     Just,
     Neg,
     RelCf,
     RelImp,
     Sum,
+    Term,
     Variable,
     atoms,
     parse_formula,
@@ -244,12 +248,100 @@ def routley_space(sig):
                for k in range(1, sig.bound + 1))
 
 
+class ScalarRealization:
+    """The jrc search's realization spelled out one code at a time, kept as
+    the reference the bit-sliced filter is checked against: _realize builds
+    the maximal rows from one code's truth masks, or None when no model
+    realizes them."""
+
+    def __init__(self, sig):
+        self.sig = sig
+        modal = [f for f in sig.universe if isinstance(f, (RelImp, RelCf, Just))]
+        cf_nodes = [f for f in modal if isinstance(f, RelCf)]
+        self.cf_by_ante = {a: [f for f in cf_nodes if f.left is a]
+                           for a in sig.antecedents}
+        self.imps = [f for f in modal if isinstance(f, RelImp)]
+        just_nodes = [f for f in modal if isinstance(f, Just)]
+        self.just_by_term = {t: [f for f in just_nodes if f.term is t]
+                             for t in sig.terms}
+
+    def _realize(self, k, full, sigma, amasks, masks) -> RoutleyModel | None:
+        # conditional rows: maximal under antecedent truth at the normal
+        # state, the true conditionals' consequents, and self-support
+        overrides: dict[Formula, set] = {}
+        for ante in self.sig.antecedents:
+            m_ante = masks[ante]
+            pairs = set()
+            for w in range(k):
+                row = full & (m_ante if w == 0 else full)
+                for nd in self.cf_by_ante[ante]:
+                    if masks[nd] >> w & 1:
+                        row &= masks[nd.right]
+                if m_ante >> w & 1 and not row >> w & 1:
+                    return None
+                for nd in self.cf_by_ante[ante]:
+                    if not masks[nd] >> w & 1 and not row & ~masks[nd.right] & full:
+                        return None
+                pairs |= {(f"w{w}", f"w{v}") for v in _bits(row)}
+            overrides[ante] = pairs
+        ternary = {("w0", f"w{v}", f"w{v}") for v in range(k)}
+        if self.imps:
+            for x in range(1, k):
+                slice_pairs = [
+                    (y, z) for y in range(k) for z in range(k)
+                    if all(not masks[nd] >> x & 1
+                           or not masks[nd.left] >> y & 1
+                           or masks[nd.right] >> z & 1
+                           for nd in self.imps)]
+                for nd in self.imps:
+                    if masks[nd] >> x & 1:
+                        continue
+                    if not any(masks[nd.left] >> y & 1
+                               and not masks[nd.right] >> z & 1
+                               for y, z in slice_pairs):
+                        return None
+                ternary |= {(f"w{x}", f"w{y}", f"w{z}") for y, z in slice_pairs}
+        rows_by_term: dict[Term, list[int]] = {}
+        for t in self.sig.terms:
+            rows = []
+            for w in range(k):
+                row = full
+                if isinstance(t, Sum):
+                    row &= rows_by_term[t.left][w] & rows_by_term[t.right][w]
+                for nd in self.just_by_term[t]:
+                    if masks[nd] >> w & 1:
+                        row &= masks[nd.inner]
+                for nd in self.just_by_term[t]:
+                    if not masks[nd] >> w & 1 and not row & ~masks[nd.inner] & full:
+                        return None
+                rows.append(row)
+            rows_by_term[t] = rows
+        term_rels = {
+            t: {(f"w{a}", f"w{b}")
+                for a in range(k) for b in _bits(rows[a])}
+            for t, rows in rows_by_term.items()}
+        valuation = {
+            f"w{i}": {name for name, am in zip(self.sig.atoms, amasks)
+                      if am >> i & 1}
+            for i in range(k)}
+        star = {f"w{i}": f"w{sigma[i]}" for i in range(k)}
+        return RoutleyModel(
+            states=tuple(f"w{i}" for i in range(k)),
+            normal=frozenset({"w0"}),
+            star=star,
+            ternary=frozenset(ternary),
+            valuation=valuation,
+            term_rels=term_rels,
+            formula_rel_overrides=overrides,
+            formula_rel_default=RelScheme.TruthsetAll)
+
+
 def routley_reference(sig, premises, goal):
     """The code-by-code walk: star involution, then atom assignment, then
     modal truth values. Yields (k, sigma, code), the model and whether the
     model passes, for every code that _realize realizes; the search returns
     the first model that passes."""
-    search = falsifier._RoutleySearch(sig, premises, goal)
+    search = ScalarRealization(sig)
     modal = [f for f in sig.universe if isinstance(f, (RelImp, RelCf, Just))]
     seq = [*premises, goal]
     for k in range(1, sig.bound + 1):
@@ -350,6 +442,73 @@ class TestRoutleyPruning:
 
     def test_justified_conjunction_elimination_holds_at_bound_four(self):
         assert find_countermodel([], pf("s:(p & q) ~> s:p"), J, 4) is None
+
+
+def code_masks(sig, k, sigma, code):
+    """Per universe formula, the truth set a code assigns it, as a mask:
+    modal formulas and atoms read off the code's bits, negation through
+    the star, conjunction as intersection."""
+    slots = [f for f in sig.universe if isinstance(f, (RelImp, RelCf, Just))]
+    slots += [Atom(a) for a in sig.atoms]
+    full = (1 << k) - 1
+    masks = {}
+    for f in sig.universe:
+        if isinstance(f, Neg):
+            masks[f] = sum(1 << w for w in range(k)
+                           if not masks[f.inner] >> sigma[w] & 1)
+        elif isinstance(f, And):
+            masks[f] = masks[f.left] & masks[f.right]
+        else:
+            masks[f] = code >> slots.index(f) * k & full
+    return masks
+
+
+def assert_kept_codes_realized(sig, premises, goal):
+    """Every code the filter keeps gives a model that passes the re-check
+    and whose truth sets are the code's truth values, so re-verification
+    never rejects a kept code. Returns the number of kept codes."""
+    search = falsifier._RoutleySearch(sig, premises, goal)
+    kept = 0
+    for k in range(1, sig.bound + 1):
+        full, pats = falsifier._slice_patterns(search.groups * k)
+        for sigma in falsifier._involutions(k):
+            for code in _bits(search.survivors(k, sigma, list(pats), full)):
+                found = search._verify(k, sigma, code)
+                assert found is not None and found[1] == "w0"
+                for f, mask in code_masks(sig, k, sigma, code).items():
+                    assert truthset_jrc(found[0], f) == \
+                        {f"w{w}" for w in _bits(mask)}
+                kept += 1
+    return kept
+
+
+class TestRoutleyRealization:
+    @PRUNING
+    @given(data=st.data())
+    def test_kept_codes_realize_their_truth_values(self, data):
+        drawn = draw_small_routley_search(data)
+        if drawn is None:
+            return
+        assert_kept_codes_realized(*drawn)
+
+    @pytest.mark.parametrize("text", [
+        "t:p |- (s+t):p", "s:p |- (s+t):p", "s:q, t:p |- (s+t):(p & q)",
+        "p, p ~> q |- q", "p -> q |- ~q -> ~p", "s:(p & q) ~> s:p",
+        "p -> q |- q -> p", "p ~> q |- ~q ~> ~p", "(p & ~p) ~> q",
+        "s:p |- t:p", "(s+t):p |- s:p & t:p",
+    ])
+    def test_kept_codes_realized_on_fixed_sequents(self, text):
+        # the first six are valid and keep no code; the rest keep some
+        premises, goal = parse_sequent(text, J)
+        kept = assert_kept_codes_realized(
+            SearchSignature.for_sequent(premises, goal, J, 2), premises, goal)
+        assert (kept > 0) == (find_countermodel(premises, goal, J, 2) is not None)
+
+    def test_no_implication_leaves_only_the_w0_diagonal(self):
+        # without ->, no ternary triple is placed at a state x >= 1
+        model, _ = find_countermodel([], pf("(p & ~p) ~> q"), J, 3)
+        assert len(model.states) == 2
+        assert model.ternary == {("w0", w, w) for w in model.states}
 
 
 def test_import_does_not_load_numpy():

@@ -274,3 +274,18 @@ class TestDeepInput:
         lines = r.branch.text().splitlines()
         assert lines[3_000] == "3001. q, -0  [T~ 3000]"
         assert lines[-1] == "open"
+
+
+class TestOneShotPremises:
+    # a generator of premises is read once, like a tuple of them
+    def test_prove_reads_a_generator_once(self):
+        p = pf("p")
+        assert isinstance(prove([p], p), Closed)
+        assert isinstance(prove((x for x in [p]), p), Closed)
+
+    def test_verify_result_reads_a_generator_once(self):
+        q = pf("q")
+        r = prove([], q)
+        assert isinstance(r, Open)
+        assert not verify_result(r, [q], q)
+        assert not verify_result(r, (x for x in [q]), q)
