@@ -23,7 +23,7 @@ from condjust.syntax import (
 )
 from condjust.kripke_models import (
     AxiomaticallyAppropriate, ConditionReport, default_universe, eval_kripke,
-    check_conditions, load_model, model_to_json, profile_for, valid_in_model,
+    check_conditions, load_model, model_to_json, profile_for, valid_in_model, _array,
 )
 from condjust.routley_models import check_jrc_conditions, load_routley_model
 from condjust.tableau import Budget, Closed, Exhausted, Open, prove, verify_result
@@ -46,6 +46,8 @@ class _InputError(Exception):
 def parse_sequent(text: str, dialect: Dialect) -> tuple[tuple[Formula, ...], Formula]:
     """Split ``"phi1, phi2 |- psi"`` into premises and goal.  The turnstile
     may be omitted when there are no premises."""
+    if not isinstance(text, str):
+        raise TypeError(f"a sequent must be a string, not {type(text).__name__}")
     head, sep, tail = text.partition("|-")
     if not sep:
         head, tail = "", text
@@ -388,8 +390,8 @@ def _case_conditions(case: dict, base: Path) -> tuple[bool, str]:
         def load_cs(d):
             return load_constant_specification(
                 _corpus_resource(case["cs"], base, as_json=True), d)
-    report = _condition_report(
-        model, dialect, case.get("formulas", ()), case.get("profile"), load_cs)
+    formulas = _array(case.get("formulas", []), "formulas")
+    report = _condition_report(model, dialect, formulas, case.get("profile"), load_cs)
     want_ok = bool(case["expect_ok"])
     if report.ok != want_ok:
         failures = ", ".join(r.condition for r in report.failures()) or "none"
@@ -462,7 +464,7 @@ def run_corpus(doc: dict, base: Path | None = None) -> list[tuple[dict, bool, st
     outcomes = []
     for case in cases:
         kind = case.get("check")
-        runner = _CASE_KINDS.get(kind)
+        runner = _CASE_KINDS.get(kind) if isinstance(kind, str) else None
         if runner is None:
             raise _InputError(f"unknown check kind {kind!r} in case {case.get('name')!r}")
         try:

@@ -22,8 +22,7 @@ from condjust.syntax import (
     And, App, Atom, Bang, Box, Constant, Counterfactual, Dialect, Formula,
     Just, MatImp, Neg, Pair, RelCf, RelImp, Sum, Term, Variable,
     closure, formula_key, parse_formula, parse_term, print_formula,
-    print_term, subterms, term_key, terms_of, _CONDITIONALS, _INTERNED,
-    _sorted_by_key,
+    print_term, subterms, term_key, terms_of, _children, _plan, _sorted_by_key,
 )
 
 __all__ = [
@@ -252,6 +251,9 @@ KripkeModel.term_rels = _View("term_rels", lambda m: {
     t: _pairs(m.states, rows) for t, rows in m._term_rows.items()})
 KripkeModel.formula_rel_overrides = _View("formula_rel_overrides", lambda m: {
     f: _pairs(m.states, rows) for f, rows in m._override_rows.items()})
+# The states the frame conditions range over: the normal states here, every
+# state of a Routley model.
+KripkeModel._checked = property(lambda m: m._normal_mask)
 # The states a default scheme's row R_f(w), the truth set of f, is cut to.
 KripkeModel._scope = _View("_scope", lambda m: (
     m._normal_mask if m.formula_rel_default is RelScheme.TruthsetNormal
@@ -418,57 +420,6 @@ def _inside(idx, rows: tuple[int, ...], target: int) -> int:
         if not rows[i] & ~target:
             out |= 1 << i
     return out
-
-
-# A formula's evaluation plan: its distinct subformulas, children first, in
-# the order _plan's walk finishes them. It does not depend on the model, and
-# nodes are interned for good, so one plan per node serves every model. The
-# table is cleared before it would exceed _PLAN_CAP entries per interned node.
-class _Plans(dict):
-    # The count of entries held lives on the table, so no module name is rebound.
-    total = 0
-
-
-_PLANS: dict[Formula, tuple[Formula, ...]] = _Plans()
-_PLAN_CAP = 8
-
-
-def _plan(f: Formula) -> tuple[Formula, ...]:
-    plan = _PLANS.get(f)
-    if plan is None:
-        # An explicit stack, so that depth is unbounded: a node whose children
-        # are not all finished pushes them, left before right, and waits. The
-        # tree alone fixes the order, so the same clause raises on every run.
-        done: dict[Formula, None] = {}
-        stack = [f]
-        while stack:
-            g = stack[-1]
-            kind = type(g)
-            if kind is Neg or kind is Just or kind is Box:
-                if g.inner not in done:
-                    stack.append(g.inner)
-                    continue
-            elif kind is And or kind in _CONDITIONALS:
-                if g.left not in done or g.right not in done:
-                    stack += [c for c in (g.left, g.right) if c not in done]
-                    continue
-            done[g] = None
-            stack.pop()
-        if _PLANS.total + len(done) > _PLAN_CAP * len(_INTERNED):
-            _PLANS.clear()
-            _PLANS.total = 0
-        _PLANS[f] = plan = tuple(done)
-        _PLANS.total += len(plan)
-    return plan
-
-
-def _children(g) -> tuple:
-    kind = type(g)
-    if kind is Neg or kind is Just or kind is Box:
-        return (g.inner,)
-    if kind in _CONDITIONALS or kind is And:
-        return g.left, g.right
-    return ()
 
 
 class _Evaluator:
@@ -725,16 +676,15 @@ def _cond_antecedent_truth(m, ev, formulas, terms, cs):
 
 
 def _cond_weak_centering(m, ev, formulas, terms, cs):
-    # The truth-set schemes reach every normal state that satisfies f; the
-    # empty scheme reaches none of them.
-    empty = m.formula_rel_default is RelScheme.Empty
+    # A default scheme's row R_f(w) is the truth set of f cut to its scope,
+    # so it reaches every checked state that satisfies f when the scope
+    # covers them all; only an override can then miss one.
+    checked = m._checked
+    uncovered = checked & ~m._scope
     for f in formulas:
-        rows = m._override_rows.get(f)
-        if rows is None and not empty:
+        if not uncovered and f not in m._override_rows:
             continue
-        missed = ev.mask(f) & m._normal_mask
-        if rows is not None:
-            missed &= ~_diagonal(rows)
+        missed = ev.mask(f) & checked & ~_diagonal(ev.rel_rows(f))
         if missed:
             w = _lowest(m, missed)
             return False, (w, f), (
@@ -765,7 +715,7 @@ def _cond_sum(m, ev, formulas, terms, cs):
         if not isinstance(t, Sum):
             continue
         rows, left, right = ev.term_rows(t), ev.term_rows(t.left), ev.term_rows(t.right)
-        for i in m._normal_idx:
+        for i in _bits(m._checked):
             if rows[i] & ~(left[i] & right[i]):
                 return False, (m.states[i], t.left, t.right), (
                     f"R[{print_term(t)}]({m.states[i]}) exceeds the intersection of its parts")

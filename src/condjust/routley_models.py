@@ -20,13 +20,13 @@ from dataclasses import dataclass, field
 
 from condjust.kripke_models import (
     ConditionReport, KripkeModel, Pairs, RelScheme, _UNKNOWN_PAIR, _Evaluator,
-    _array, _bits, _check_document, _cond_antecedent_truth, _diagonal, _frame,
-    _freeze, _inside, _load_fields, _lowest, _object, _report, _rows,
+    _array, _bits, _check_document, _cond_antecedent_truth, _cond_sum,
+    _cond_weak_centering, _diagonal, _frame, _freeze, _inside, _load_fields,
+    _lowest, _object, _report, _rows,
     consequence, eval as _eval, model_to_json, truthset, valid_in_model,
 )
 from condjust.syntax import (
-    And, Atom, Box, Dialect, Formula, Just, Neg, RelCf, RelImp, Sum, Term,
-    print_formula, print_term,
+    And, Atom, Box, Dialect, Formula, Just, Neg, RelCf, RelImp, Term,
 )
 
 __all__ = [
@@ -157,26 +157,21 @@ class _JrcEvaluator(_Evaluator):
 
 RoutleyModel._evaluator = _JrcEvaluator
 RoutleyModel._scope = KripkeModel._scope
+RoutleyModel._checked = property(lambda m: m._full)
 RoutleyModel._members = {}  # every state follows the clauses; none is literal
 
 
-# The jrc names of the evaluation functions answer by the model's family too;
-# eval_jrc stays a function of its own, which perfbench's tracer tells apart.
+# The jrc names of the evaluation functions are the functions themselves,
+# which answer by the model's family; eval_jrc stays a function of its own,
+# which perfbench's tracer tells apart from eval.
 
 def eval_jrc(m, w: str, f: Formula) -> bool:
     return _eval(m, w, f)
 
 
-def truthset_jrc(m, f: Formula) -> frozenset[str]:
-    return truthset(m, f)
-
-
-def jrc_consequence(m, premises, goal: Formula) -> bool:
-    return consequence(m, premises, goal)
-
-
-def jrc_valid(m, f: Formula) -> bool:
-    return valid_in_model(m, f)
+truthset_jrc = truthset
+jrc_consequence = consequence
+jrc_valid = valid_in_model
 
 
 def check_jrc_conditions(m: RoutleyModel, universe) -> ConditionReport:
@@ -186,9 +181,9 @@ def check_jrc_conditions(m: RoutleyModel, universe) -> ConditionReport:
     return _report("jrc", _JRC_CHECKS, _JRC_CHECKS, m, _JrcEvaluator(m), universe)
 
 
-# Each check has the signature of the kripke_models checks. Sum and self
-# support range over every state here, the relational ones over the normal
-# states only.
+# Each check has the signature of the kripke_models checks; conditions 2 and
+# 3 are the relational weak centering and sum checks, which range over every
+# state here and over the normal states only there.
 
 
 def _star_involution(m, ev, formulas, terms, cs):
@@ -218,34 +213,12 @@ def _normality(m, ev, formulas, terms, cs):
     return True, None, ""
 
 
-def _jrc_self_support(m, ev, formulas, terms, cs):
-    for f in formulas:
-        missed = ev.mask(f) & ~_diagonal(ev.rel_rows(f))
-        if missed:
-            w = _lowest(m, missed)
-            return False, (w, f), (
-                f"{w} satisfies {print_formula(f)} but R[{print_formula(f)}]({w}) misses it")
-    return True, None, ""
-
-
-def _jrc_sum(m, ev, formulas, terms, cs):
-    for t in terms:
-        if not isinstance(t, Sum):
-            continue
-        rows, left, right = ev.term_rows(t), ev.term_rows(t.left), ev.term_rows(t.right)
-        for i, row in enumerate(rows):
-            if row & ~(left[i] & right[i]):
-                return False, (m.states[i], t.left, t.right), (
-                    f"R[{print_term(t)}]({m.states[i]}) exceeds the intersection of its parts")
-    return True, None, ""
-
-
 _JRC_CHECKS = {
     "star": _star_involution,
     "normality": _normality,
     "1": _cond_antecedent_truth,
-    "2": _jrc_self_support,
-    "3": _jrc_sum,
+    "2": _cond_weak_centering,
+    "3": _cond_sum,
 }
 
 

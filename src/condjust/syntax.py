@@ -598,23 +598,62 @@ def _print(node, need: int) -> str:
 # --- structural helpers ------------------------------------------------
 
 
+# A formula's evaluation plan: its distinct subformulas, children first, in
+# the order _plan's walk finishes them. It does not depend on the model, and
+# nodes are interned for good, so one plan per node serves every model. The
+# table is cleared before it would exceed _PLAN_CAP entries per interned node.
+class _Plans(dict):
+    # The count of entries held lives on the table, so no module name is rebound.
+    total = 0
+
+
+_PLANS: dict[Formula, tuple[Formula, ...]] = _Plans()
+_PLAN_CAP = 8
+
+
+def _plan(f: Formula) -> tuple[Formula, ...]:
+    plan = _PLANS.get(f)
+    if plan is None:
+        # An explicit stack, so that depth is unbounded: a node whose children
+        # are not all finished pushes them, left before right, and waits. The
+        # tree alone fixes the order, so the same clause raises on every run.
+        done: dict[Formula, None] = {}
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            kind = type(g)
+            if kind is Neg or kind is Just or kind is Box:
+                if g.inner not in done:
+                    stack.append(g.inner)
+                    continue
+            elif kind is And or kind in _CONDITIONALS:
+                if g.left not in done or g.right not in done:
+                    stack += [c for c in (g.left, g.right) if c not in done]
+                    continue
+            done[g] = None
+            stack.pop()
+        if _PLANS.total + len(done) > _PLAN_CAP * len(_INTERNED):
+            _PLANS.clear()
+            _PLANS.total = 0
+        _PLANS[f] = plan = tuple(done)
+        _PLANS.total += len(plan)
+    return plan
+
+
+def _children(g) -> tuple:
+    kind = type(g)
+    if kind is Neg or kind is Just or kind is Box:
+        return (g.inner,)
+    if kind in _CONDITIONALS or kind is And:
+        return g.left, g.right
+    return ()
+
+
 def subformulas(f: Formula) -> set[Formula]:
     """Subformulas of f, f included. Terms are opaque: a justified formula
     contributes itself and the subformulas of its body, and pair antecedents
     are not descended into."""
-    out: set[Formula] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in out:
-            continue
-        out.add(g)
-        if isinstance(g, (Neg, Box, Just)):
-            stack.append(g.inner)
-        elif isinstance(g, (And, *_CONDITIONALS)):
-            stack.append(g.left)
-            stack.append(g.right)
-    return out
+    return set(_plan(f))
 
 
 def atoms(f: Formula) -> set[str]:
@@ -664,17 +703,9 @@ def subterms(t: Term) -> set[Term]:
 def terms_of(f: Formula) -> set[Term]:
     """All terms occurring in f, subterms and pair antecedents included."""
     out: set[Term] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, (Neg, Box)):
-            stack.append(g.inner)
-        elif isinstance(g, (And, *_CONDITIONALS)):
-            stack.append(g.left)
-            stack.append(g.right)
-        elif isinstance(g, Just):
+    for g in _plan(f):
+        if type(g) is Just:
             out |= subterms(g.term)
-            stack.append(g.inner)
     return out
 
 

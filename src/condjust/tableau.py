@@ -19,7 +19,7 @@ from .kripke_models import RelScheme, check_dialect_formula, _counterexamples
 from .routley_models import RoutleyModel, check_jrc_conditions
 from .syntax import (
     And, Atom, Dialect, Formula, Just, Neg, RelCf, RelImp, Sum, Term,
-    print_formula, print_term,
+    print_formula, print_term, _children, _plan,
 )
 
 __all__ = [
@@ -216,33 +216,17 @@ class _Prover:
 
     def _cond_antecedents(self, f: Formula) -> tuple[Formula, ...]:
         """Antecedents of f's conditional subformulas in pre-order, each
-        once.  Computed children first with an explicit stack, once per
+        once.  Filled along f's evaluation plan, children first, once per
         formula and proof."""
         memo = self.antecedents_of
         done = memo.get(f)
-        if done is not None:
-            return done
-        stack = [f]
-        while stack:
-            g = stack[-1]
-            if g in memo:
-                stack.pop()
-                continue
-            kind = type(g)
-            if kind is Neg or kind is Just:
-                kids = (g.inner,)
-            elif kind is And or kind is RelImp or kind is RelCf:
-                kids = (g.left, g.right)
-            else:
-                kids = ()
-            missing = [k for k in kids if k not in memo]
-            if missing:
-                stack.extend(reversed(missing))
-                continue
-            stack.pop()
-            own = (g.left,) if kind is RelCf else ()
-            memo[g] = _merge(own, *(memo[k] for k in kids))
-        return memo[f]
+        if done is None:
+            for g in _plan(f):
+                if g not in memo:
+                    own = (g.left,) if type(g) is RelCf else ()
+                    memo[g] = _merge(own, *(memo[k] for k in _children(g)))
+            done = memo[f]
+        return done
 
     # -- trace -------------------------------------------------------------
 

@@ -478,6 +478,23 @@ class TestCorpusCommand:
         assert "case error" in out
 
 
+@pytest.mark.parametrize("case, code", [
+    ({"name": "kind", "check": ["x"]}, 2),
+    ({"name": "sequent", "check": "prove", "sequent": 5, "expect": "closed"}, 1),
+    ({"name": "formulas", "check": "conditions", "model": "gettier.json",
+      "formulas": "x:p", "expect_ok": True}, 1),
+])
+def test_corpus_case_of_the_wrong_shape_exits_cleanly(capsys, tmp_path, case, code):
+    cases = tmp_path / "cases.json"
+    cases.write_text(json.dumps({"cases": [case]}), encoding="utf-8")
+    got, out, err = run(capsys, "corpus", "--cases", str(cases))
+    assert got == code
+    if code == 2:
+        assert out == "" and "unknown check kind ['x']" in err
+    else:
+        assert "case error: " in out and "must be" in out
+
+
 @pytest.mark.parametrize("doc", [[1], {"cases": 3}, {"cases": [1]}, {}])
 def test_corpus_that_is_not_a_list_of_objects_exits_2(capsys, tmp_path, doc):
     cases = tmp_path / "cases.json"

@@ -434,6 +434,8 @@ class TestRoutleyPruning:
     @pytest.mark.parametrize("text", [
         "t:p |- (s+t):p", "s:p |- (s+t):p", "s:q, t:p |- (s+t):(p & q)",
         "p, p ~> q |- q", "p -> q |- ~q -> ~p", "s:(p & q) ~> s:p",
+        # invalid at bound 2, so the filter keeps codes to compare
+        "p -> q |- q -> p", "(s+t):p |- s:p & t:p",
     ])
     def test_filter_is_exact_on_fixed_sequents(self, text):
         premises, goal = parse_sequent(text, J)

@@ -670,16 +670,16 @@ def test_plan_table_stays_under_its_cap():
     """Querying each subformula of a deep chain builds one plan per
     subformula, of quadratic total length; the table is cleared before its
     plans would hold more than _PLAN_CAP entries per interned node."""
-    km = condjust.kripke_models
+    sx = condjust.syntax
     m, _ = load_model({"states": ["w"], "valuation": {"w": ["p"]}})
     chain = [p]
     for _ in range(3_000):
         chain.append(Neg(chain[-1]))
     for depth, f in enumerate(chain):
         assert valid_in_model(m, f) == (depth % 2 == 0)
-        assert km._PLANS.total <= km._PLAN_CAP * len(condjust.syntax._INTERNED)
-    assert km._PLANS.total == sum(map(len, km._PLANS.values()))
-    assert km._PLANS.total < sum(range(1, len(chain) + 1))  # the table was cleared
+        assert sx._PLANS.total <= sx._PLAN_CAP * len(condjust.syntax._INTERNED)
+    assert sx._PLANS.total == sum(map(len, sx._PLANS.values()))
+    assert sx._PLANS.total < sum(range(1, len(chain) + 1))  # the table was cleared
 
 
 def test_first_foreign_connective_named_is_fixed_by_the_tree():
