@@ -398,7 +398,7 @@ def _case_conditions(case: dict, base: Path) -> tuple[bool, str]:
         return False, f"expected ok={want_ok}, failing conditions: {failures}"
     if not want_ok and "failed" in case:
         got = sorted(r.condition for r in report.failures())
-        want = sorted(case["failed"])
+        want = sorted(_array(case["failed"], "failed"))
         if got != want:
             return False, f"expected failures {want}, got {got}"
     return True, ""
@@ -415,7 +415,7 @@ def _case_derivation(case: dict, base: Path) -> tuple[bool, str]:
     if not res.ok:
         return False, f"rejected at line {res.error_line}: {res.reason}"
     if "premises" in case:
-        want = [parse_formula(t, dialect) for t in case["premises"]]
+        want = [parse_formula(t, dialect) for t in _array(case["premises"], "premises")]
         if list(res.premises) != want:
             got = ", ".join(print_formula(f) for f in res.premises)
             return False, f"premises differ: got {got or '(none)'}"

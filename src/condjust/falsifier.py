@@ -34,18 +34,18 @@ from .kripke_models import (
     KripkeModel,
     RelScheme,
     check_conditions,
-    check_dialect_formula,
     eval as kripke_eval,  # not called here; perfbench's tracer patches this name
     profile_for,
     _bits,
     _counterexamples,
     _lowest,
+    _slice_patterns,
 )
 from .routley_models import RoutleyModel, check_jrc_conditions
 from .syntax import (
     And, Atom, Box, Constant, Counterfactual, Dialect, Formula, Just, MatImp,
-    Neg, RelCf, RelImp, Sum, Term, Variable, atoms, closure, subterms,
-    term_key, _sorted_by_key,
+    Neg, RelCf, RelImp, Sum, Term, Variable, atoms, check_dialect_formula,
+    closure, subterms, term_key, _sorted_by_key,
 )
 from .tableau import Closed, Exhausted, Open, ProofResult, prove, verify_result
 
@@ -176,19 +176,6 @@ def iter_kripke_models(sig: SearchSignature):
     for lay in _layouts(sig):
         for code in range(1 << lay.size):
             yield lay.model(code)
-
-
-@functools.cache
-def _slice_patterns(width: int) -> tuple[int, tuple[int, ...]]:
-    """All-ones over 2**width bits, and per slot i < width the int whose
-    bit j is bit i of j: slot i's value across one slice of codes."""
-    full = (1 << (1 << width)) - 1
-    pats = []
-    for i in range(width):
-        half = 1 << i
-        every_period = full // ((1 << 2 * half) - 1)
-        pats.append(every_period * (((1 << half) - 1) << half))
-    return full, tuple(pats)
 
 
 def _slices(size: int):

@@ -11,17 +11,15 @@ conclusion with an explicit term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
-from condjust.falsifier import _slice_patterns
 from condjust.kripke_models import (
-    AxiomaticallyAppropriate, ConstantSpecification, Explicit,
-    check_dialect_formula,
+    AxiomaticallyAppropriate, ConstantSpecification, Explicit, _slice_patterns,
 )
 from condjust.syntax import (
-    And, App, Atom, Bang, Box, Constant, Counterfactual, Dialect, Formula,
-    Just, MatImp, Neg, Pair, Sum, Term, parse_formula, parse_term,
-    print_formula,
+    And, App, Bang, Box, Constant, Counterfactual, Dialect, Formula, Just,
+    MatImp, Neg, Pair, Sum, Term, check_dialect_formula, parse_formula,
+    parse_term, print_formula,
 )
 
 __all__ = [
@@ -86,6 +84,19 @@ class Hyp:
 
 
 Justification = Axiom | CS | MP | RCN | RCK | RCEA | Nec | Hyp
+
+# The rules other than Axiom, each with the fields naming the lines it
+# cites, i and j. In the text format a rule's tag is its class name in
+# lower case, followed by those lines.
+_CITES = {cls: tuple(f.name for f in fields(cls) if f.name in ("i", "j"))
+          for cls in (CS, Hyp, MP, RCN, RCK, RCEA, Nec)}
+_RULES = {cls.__name__.lower(): cls for cls in _CITES}
+
+
+def _renumber(j: Justification, new) -> Justification:
+    """j citing line new(n) wherever it cites line n."""
+    cites = _CITES.get(type(j))
+    return replace(j, **{name: new(getattr(j, name)) for name in cites}) if cites else j
 
 
 @dataclass(frozen=True)
@@ -467,18 +478,6 @@ def derive_cc(phi: Formula, psi1: Formula, psi2: Formula) -> Derivation:
     ))
 
 
-def _shift_lines(lines: tuple[Line, ...], offset: int) -> list[Line]:
-    out = []
-    for line in lines:
-        j = line.justification
-        if isinstance(j, MP):
-            j = MP(j.i + offset, j.j + offset)
-        elif isinstance(j, RCN):
-            j = RCN(j.i + offset)
-        out.append(Line(line.index + offset, line.formula, j))
-    return out
-
-
 def derive_rck(phi: Formula, psis: list[Formula] | tuple[Formula, ...], psi: Formula) -> Derivation:
     """Primitive derivation of ((φ>ψ1) & … & (φ>ψn)) => (φ>ψ) from the
     hypothesis (ψ1 & … & ψn) => ψ; with no ψi the step is plain antecedent
@@ -507,7 +506,9 @@ def derive_rck(phi: Formula, psis: list[Formula] | tuple[Formula, ...], psi: For
     for nxt in psis[1:]:
         block = derive_cc(phi, cur, nxt)
         offset = len(lines)
-        lines.extend(_shift_lines(block.lines, offset))
+        lines.extend(Line(line.index + offset, line.formula,
+                          _renumber(line.justification, lambda n: n + offset))
+                     for line in block.lines)
         step_idx, step_f = lines[-1].index, lines[-1].formula
         if combined is not None:
             prev_idx, prev_f = combined
@@ -536,19 +537,6 @@ def expand_rck(d: Derivation) -> Derivation:
     remap: dict[int, int] = {}
     nxt = 1
 
-    def remapped(j: Justification, table: dict[int, int]) -> Justification:
-        if isinstance(j, MP):
-            return MP(table[j.i], table[j.j])
-        if isinstance(j, RCN):
-            return RCN(table[j.i])
-        if isinstance(j, RCK):
-            return RCK(table[j.i], j.antecedent, j.count)
-        if isinstance(j, RCEA):
-            return RCEA(table[j.i])
-        if isinstance(j, Nec):
-            return Nec(table[j.i])
-        return j
-
     for line in d.lines:
         j = line.justification
         if isinstance(j, RCK):
@@ -556,12 +544,13 @@ def expand_rck(d: Derivation) -> Derivation:
             expansion = derive_rck(phi, psis, psi)
             local = {1: remap[j.i]}  # the expansion's hypothesis is line j.i
             for el in expansion.lines[1:]:
-                new_lines.append(Line(nxt, el.formula, remapped(el.justification, local)))
+                new_lines.append(Line(nxt, el.formula,
+                                      _renumber(el.justification, local.__getitem__)))
                 local[el.index] = nxt
                 nxt += 1
             remap[line.index] = nxt - 1
         else:
-            new_lines.append(Line(nxt, line.formula, remapped(j, remap)))
+            new_lines.append(Line(nxt, line.formula, _renumber(j, remap.__getitem__)))
             remap[line.index] = nxt
             nxt += 1
     return Derivation(tuple(new_lines))
@@ -652,7 +641,6 @@ def _line_formula(d: Derivation, index: int) -> Formula:
 # --- text and document formats ---------------------------------------------
 
 
-_TAGS = {"cs": 0, "hyp": 0, "mp": 2, "rcn": 1, "rck": 1, "rcea": 1, "nec": 1}
 _AXIOM_TAGS = frozenset(_TEMPLATES) | {"ax1"}
 
 
@@ -662,20 +650,9 @@ def print_derivation(d: Derivation) -> str:
         j = line.justification
         if isinstance(j, Axiom):
             tag = j.scheme
-        elif isinstance(j, CS):
-            tag = "cs"
-        elif isinstance(j, MP):
-            tag = f"mp {j.i} {j.j}"
-        elif isinstance(j, RCN):
-            tag = f"rcn {j.i}"
-        elif isinstance(j, RCK):
-            tag = f"rck {j.i}"
-        elif isinstance(j, RCEA):
-            tag = f"rcea {j.i}"
-        elif isinstance(j, Nec):
-            tag = f"nec {j.i}"
         else:
-            tag = "hyp"
+            cited = (str(getattr(j, name)) for name in _CITES[type(j)])
+            tag = " ".join([type(j).__name__.lower(), *cited])
         out.append(f"{line.index}. {print_formula(line.formula)} ; {tag}")
     return "\n".join(out)
 
@@ -710,19 +687,12 @@ def parse_derivation(text: str, dialect: Dialect) -> Derivation:
             if args:
                 raise ValueError(f"line {index}: {tag} takes no arguments")
             just: Justification = Axiom(tag)
-        elif tag in _TAGS:
-            if len(args) != _TAGS[tag] or not all(a.isdigit() for a in args):
-                raise ValueError(f"line {index}: {tag} expects {_TAGS[tag]} line number(s)")
-            nums = [int(a) for a in args]
-            just = {
-                "cs": lambda: CS(),
-                "hyp": lambda: Hyp(),
-                "mp": lambda: MP(nums[0], nums[1]),
-                "rcn": lambda: RCN(nums[0]),
-                "rck": lambda: RCK(nums[0]),
-                "rcea": lambda: RCEA(nums[0]),
-                "nec": lambda: Nec(nums[0]),
-            }[tag]()
+        elif tag in _RULES:
+            rule = _RULES[tag]
+            arity = len(_CITES[rule])
+            if len(args) != arity or not all(a.isdigit() for a in args):
+                raise ValueError(f"line {index}: {tag} expects {arity} line number(s)")
+            just = rule(*map(int, args))
         else:
             raise ValueError(f"line {index}: unknown justification {tag!r}")
         lines.append(Line(index, formula, just))

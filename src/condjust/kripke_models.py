@@ -20,9 +20,9 @@ from typing import NamedTuple
 
 from condjust.syntax import (
     And, App, Atom, Bang, Box, Constant, Counterfactual, Dialect, Formula,
-    Just, MatImp, Neg, Pair, RelCf, RelImp, Sum, Term, Variable,
-    closure, formula_key, parse_formula, parse_term, print_formula,
-    print_term, subterms, term_key, terms_of, _children, _plan, _sorted_by_key,
+    Just, MatImp, Neg, Pair, Sum, Term, check_dialect_formula, closure,
+    formula_key, parse_formula, parse_term, print_formula, print_term,
+    subterms, term_key, terms_of, _children, _plan, _sorted_by_key,
 )
 
 __all__ = [
@@ -326,69 +326,6 @@ def profile_for(dialect: Dialect) -> VariantProfile:
     return profile
 
 
-# --- dialect validation --------------------------------------------------
-
-
-# Interned subtrees each dialect has accepted. Nodes live as long as the
-# intern table, so this grows with it and no further; an accepted subtree
-# holds no offending constructor, so skipping it leaves the first error the
-# walk meets unchanged.
-_ACCEPTED: dict[Dialect, set[Formula | Term]] = {d: set() for d in Dialect}
-
-
-def check_dialect_formula(f: Formula, dialect: Dialect) -> None:
-    """Reject constructors that the dialect's grammar does not admit."""
-    accepted = _ACCEPTED[dialect]
-    if f in accepted:
-        return
-    stack: list[Formula | Term] = [f]
-    walked = []
-    while stack:
-        g = stack.pop()
-        if g in accepted:
-            continue
-        walked.append(g)
-        if isinstance(g, Box):
-            if dialect is not Dialect.L:
-                raise ValueError(f"box is not in dialect {dialect.value}")
-            stack.append(g.inner)
-        elif isinstance(g, (RelImp, RelCf)):
-            if dialect is not Dialect.JRC:
-                raise ValueError(f"relevant connectives are not in dialect {dialect.value}")
-            stack.append(g.left)
-            stack.append(g.right)
-        elif isinstance(g, (MatImp, Counterfactual)):
-            if dialect is Dialect.JRC:
-                raise ValueError("material and counterfactual conditionals are not in dialect jrc")
-            stack.append(g.left)
-            stack.append(g.right)
-        elif isinstance(g, And):
-            stack.append(g.left)
-            stack.append(g.right)
-        elif isinstance(g, Neg):
-            stack.append(g.inner)
-        elif isinstance(g, Just):
-            stack.append(g.term)
-            stack.append(g.inner)
-        elif isinstance(g, Pair):
-            if dialect is not Dialect.LPCint:
-                raise ValueError(f"pair terms are not in dialect {dialect.value}")
-            stack.append(g.inner)
-            stack.append(g.antecedent)
-        elif isinstance(g, (App, Bang, Constant)):
-            if dialect is Dialect.JRC:
-                raise ValueError("dialect jrc terms are variables and sums only")
-            if isinstance(g, App):
-                stack.append(g.left)
-                stack.append(g.right)
-            elif isinstance(g, Bang):
-                stack.append(g.inner)
-        elif isinstance(g, Sum):
-            stack.append(g.left)
-            stack.append(g.right)
-    accepted.update(walked)
-
-
 # --- evaluation -----------------------------------------------------------
 
 
@@ -403,6 +340,19 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+@functools.cache
+def _slice_patterns(width: int) -> tuple[int, tuple[int, ...]]:
+    """All-ones over 2**width bits, and per slot i < width the int whose
+    bit j is bit i of j: slot i's value across one slice of codes."""
+    full = (1 << (1 << width)) - 1
+    pats = []
+    for i in range(width):
+        half = 1 << i
+        every_period = full // ((1 << 2 * half) - 1)
+        pats.append(every_period * (((1 << half) - 1) << half))
+    return full, tuple(pats)
 
 
 def _diagonal(rows: tuple[int, ...]) -> int:

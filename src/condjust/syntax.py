@@ -24,7 +24,7 @@ __all__ = [
     "ParseError", "DialectError",
     "parse_formula", "parse_term", "print_formula", "print_term",
     "subformulas", "atoms", "terms_of", "subterms",
-    "node_count", "formula_key", "term_key", "closure",
+    "node_count", "formula_key", "term_key", "closure", "check_dialect_formula",
 ]
 
 
@@ -55,13 +55,19 @@ class _Node:
     # Field names in declaration order, set per class. The underscore keeps
     # it clear of field names, as in namedtuple; hilbert's matcher reads it.
     _fields: tuple[str, ...]
+    # The fields that hold a child node, in the same order; a field
+    # annotated str holds a name. The cold tree walks read these.
+    _node_fields: tuple[str, ...]
     # Constructors in the tree, set once when the node is interned; its
     # children are interned first, so this is one step per node.
     _size: int
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(inspect.get_annotations(cls))
+        annotations = inspect.get_annotations(cls)
+        cls._fields = tuple(annotations)
+        cls._node_fields = tuple(name for name, kind in annotations.items()
+                                 if kind != "str")
         cls._signature = inspect.Signature(
             [inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD) for name in cls._fields]
         )
@@ -187,6 +193,26 @@ Formula = Atom | Neg | And | MatImp | Counterfactual | RelImp | RelCf | Just | B
 
 _CONDITIONALS = (MatImp, Counterfactual, RelImp, RelCf)
 
+# The node classes each dialect's grammar admits: the one statement of the
+# dialects that the parser's token gates and check_dialect_formula read.
+_COUNTERFACTUAL = frozenset({Atom, Neg, And, MatImp, Counterfactual, Just,
+                             Constant, Variable, App, Sum, Bang})
+_ADMITS: dict[Dialect, frozenset[type]] = {
+    **dict.fromkeys(Dialect, _COUNTERFACTUAL),
+    Dialect.LPCint: _COUNTERFACTUAL | {Pair},
+    Dialect.L: _COUNTERFACTUAL | {Box},
+    Dialect.JRC: frozenset({Atom, Neg, And, RelImp, RelCf, Just, Variable, Sum}),
+}
+# check_dialect_formula's message for each class that some dialect refuses.
+_REFUSALS = {
+    Box: "box is not in dialect {}",
+    **dict.fromkeys((RelImp, RelCf), "relevant connectives are not in dialect {}"),
+    **dict.fromkeys((MatImp, Counterfactual),
+                    "material and counterfactual conditionals are not in dialect {}"),
+    Pair: "pair terms are not in dialect {}",
+    **dict.fromkeys((App, Bang, Constant), "dialect {} terms are variables and sums only"),
+}
+
 
 class ParseError(ValueError):
     """Raised on malformed input; carries the offset where parsing failed."""
@@ -277,23 +303,23 @@ def _dialect_tables(d: Dialect) -> tuple[dict, dict, dict, dict]:
     """The token tables of one dialect: formula operands, formula
     operators, term operands, term operators. A negated entry is a token of
     the grammar that the dialect leaves out."""
-    jrc = d is Dialect.JRC
+    admits = _ADMITS[d]
 
-    def gate(entry, ok):
-        return entry if ok else -entry
+    def gate(entry, cls):
+        return entry if cls in admits else -entry
 
     f_operand = dict.fromkeys([*_OPERATORS, ""], _NO_FORMULA)
-    f_operand.update({"~": _NEG, "[]": gate(_BOX, d is Dialect.L), "!": _JUSTIFY,
+    f_operand.update({"~": _NEG, "[]": gate(_BOX, Box), "!": _JUSTIFY,
                       "<": _JUSTIFY, "(": _LPAREN, "false": _FALSE, "true": _TRUE})
     # Fusion is gated where it is reduced, after its right operand.
-    f_operator = {"&": _AND, "|": _OR, "@": _FUS if jrc else _FUS_GATED,
-                  "=>": gate(_MATIMP, not jrc), ">": gate(_CF, not jrc),
-                  "->": gate(_RELIMP, jrc), "~>": gate(_RELCF, jrc),
-                  "==": gate(_IFF_MAT, not jrc), "<=>": _IFF_REL if jrc else _IFF_CF}
+    f_operator = {"&": _AND, "|": _OR, "@": _FUS if RelImp in admits else _FUS_GATED,
+                  "=>": gate(_MATIMP, MatImp), ">": gate(_CF, Counterfactual),
+                  "->": gate(_RELIMP, RelImp), "~>": gate(_RELCF, RelCf),
+                  "==": gate(_IFF_MAT, MatImp),
+                  "<=>": _IFF_REL if RelCf in admits else _IFF_CF}
     t_operand = dict.fromkeys([*_OPERATORS, "", "false", "true"], _NO_TERM)
-    t_operand.update({"!": gate(_BANG, not jrc), "(": _T_PAREN,
-                      "<": gate(_T_PAIR, d is Dialect.LPCint)})
-    t_operator = {"+": _SUM, ".": gate(_APP, not jrc)}
+    t_operand.update({"!": gate(_BANG, Bang), "(": _T_PAREN, "<": gate(_T_PAIR, Pair)})
+    t_operator = {"+": _SUM, ".": gate(_APP, App)}
     return f_operand, f_operator, t_operand, t_operator
 
 
@@ -391,8 +417,9 @@ def _run(toks: list[str], dialect: Dialect, top: int, forced: set[int]):
                     if not "a" <= tok[0] <= "z":
                         return _fail(f"expected a term, found {tok!r}", i, marks)
                     if _CONSTANT_NAME.match(tok):
-                        if dialect is Dialect.JRC:
-                            return _fail("constants not available in dialect jrc", i, marks, DialectError)
+                        if Constant not in _ADMITS[dialect]:
+                            return _fail(f"constants not available in dialect {dialect.value}",
+                                         i, marks, DialectError)
                         vals.append(_constant(tok))
                     else:
                         vals.append(_variable(tok))
@@ -662,21 +689,10 @@ def atoms(f: Formula) -> set[str]:
     stack: list[Formula | Term] = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, Atom):
+        if type(g) is Atom:
             names.add(g.name)
-        elif isinstance(g, (Neg, Box)):
-            stack.append(g.inner)
-        elif isinstance(g, (And, *_CONDITIONALS, App, Sum)):
-            stack.append(g.left)
-            stack.append(g.right)
-        elif isinstance(g, Just):
-            stack.append(g.term)
-            stack.append(g.inner)
-        elif isinstance(g, Bang):
-            stack.append(g.inner)
-        elif isinstance(g, Pair):
-            stack.append(g.inner)
-            stack.append(g.antecedent)
+        else:
+            stack += [getattr(g, name) for name in g._node_fields]
     return names
 
 
@@ -689,14 +705,12 @@ def subterms(t: Term) -> set[Term]:
         if s in out:
             continue
         out.add(s)
-        if isinstance(s, (App, Sum)):
-            stack.append(s.left)
-            stack.append(s.right)
-        elif isinstance(s, Bang):
-            stack.append(s.inner)
-        elif isinstance(s, Pair):
-            stack.append(s.inner)
-            out |= terms_of(s.antecedent)
+        for name in s._node_fields:
+            child = getattr(s, name)
+            if isinstance(child, _FormulaNode):
+                out |= terms_of(child)
+            else:
+                stack.append(child)
     return out
 
 
@@ -741,3 +755,36 @@ def closure(formulas) -> set[Formula]:
     for f in formulas:
         out |= subformulas(f)
     return out
+
+
+# --- dialect validation --------------------------------------------------
+
+
+# Interned subtrees each dialect has accepted. Nodes live as long as the
+# intern table, so this grows with it and no further; an accepted subtree
+# holds no offending constructor, so skipping it leaves the first error the
+# walk meets unchanged.
+_ACCEPTED: dict[Dialect, set[Formula | Term]] = {d: set() for d in Dialect}
+
+
+def check_dialect_formula(f: Formula, dialect: Dialect) -> None:
+    """Reject constructors that the dialect's grammar does not admit with
+    ValueError, and anything that is not a node with TypeError."""
+    accepted = _ACCEPTED[dialect]
+    if f in accepted:
+        return
+    admits = _ADMITS[dialect]
+    stack: list[Formula | Term] = [f]
+    walked = []
+    while stack:
+        g = stack.pop()
+        if g in accepted:
+            continue
+        cls = type(g)
+        if cls not in admits:
+            if cls in _REFUSALS:
+                raise ValueError(_REFUSALS[cls].format(dialect.value))
+            raise TypeError(f"not a node: {cls.__name__}")
+        walked.append(g)
+        stack += [getattr(g, name) for name in cls._node_fields]
+    accepted.update(walked)

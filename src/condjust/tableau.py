@@ -15,11 +15,11 @@ import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .kripke_models import RelScheme, check_dialect_formula, _counterexamples
+from .kripke_models import RelScheme, _counterexamples
 from .routley_models import RoutleyModel, check_jrc_conditions
 from .syntax import (
     And, Atom, Dialect, Formula, Just, Neg, RelCf, RelImp, Sum, Term,
-    print_formula, print_term, _children, _plan,
+    check_dialect_formula, print_formula, print_term, _children, _plan,
 )
 
 __all__ = [

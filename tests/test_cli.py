@@ -495,6 +495,23 @@ def test_corpus_case_of_the_wrong_shape_exits_cleanly(capsys, tmp_path, case, co
         assert "case error: " in out and "must be" in out
 
 
+def test_corpus_failed_and_premises_must_be_arrays(capsys, tmp_path):
+    # A string would be read one character at a time: "6" as ["6"], "p" as
+    # the one premise p.
+    cases = tmp_path / "cases.json"
+    cases.write_text(json.dumps({"cases": [
+        {"name": "failed", "check": "conditions", "model": "gettier.json",
+         "profile": "lpcplus", "formulas": ["(c.x):(p | q)"], "expect_ok": False,
+         "failed": "6"},
+        {"name": "premises", "check": "derivation", "file": "lemma_cc.txt",
+         "dialect": "lpcplus", "premises": "p"},
+    ]}), encoding="utf-8")
+    code, out, _ = run(capsys, "corpus", "--cases", str(cases))
+    assert code == 1
+    assert "FAIL  failed: case error: failed must be a JSON array\n" in out
+    assert "FAIL  premises: case error: premises must be a JSON array\n" in out
+
+
 @pytest.mark.parametrize("doc", [[1], {"cases": 3}, {"cases": [1]}, {}])
 def test_corpus_that_is_not_a_list_of_objects_exits_2(capsys, tmp_path, doc):
     cases = tmp_path / "cases.json"

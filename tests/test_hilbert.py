@@ -358,11 +358,51 @@ class TestDeriveMacros:
         assert flat.conclusion == d.conclusion
         assert check_derivation(flat, LPC).ok
 
+    def test_expand_rck_renumbers_citations_across_the_step(self):
+        d = lines((pf("p => p"), Axiom("ax1")),
+                  (pf("(q & s) => r"), Hyp()),
+                  (pf("((p > q) & (p > s)) => (p > r)"), RCK(2)),
+                  (pf("p > r"), MP(1, 3)),
+                  (pf("((p > r) => (q > r)) & ((q > r) => (p > r))"), RCEA(2)),
+                  (pf("p > r"), Nec(4)))
+        assert print_derivation(expand_rck(d)) == _EXPANDED
+
     def test_macros_check_in_every_hilbert_dialect(self):
         for dialect in (LPC, INT, Dialect.LPCprime, Dialect.LPCKplus,
                         Dialect.J4Cplus, Dialect.JCplus, Dialect.L):
             d = derive_cc(pf("p"), pf("q"), pf("r"))
             assert check_derivation(d, dialect).ok
+
+
+# expand_rck's output for the derivation in
+# test_expand_rck_renumbers_citations_across_the_step, as printed before
+# the rules' renumbering was read from one table.
+_EXPANDED = "\n".join([
+    "1. p => p ; ax1",
+    "2. q & s => r ; hyp",
+    "3. p > q & s => r ; rcn 2",
+    "4. (p > q & s => r) => (p > q & s) => p > r ; ax2",
+    "5. (p > q & s) => p > r ; mp 3 4",
+    "6. q => s => q & s ; ax1",
+    "7. p > q => s => q & s ; rcn 6",
+    "8. (p > q => s => q & s) => (p > q) => p > s => q & s ; ax2",
+    "9. (p > q) => p > s => q & s ; mp 7 8",
+    "10. (p > s => q & s) => (p > s) => p > q & s ; ax2",
+    "11. ((p > q) => p > s => q & s) => ((p > s => q & s) => (p > s) => p > q & s)"
+    " => (p > q) => (p > s) => p > q & s ; ax1",
+    "12. ((p > s => q & s) => (p > s) => p > q & s)"
+    " => (p > q) => (p > s) => p > q & s ; mp 9 11",
+    "13. (p > q) => (p > s) => p > q & s ; mp 10 12",
+    "14. ((p > q) => (p > s) => p > q & s) => (p > q) & (p > s) => p > q & s ; ax1",
+    "15. (p > q) & (p > s) => p > q & s ; mp 13 14",
+    "16. ((p > q) & (p > s) => p > q & s) => ((p > q & s) => p > r)"
+    " => (p > q) & (p > s) => p > r ; ax1",
+    "17. ((p > q & s) => p > r) => (p > q) & (p > s) => p > r ; mp 15 16",
+    "18. (p > q) & (p > s) => p > r ; mp 5 17",
+    "19. p > r ; mp 1 18",
+    "20. ((p > r) => q > r) & ((q > r) => p > r) ; rcea 2",
+    "21. p > r ; nec 19",
+])
 
 
 class TestInternalize:
@@ -470,6 +510,19 @@ class TestTextFormat:
     def test_round_trip(self):
         d = derive_rck(pf("p"), [pf("q1"), pf("q2"), pf("q3")], pf("r"))
         assert parse_derivation(print_derivation(d), LPC) == d
+        # Every tag once; dialect l parses the box.
+        text = "\n".join([
+            "1. p ; hyp",
+            "2. p => p ; ax1",
+            "3. []p => p ; axt",
+            "4. c:([]p => p) ; cs",
+            "5. q ; mp 1 2",
+            "6. r > q ; rcn 5",
+            "7. (r > p) & (r > q) => r > q ; rck 3",
+            "8. (p > q) & (q > p) ; rcea 6",
+            "9. []q ; nec 5",
+        ])
+        assert print_derivation(parse_derivation(text, Dialect.L)) == text
 
     def test_comments_and_blanks_skipped(self):
         d = parse_derivation("# note\n\n1. p => p ; ax1\n", LPC)

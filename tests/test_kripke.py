@@ -704,17 +704,17 @@ def test_deep_goal_gets_a_countermodel():
 def _gate_error(f, dialect, fresh: bool) -> str | None:
     """check_dialect_formula's error for f, None if it passes; with fresh,
     from a full walk that remembers no accepted subtree."""
-    km = condjust.kripke_models
-    saved = km._ACCEPTED
+    sx = condjust.syntax
+    saved = sx._ACCEPTED
     if fresh:
-        km._ACCEPTED = {d: set() for d in Dialect}
+        sx._ACCEPTED = {d: set() for d in Dialect}
     try:
-        km.check_dialect_formula(f, dialect)
+        condjust.kripke_models.check_dialect_formula(f, dialect)
         return None
     except ValueError as exc:
         return str(exc)
     finally:
-        km._ACCEPTED = saved
+        sx._ACCEPTED = saved
 
 
 @settings(deadline=None, max_examples=200)

@@ -9,18 +9,22 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
+import condjust.syntax as sx
 from condjust.syntax import (
     And, App, Atom, Bang, Box, Constant, Counterfactual, Dialect, DialectError,
     Just, MatImp, Neg, Pair, ParseError, RelCf, RelImp, Sum, Variable,
-    _sorted_by_key, atoms, closure, formula_key, node_count, parse_formula,
-    parse_term, print_formula, print_term, subformulas, subterms, terms_of,
+    _sorted_by_key, atoms, check_dialect_formula, closure, formula_key,
+    node_count, parse_formula, parse_term, print_formula, print_term,
+    subformulas, subterms, terms_of,
 )
-from condjust.falsifier import SearchSignature
+from condjust.falsifier import SearchSignature, find_countermodel
 from condjust.hilbert import match_axiom
 from condjust.kripke_models import KripkeModel, check_conditions, profile_for
 from condjust.routley_models import RoutleyModel, check_jrc_conditions
+from condjust.tableau import prove
 from util_gen import ast_strategies
 import seed_syntax
+import seed_walks
 
 LPC = Dialect.LPCplus
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -438,6 +442,64 @@ def test_print_formula_rejects_a_non_formula(bad):
 def test_print_term_rejects_a_non_term(bad):
     with pytest.raises(TypeError, match="not a term node"):
         print_term(bad)
+
+
+def _mixed_trees():
+    """Term and formula strategies that mix the constructors of every
+    dialect, so one tree may hold several that a dialect refuses."""
+    formula = st.deferred(lambda: formulas)
+    leaf = st.one_of(st.builds(Variable, st.sampled_from(["x", "y"])),
+                     st.builds(Constant, st.sampled_from(["c", "c1"])))
+    terms = st.recursive(leaf, lambda ch: st.one_of(
+        st.builds(App, ch, ch), st.builds(Sum, ch, ch), st.builds(Bang, ch),
+        st.builds(Pair, ch, formula)), max_leaves=4)
+    formulas = st.recursive(st.builds(Atom, st.sampled_from(["p", "q"])), lambda ch: st.one_of(
+        st.builds(Neg, ch), st.builds(Box, ch), st.builds(Just, terms, ch),
+        *(st.builds(cls, ch, ch) for cls in (And, MatImp, Counterfactual, RelImp, RelCf))),
+        max_leaves=8)
+    return terms, formulas
+
+
+def _gate(check, f, dialect):
+    try:
+        check(f, dialect)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_MIXED_TERMS, _MIXED_FORMULAS = _mixed_trees()
+
+
+@given(data=st.data())
+def test_dialect_gate_matches_the_seed_gate(data):
+    # Mixed trees mostly meet a refused constructor; trees legal in some
+    # dialect also pass the gate of that dialect.
+    f = data.draw(st.one_of(
+        _MIXED_FORMULAS,
+        st.sampled_from(list(Dialect)).flatmap(lambda d: ast_strategies(d)[1])))
+    for dialect in Dialect:
+        assert _gate(check_dialect_formula, f, dialect) == \
+            _gate(seed_walks.check_dialect_formula, f, dialect)
+
+
+@given(f=_MIXED_FORMULAS, t=_MIXED_TERMS)
+def test_field_walks_match_the_seed_walks(f, t):
+    assert atoms(f) == seed_walks.atoms(f)
+    assert subterms(t) == seed_walks.subterms(t)
+
+
+@pytest.mark.parametrize("bad", ["p", None, And(Atom("p"), "q")],
+                         ids=["str", "None", "nested str"])
+def test_dialect_gate_rejects_a_non_node(bad):
+    name = "str" if bad is not None else "NoneType"
+    with pytest.raises(TypeError, match=f"not a node: {name}"):
+        check_dialect_formula(bad, LPC)
+    with pytest.raises(TypeError, match=f"not a node: {name}"):
+        prove([], bad)
+    with pytest.raises(TypeError, match=f"not a node: {name}"):
+        find_countermodel([], bad, LPC, 1)
+    assert all(isinstance(g, sx._Node) for held in sx._ACCEPTED.values() for g in held)
 
 
 def test_schemes_with_metavariables_still_match():
