@@ -312,7 +312,10 @@ def _read_derivation(args):
 def _cmd_check_proof(args) -> int:
     d, dialect = _read_derivation(args)
     cs = _load_cs(args.cs, dialect) if args.cs else None
-    res = check_derivation(d, dialect, cs)
+    try:
+        res = check_derivation(d, dialect, cs)
+    except ValueError as exc:  # a dialect without a Hilbert axiomatization
+        raise _InputError(str(exc)) from exc
     payload = {
         "ok": res.ok,
         "error_line": res.error_line,
@@ -334,14 +337,17 @@ def _cmd_check_proof(args) -> int:
 
 def _cmd_internalize(args) -> int:
     d, dialect = _read_derivation(args)
-    res = check_derivation(d, dialect)
-    if not res.ok:
-        raise _InputError(
-            f"derivation does not check: line {res.error_line}: {res.reason}")
-    if res.premises:
-        raise _InputError("internalization needs a premise-free derivation")
     cs = AxiomaticallyAppropriate()
-    term, internalized = internalize(d, cs)
+    try:  # ValueError: no Hilbert axioms in the dialect, or not lpcint's derivation
+        res = check_derivation(d, dialect)
+        if not res.ok:
+            raise _InputError(
+                f"derivation does not check: line {res.error_line}: {res.reason}")
+        if res.premises:
+            raise _InputError("internalization needs a premise-free derivation")
+        term, internalized = internalize(d, cs)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
     rendered = print_derivation(internalized)
     constants = {name: print_formula(f) for f, name in cs.allocations.items()}
     payload = {

@@ -669,7 +669,7 @@ def parse_derivation(text: str, dialect: Dialect) -> Derivation:
         if not stripped or stripped.startswith("#"):
             continue
         head, _, tail = stripped.partition(".")
-        if not head.isdigit() or not tail:
+        if not head.isdecimal() or not tail:
             raise ValueError(f"malformed derivation line: {raw!r}")
         index = int(head)
         if index <= prev:
@@ -690,7 +690,7 @@ def parse_derivation(text: str, dialect: Dialect) -> Derivation:
         elif tag in _RULES:
             rule = _RULES[tag]
             arity = len(_CITES[rule])
-            if len(args) != arity or not all(a.isdigit() for a in args):
+            if len(args) != arity or not all(a.isdecimal() for a in args):
                 raise ValueError(f"line {index}: {tag} expects {arity} line number(s)")
             just = rule(*map(int, args))
         else:

@@ -6,8 +6,10 @@ compositional only at normal states; each counterfactual antecedent and each
 justification term gets an accessibility relation, with per-formula overrides
 on top of a default scheme derived from truth sets.
 
-The evaluation functions also take the Routley models of routley_models:
-each model class names its evaluator, so a model is read by its own family.
+The evaluation functions also take the Routley models of routley_models.
+One evaluator reads both families: the model supplies its conditional and
+implication, the star and ternary rows negation and implication go through
+(none here), and the states that follow the clauses.
 """
 
 from __future__ import annotations
@@ -90,6 +92,8 @@ class KripkeModel:
             _index=index,
             _normal_mask=frame.normal_mask,
             _normal_idx=frame.normal_idx,
+            _checked=frame.normal_mask,
+            _checked_idx=frame.normal_idx,
             _atoms=atoms,
             _members=members,
             _term_rows={t: _rows(rel, index, n, _UNKNOWN_PAIR)
@@ -133,6 +137,8 @@ class KripkeModel:
             _index=frame.index,
             _normal_mask=frame.normal_mask,
             _normal_idx=frame.normal_idx,
+            _checked=frame.normal_mask,
+            _checked_idx=frame.normal_idx,
             _atoms=atoms,
             _members=members,
             _term_rows=term_rows,
@@ -251,9 +257,10 @@ KripkeModel.term_rels = _View("term_rels", lambda m: {
     t: _pairs(m.states, rows) for t, rows in m._term_rows.items()})
 KripkeModel.formula_rel_overrides = _View("formula_rel_overrides", lambda m: {
     f: _pairs(m.states, rows) for f, rows in m._override_rows.items()})
-# The states the frame conditions range over: the normal states here, every
-# state of a Routley model.
-KripkeModel._checked = property(lambda m: m._normal_mask)
+# The family's conditional and implication classes, and the star and ternary
+# rows that ~ and the implication read, None for complement and material.
+KripkeModel._clauses = (Counterfactual, MatImp, None, None)
+KripkeModel._foreign = "{} has no clause on relational models; use a Routley model"
 # The states a default scheme's row R_f(w), the truth set of f, is cut to.
 KripkeModel._scope = _View("_scope", lambda m: (
     m._normal_mask if m.formula_rel_default is RelScheme.TruthsetNormal
@@ -373,13 +380,14 @@ def _inside(idx, rows: tuple[int, ...], target: int) -> int:
 
 
 class _Evaluator:
-    """Truth sets of one model as int masks, bit i for state i, cached per
-    formula. At normal states a formula's bits follow its clause; at
-    non-normal states they are the literal valuation's memberships."""
+    """Truth sets of one model of either family as int masks, bit i for
+    state i, cached per formula. At the checked states (the normal ones of a
+    relational model, all of a Routley model) a formula's bits follow its
+    clause; elsewhere they are the literal valuation's memberships."""
 
     __slots__ = ("m", "masks")
 
-    def __init__(self, m: KripkeModel):
+    def __init__(self, m):
         self.m = m
         self.masks: dict[Formula, int] = {}
 
@@ -397,40 +405,56 @@ class _Evaluator:
 
     def fill(self, order) -> None:
         """Cache the mask of each formula in order, none cached yet, children first."""
-        masks = self.masks
-        m = self.m
-        normal, members, atoms = m._normal_mask, m._members, m._atoms
-        overrides, terms, idx, scope = m._override_rows, m._term_rows, m._normal_idx, m._scope
+        masks, m = self.masks, self.m
+        checked, members, atoms = m._checked, m._members, m._atoms
+        overrides, terms, idx, scope = m._override_rows, m._term_rows, m._checked_idx, m._scope
+        cond, imp, star, tern = m._clauses
         for g in order:
             kind = type(g)
             if kind is Atom:
                 value = atoms.get(g.name, 0)
-            elif kind is Counterfactual:
+            elif kind is cond:
                 rows = overrides.get(g.left)
                 b = masks[g.right]
                 if rows is not None:
                     value = _inside(idx, rows, b)
                 else:
                     value = 0 if masks[g.left] & scope & ~b else -1
-            elif kind is MatImp:
-                value = ~masks[g.left] | masks[g.right]
+            elif kind is imp:
+                if tern is None:
+                    value = ~masks[g.left] | masks[g.right]
+                else:
+                    # true at x when every triple (x, y, z) with the
+                    # antecedent at y has the consequent at z
+                    ys, b = list(_bits(masks[g.left])), masks[g.right]
+                    value = 0
+                    for x, row in enumerate(tern):
+                        if not any(row[y] & ~b for y in ys):
+                            value |= 1 << x
             elif kind is Just:
                 rows = terms.get(g.term)
                 value = -1 if rows is None else _inside(idx, rows, masks[g.inner])
             elif kind is And:
                 value = masks[g.left] & masks[g.right]
             elif kind is Neg:
-                value = ~masks[g.inner]
+                if star is None:
+                    value = ~masks[g.inner]
+                else:
+                    # true at w when the inner formula fails at star(w)
+                    a = masks[g.inner]
+                    value = 0
+                    for i, s in enumerate(star):
+                        if not a >> s & 1:
+                            value |= 1 << i
             elif kind is Box:
-                value = 0 if normal & ~masks[g.inner] else -1
+                value = 0 if m._normal_mask & ~masks[g.inner] else -1
             else:
-                raise ValueError(
-                    f"{kind.__name__} has no clause on relational models; use a Routley model")
-            masks[g] = value & normal | members[g] if g in members else value & normal
+                raise ValueError(m._foreign.format(kind.__name__))
+            masks[g] = value & checked | members[g] if g in members else value & checked
 
     def holds(self, i: int, f: Formula) -> bool:
         m = self.m
-        if not m._normal_mask >> i & 1:
+        if not m._checked >> i & 1:
             return bool(m._members.get(f, 0) >> i & 1)  # literal, whatever f is
         return bool(self.mask(f) >> i & 1)
 
@@ -447,9 +471,6 @@ class _Evaluator:
         return (scope and self.mask(f) & scope,) * len(self.m.states)
 
 
-KripkeModel._evaluator = _Evaluator
-
-
 def _family(m, dialect: Dialect, formulas=()) -> None:
     """Raise TypeError unless the dialect is read on the model's class
     (Routley models for jrc), then check the formulas' grammar."""
@@ -460,9 +481,6 @@ def _family(m, dialect: Dialect, formulas=()) -> None:
         check_dialect_formula(f, dialect)
 
 
-# Each model class names its evaluator, so one body serves both families.
-
-
 def eval(m, w: str, f: Formula, dialect: Dialect | None = None) -> bool:
     """Truth of f at state w."""
     i = m._index.get(w)
@@ -470,7 +488,7 @@ def eval(m, w: str, f: Formula, dialect: Dialect | None = None) -> bool:
         raise ValueError(f"unknown state {w!r}")
     if dialect is not None:
         _family(m, dialect, (f,))
-    return m._evaluator(m).holds(i, f)
+    return _Evaluator(m).holds(i, f)
 
 
 eval_kripke = eval  # the same function, under a name that shadows no builtin
@@ -480,7 +498,7 @@ def truthset(m, f: Formula, dialect: Dialect | None = None) -> frozenset[str]:
     """States where f is true, relational non-normal states by membership."""
     if dialect is not None:
         _family(m, dialect, (f,))
-    ts = m._evaluator(m).mask(f)
+    ts = _Evaluator(m).mask(f)
     return frozenset(w for i, w in enumerate(m.states) if ts >> i & 1)
 
 
@@ -488,7 +506,7 @@ def valid_in_model(m, f: Formula, dialect: Dialect | None = None) -> bool:
     """True at every normal state."""
     if dialect is not None:
         _family(m, dialect, (f,))
-    return not m._normal_mask & ~m._evaluator(m).mask(f)
+    return not m._normal_mask & ~_Evaluator(m).mask(f)
 
 
 def consequence(m, premises, goal: Formula, dialect: Dialect | None = None) -> bool:
@@ -502,7 +520,7 @@ def consequence(m, premises, goal: Formula, dialect: Dialect | None = None) -> b
 def _counterexamples(m, premises, goal: Formula) -> int:
     """The normal states where every premise holds and the goal fails, as a
     mask read off one evaluator."""
-    ev = m._evaluator(m)
+    ev = _Evaluator(m)
     counter = m._normal_mask & ~ev.mask(goal)
     for f in premises:
         counter &= ev.mask(f)
@@ -665,7 +683,7 @@ def _cond_sum(m, ev, formulas, terms, cs):
         if not isinstance(t, Sum):
             continue
         rows, left, right = ev.term_rows(t), ev.term_rows(t.left), ev.term_rows(t.right)
-        for i in _bits(m._checked):
+        for i in m._checked_idx:
             if rows[i] & ~(left[i] & right[i]):
                 return False, (m.states[i], t.left, t.right), (
                     f"R[{print_term(t)}]({m.states[i]}) exceeds the intersection of its parts")

@@ -10,8 +10,9 @@ condition.
 A model keeps the bitset form of kripke_models: state i is bit i, a set of
 states is an int, a relation is a tuple of rows, one such int per state. The
 ternary relation is a row tuple per first state x, row y holding the states z
-of the triples (x, y, z). The evaluator computes one truth-set mask per
-formula, children first, and every condition check reads only masks.
+of the triples (x, y, z). The evaluator of kripke_models reads the star and
+these rows at every state, one truth-set mask per formula, children first;
+every condition check reads only masks.
 """
 
 from __future__ import annotations
@@ -21,13 +22,11 @@ from dataclasses import dataclass, field
 from condjust.kripke_models import (
     ConditionReport, KripkeModel, Pairs, RelScheme, _UNKNOWN_PAIR, _Evaluator,
     _array, _bits, _check_document, _cond_antecedent_truth, _cond_sum,
-    _cond_weak_centering, _diagonal, _frame, _freeze, _inside, _load_fields,
+    _cond_weak_centering, _diagonal, _frame, _freeze, _load_fields,
     _lowest, _object, _report, _rows,
     consequence, eval as _eval, model_to_json, truthset, valid_in_model,
 )
-from condjust.syntax import (
-    And, Atom, Box, Dialect, Formula, Just, Neg, RelCf, RelImp, Term,
-)
+from condjust.syntax import Dialect, Formula, RelCf, RelImp, Term
 
 __all__ = [
     "RoutleyModel", "eval_jrc", "truthset_jrc", "jrc_consequence",
@@ -73,13 +72,19 @@ class RoutleyModel:
                 raise ValueError(f"valuation key {w!r} is not a state")
             for a in names:
                 atoms[a] = atoms.get(a, 0) | 1 << index[w]
+        # Every state follows the clauses; an identity star reads ~ as the complement.
+        everywhere = tuple(range(n))
+        star = tuple(index[self.star[w]] for w in states)
+        tern = tuple(map(tuple, tern))
         vars(self).update(
             _index=index,
             _normal_mask=frame.normal_mask,
             _normal_idx=frame.normal_idx,
-            _full=(1 << n) - 1,
-            _star=tuple(index[self.star[w]] for w in states),
-            _tern=tuple(map(tuple, tern)),
+            _checked=(1 << n) - 1,
+            _checked_idx=everywhere,
+            _star=star,
+            _tern=tern,
+            _clauses=(RelCf, RelImp, None if star == everywhere else star, tern),
             _atoms=atoms,
             _term_rows={t: _rows(rel, index, n, _UNKNOWN_PAIR)
                         for t, rel in self.term_rels.items()},
@@ -99,66 +104,9 @@ class RoutleyModel:
         }
 
 
-class _JrcEvaluator(_Evaluator):
-    """Truth sets of one Routley model as int masks, bit i for state i,
-    cached per formula; every state follows the clauses. The relation rows
-    are read as the relational evaluator reads them."""
-
-    __slots__ = ()
-
-    def fill(self, order) -> None:
-        masks = self.masks
-        m = self.m
-        full, everywhere = m._full, range(len(m.states))
-        overrides, scope = m._override_rows, m._scope
-        for g in order:
-            kind = type(g)
-            if kind is Atom:
-                value = m._atoms.get(g.name, 0)
-            elif kind is Neg:
-                # true at w when the inner formula fails at star(w)
-                a = masks[g.inner]
-                value = 0
-                for i, s in enumerate(m._star):
-                    if not a >> s & 1:
-                        value |= 1 << i
-            elif kind is And:
-                value = masks[g.left] & masks[g.right]
-            elif kind is RelImp:
-                # true at x when every triple (x, y, z) with the antecedent
-                # at y has the consequent at z
-                ys, b = list(_bits(masks[g.left])), masks[g.right]
-                value = 0
-                for x, row in enumerate(m._tern):
-                    if not any(row[y] & ~b for y in ys):
-                        value |= 1 << x
-            elif kind is RelCf:
-                rows = overrides.get(g.left)
-                b = masks[g.right]
-                if rows is not None:
-                    value = _inside(everywhere, rows, b)
-                else:
-                    value = 0 if masks[g.left] & scope & ~b else full
-            elif kind is Just:
-                rows = m._term_rows.get(g.term)
-                value = full if rows is None else _inside(everywhere, rows, masks[g.inner])
-            elif kind is Box:
-                # Not part of the dialect's grammar; programmatic trees read
-                # it as truth at every normal state.
-                value = 0 if m._normal_mask & ~masks[g.inner] else full
-            else:
-                raise ValueError(
-                    f"{kind.__name__} has no clause on Routley models; use a relational model")
-            masks[g] = value
-
-    def holds(self, i: int, f: Formula) -> bool:
-        return bool(self.mask(f) >> i & 1)
-
-
-RoutleyModel._evaluator = _JrcEvaluator
 RoutleyModel._scope = KripkeModel._scope
-RoutleyModel._checked = property(lambda m: m._full)
 RoutleyModel._members = {}  # every state follows the clauses; none is literal
+RoutleyModel._foreign = "{} has no clause on Routley models; use a relational model"
 
 
 # The jrc names of the evaluation functions are the functions themselves,
@@ -178,7 +126,7 @@ def check_jrc_conditions(m: RoutleyModel, universe) -> ConditionReport:
     """Star involution, ternary normality, and the three frame conditions."""
     if not isinstance(m, RoutleyModel):
         raise TypeError(f"check_jrc_conditions needs a RoutleyModel, not {type(m).__name__}")
-    return _report("jrc", _JRC_CHECKS, _JRC_CHECKS, m, _JrcEvaluator(m), universe)
+    return _report("jrc", _JRC_CHECKS, _JRC_CHECKS, m, _Evaluator(m), universe)
 
 
 # Each check has the signature of the kripke_models checks; conditions 2 and
@@ -206,7 +154,7 @@ def _normality(m, ev, formulas, terms, cs):
                 b, c = m.states[y], _lowest(m, off)
                 return False, (w, b, c), (
                     f"normal state {w} has off-diagonal ternary triple ({w}, {b}, {c})")
-        missing = m._full & ~_diagonal(rows)
+        missing = m._checked & ~_diagonal(rows)
         if missing:
             v = _lowest(m, missing)
             return False, (w, v), f"normal state {w} lacks the diagonal triple ({w}, {v}, {v})"

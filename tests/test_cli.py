@@ -393,6 +393,13 @@ class TestCheckProofCommand:
         assert doc["premises"] == []
         assert doc["error_line"] is None
 
+    def test_dialect_without_axioms_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "hyp.txt"
+        path.write_text("1. p ; hyp\n", encoding="utf-8")
+        code, out, err = run(capsys, "check-proof", "--dialect", "jrc", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: dialect jrc has no Hilbert axiomatization\n"
+
 
 class TestInternalizeCommand:
     def test_cc_lemma(self, capsys, tmp_path):
@@ -417,6 +424,23 @@ class TestInternalizeCommand:
                            text_path(tmp_path, "theorem_rck.txt"))
         assert code == 2
         assert "premise-free" in err
+
+    @pytest.mark.parametrize("dialect, text, error", [
+        ("jrc", "1. p ; hyp", "dialect jrc has no Hilbert axiomatization"),
+        # each checks in its own dialect, but internalization reads lpcint
+        ("l", "1. [](p => p) => (p => p) ; axt",
+         "derivation does not check at line 1: box is not in dialect lpcint"),
+        ("lpcprime", "1. x:(p > q) > (y:p > (x.y):q) ; ax4p",
+         "derivation does not check at line 1: scheme ax4p is not available in lpcint"),
+        ("lpckplus", "1. p == p ; ax1\n2. (p > q) == (p > q) ; rcea 1",
+         "derivation does not check at line 2: rcea is not a rule of lpcint"),
+    ], ids=["jrc", "l", "lpcprime", "lpckplus"])
+    def test_derivation_outside_lpcint_is_an_input_error(self, capsys, tmp_path,
+                                                         dialect, text, error):
+        path = tmp_path / "d.txt"
+        path.write_text(text + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "internalize", "--dialect", dialect, str(path))
+        assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 class TestCorpusCommand:

@@ -536,6 +536,13 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="expects 2"):
             parse_derivation("1. p ; mp 1", LPC)
 
+    def test_digits_int_rejects_are_not_line_numbers(self):
+        # '²' is a digit to str.isdigit but not to int
+        with pytest.raises(ValueError, match=r"^line 1: rcn expects 1 line number\(s\)$"):
+            parse_derivation("1. p ; rcn ²", LPC)
+        with pytest.raises(ValueError, match="^malformed derivation line"):
+            parse_derivation("². p ; hyp", LPC)
+
     def test_missing_justification(self):
         with pytest.raises(ValueError, match="justification"):
             parse_derivation("1. p => p", LPC)

@@ -15,7 +15,7 @@ from condjust.falsifier import find_countermodel
 from condjust.fixtures import fixture_json
 from condjust.kripke_models import (
     AxiomaticallyAppropriate, ConditionReport, Explicit, KripkeModel,
-    RelScheme, VariantProfile, _counterexamples,
+    RelScheme, VariantProfile, _Evaluator, _counterexamples,
     check_conditions, consequence, cs_entries, default_universe,
     eval as keval, jtb, knowledge, load_model, model_to_json, profile_for,
     truthset, valid_in_model,
@@ -584,7 +584,7 @@ def test_warm_evaluator_matches_per_state_reference(drawn, data):
     m, fs = drawn
     ref = _RefEvaluator(m)
     pool = sorted(closure(fs), key=formula_key)
-    ev = m._evaluator(m)
+    ev = _Evaluator(m)
     for f in data.draw(st.lists(st.one_of(_FORMULAS, st.sampled_from(pool)), max_size=4)):
         ev.mask(f)
     for f in data.draw(st.permutations(pool)):

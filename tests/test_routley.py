@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from condjust.falsifier import find_countermodel
 from condjust.fixtures import fixture_json
 from condjust.kripke_models import (
-    ConditionReport, ConditionResult, KripkeModel, RelScheme, _counterexamples,
+    ConditionReport, ConditionResult, KripkeModel, RelScheme, _Evaluator, _counterexamples,
     check_conditions, consequence, default_universe, eval_kripke, model_to_json,
     profile_for, truthset, valid_in_model,
 )
@@ -434,7 +434,7 @@ def test_warm_evaluator_agrees_with_the_reference_semantics(drawn, data):
     m, universe = drawn
     ref = _Reference(m)
     pool = sorted(closure(universe), key=formula_key)
-    ev = m._evaluator(m)
+    ev = _Evaluator(m)
     _, formula = ast_strategies(JRC)
     for f in data.draw(st.lists(st.one_of(formula, st.sampled_from(pool)), max_size=4)):
         ev.mask(f)
