@@ -28,7 +28,9 @@ oracle the tableau prover is cross-checked against.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
+from operator import lshift
 
 from .kripke_models import (
     KripkeModel,
@@ -100,9 +102,11 @@ class SearchSignature:
 _SLICE_BITS = 16
 
 
-# Bound once: perfbench's tracer replaces the name KripkeModel in this module
-# with a counting function, on which _from_masks cannot be called.
+# Bound once: perfbench's tracer replaces the names KripkeModel and
+# RoutleyModel in this module with counting functions, on which _from_masks
+# cannot be called.
 _model_from_masks = KripkeModel._from_masks
+_routley_from_masks = RoutleyModel._from_masks
 
 
 @functools.cache
@@ -521,33 +525,28 @@ class _RoutleySearch:
         realize builds for that code alone, and check it."""
         bits = [code >> i & 1 for i in range(self.groups * k)]
         _, cf_rows, slices, term_rows = self.realize(k, sigma, bits, 1)
-        states = tuple([f"w{i}" for i in range(k)])
-
-        def pairs(rows):
-            return {(states[w], states[v]) for w, row in enumerate(rows)
-                    for v, cell in enumerate(row) if cell}
-
-        ternary = {("w0", w, w) for w in states}
-        ternary |= {(states[x], states[c // k], states[c % k])
-                    for x, cells in enumerate(slices, 1)
-                    for c, cell in enumerate(cells) if cell}
-        at = self.atoms_at * k
-        model = RoutleyModel(
-            states=states,
-            normal=frozenset({"w0"}),
-            star={w: states[s] for w, s in zip(states, sigma)},
-            ternary=frozenset(ternary),
-            valuation={w: {a for i, a in enumerate(self.sig.atoms)
-                           if bits[at + i * k + v]}
-                       for v, w in enumerate(states)},
-            term_rels=dict(zip(self.sig.terms, map(pairs, term_rows))),
-            formula_rel_overrides=dict(zip(self.sig.antecedents, map(pairs, cf_rows))),
-            formula_rel_default=RelScheme.TruthsetAll)
+        states, normal = _shape(k, 1)[:2]
+        # w0's ternary rows are its diagonal; cell y * k + z of the slice of
+        # state x is bit z of x's row y
+        tern = (tuple(1 << y for y in range(k)),
+                *(tuple(_pack(cells[y:y + k]) for y in range(0, k * k, k))
+                  for cells in slices))
+        at, row = self.atoms_at * k, (1 << k) - 1
+        model = _routley_from_masks(
+            states, normal, sigma, tern + ((0,) * k,) * (k - len(tern)),
+            {a: code >> at + i * k & row for i, a in enumerate(self.sig.atoms)},
+            dict(zip(self.sig.terms, (tuple(map(_pack, rows)) for rows in term_rows))),
+            dict(zip(self.sig.antecedents, (tuple(map(_pack, rows)) for rows in cf_rows))))
         # w0 is the model's only normal state
         if check_jrc_conditions(model, [*self.premises, self.goal]).ok \
                 and _counterexamples(model, self.premises, self.goal):
             return model, "w0"
         return None
+
+
+def _pack(cells) -> int:
+    """The mask of a row of 0/1 cells, cell v as bit v."""
+    return sum(map(lshift, cells, itertools.count()))
 
 
 # --- entry points ----------------------------------------------------------

@@ -67,41 +67,20 @@ class KripkeModel:
     def __post_init__(self):
         _freeze(self, nonnormal_valuation={
             w: frozenset(v) for w, v in self.nonnormal_valuation.items()})
-        states = self.states
-        frame = _frame(states, self.normal)
-        index = frame.index
+        frame = _frame(self.states, self.normal)
+        index, n = frame.index, len(self.states)
         # The checks below also build the bitset form the evaluator reads:
         # state i is bit i, a set of states is an int, a relation is a tuple
         # holding one such int (the row) per state.
-        n = len(states)
-        atoms: dict[str, int] = {}
-        for w, names in self.valuation.items():
-            if w not in self.normal:
-                raise ValueError(f"valuation key {w!r} is not a normal state")
-            bit = 1 << index[w]
-            for a in names:
-                atoms[a] = atoms.get(a, 0) | bit
-        members: dict[Formula, int] = {}
-        for w, entry in self.nonnormal_valuation.items():
-            if w not in index or w in self.normal:
-                raise ValueError(f"nonnormal_valuation key {w!r} is not a non-normal state")
-            bit = 1 << index[w]
-            for f in entry:
-                members[f] = members.get(f, 0) | bit
-        vars(self).update(
-            _index=index,
-            _normal_mask=frame.normal_mask,
-            _normal_idx=frame.normal_idx,
-            _checked=frame.normal_mask,
-            _checked_idx=frame.normal_idx,
-            _atoms=atoms,
-            _members=members,
-            _term_rows={t: _rows(rel, index, n, _UNKNOWN_PAIR)
-                        for t, rel in self.term_rels.items()},
-            # Formula relations live on the normal states.
-            _override_rows={f: _rows(rel, frame.normal_index, n, _ABNORMAL_PAIR)
-                            for f, rel in self.formula_rel_overrides.items()},
-        )
+        _fill(self, self.states, self.normal, self.formula_rel_default, frame, frame,
+              _state_masks(self.valuation, index, self.normal,
+                           "valuation key {!r} is not a normal state"),
+              _state_masks(self.nonnormal_valuation, index, index.keys() - self.normal,
+                           "nonnormal_valuation key {!r} is not a non-normal state"),
+              {t: _rows(rel, index, n, _UNKNOWN_PAIR) for t, rel in self.term_rels.items()},
+              # Formula relations live on the normal states.
+              {f: _rows(rel, frame.normal_index, n, _ABNORMAL_PAIR)
+               for f, rel in self.formula_rel_overrides.items()})
 
     @classmethod
     def _from_masks(cls, states: tuple[str, ...], normal: frozenset[str],
@@ -113,37 +92,9 @@ class KripkeModel:
         are kept as given; the caller must not change them. The pair-form
         fields are built on first read."""
         frame = _frame(states, normal)
-        # Each test ORs or ANDs the masks together in C; the loops that name
-        # the offender run only once a test has failed.
-        if functools.reduce(or_, atoms.values(), 0) & ~frame.normal_mask:
-            a = next(a for a, mask in atoms.items() if mask & ~frame.normal_mask)
-            raise ValueError(f"valuation of {a!r} holds outside the normal states")
-        if functools.reduce(or_, members.values(), 0) & ~frame.nonnormal_mask:
-            f = next(f for f, mask in members.items() if mask & ~frame.nonnormal_mask)
-            raise ValueError(f"nonnormal_valuation of {print_formula(f)} holds "
-                             "outside the non-normal states")
-        for t, rows in term_rows.items():
-            if len(rows) != len(states) or any(map(and_, rows, frame.off_rows)):
-                raise ValueError(f"relation of {print_term(t)} mentions unknown states")
-        for f, rows in override_rows.items():
-            if len(rows) != len(states) or any(map(and_, rows, frame.off_normal_rows)):
-                raise ValueError(
-                    f"formula relation of {print_formula(f)} must join normal states")
         m = object.__new__(cls)
-        vars(m).update(
-            states=states,
-            normal=normal,
-            formula_rel_default=RelScheme.TruthsetNormal,
-            _index=frame.index,
-            _normal_mask=frame.normal_mask,
-            _normal_idx=frame.normal_idx,
-            _checked=frame.normal_mask,
-            _checked_idx=frame.normal_idx,
-            _atoms=atoms,
-            _members=members,
-            _term_rows=term_rows,
-            _override_rows=override_rows,
-        )
+        _fill(m, states, normal, RelScheme.TruthsetNormal, frame, frame, atoms, members,
+              term_rows, override_rows)
         return m
 
     def state_index(self, w: str) -> int:
@@ -173,6 +124,44 @@ def _freeze(m, **fields) -> None:
         formula_rel_overrides={
             f: frozenset(tuple(p) for p in v) for f, v in m.formula_rel_overrides.items()},
         **fields)
+
+
+def _fill(m, states: tuple[str, ...], normal: frozenset[str], default: RelScheme,
+          frame: "_Frame", scope: "_Frame", atoms: dict[str, int],
+          members: dict[Formula, int], term_rows: dict[Term, tuple[int, ...]],
+          override_rows: dict[Formula, tuple[int, ...]], star=None, tern=None) -> None:
+    """Check a model's bitset form and store it on m with the states, the
+    normal states and the default scheme: the body every constructor of
+    both families ends in. The clauses hold at scope's normal states (all
+    states on a Routley model, which also has a star and ternary rows):
+    valuations and override rows live on them."""
+    # Each test ORs or ANDs the masks together in C; the loops that name
+    # the offender run only once a test has failed.
+    n = len(frame.index)
+    if star is not None:
+        if len(star) != n or min(star) < 0 or max(star) >= n:
+            raise ValueError("star must map every state to a state")
+        if len(tern) != n or any(len(rows) != n or any(map(and_, rows, frame.off_rows))
+                                 for rows in tern):
+            raise ValueError("ternary relation mentions unknown states")
+    if functools.reduce(or_, atoms.values(), 0) & ~scope.normal_mask:
+        a = next(a for a, mask in atoms.items() if mask & ~scope.normal_mask)
+        raise ValueError(f"valuation of {a!r} holds outside the {m._covered}")
+    if functools.reduce(or_, members.values(), 0) & ~scope.nonnormal_mask:
+        f = next(f for f, mask in members.items() if mask & ~scope.nonnormal_mask)
+        raise ValueError(f"nonnormal_valuation of {print_formula(f)} holds "
+                         "outside the non-normal states")
+    for t, rows in term_rows.items():
+        if len(rows) != n or any(map(and_, rows, frame.off_rows)):
+            raise ValueError(f"relation of {print_term(t)} mentions unknown states")
+    for f, rows in override_rows.items():
+        if len(rows) != n or any(map(and_, rows, scope.off_normal_rows)):
+            raise ValueError(f"formula relation of {print_formula(f)} must join {m._covered}")
+    vars(m).update(states=states, normal=normal, formula_rel_default=default,
+                   _index=frame.index, _normal_mask=frame.normal_mask,
+                   _normal_idx=frame.normal_idx, _checked=scope.normal_mask,
+                   _checked_idx=scope.normal_idx, _atoms=atoms, _members=members,
+                   _term_rows=term_rows, _override_rows=override_rows, _star=star, _tern=tern)
 
 
 class _Frame(NamedTuple):
@@ -221,6 +210,18 @@ def _rows(rel: Pairs, index: dict[str, int], n: int, fault: str) -> tuple[int, .
     return tuple(rows)
 
 
+def _state_masks(entries: dict, index: dict[str, int], keys, fault: str) -> dict:
+    """Per item of the entries, the mask of the states whose entry holds it;
+    an entry of a state not in keys raises ValueError with fault filled in."""
+    masks: dict = {}
+    for w, entry in entries.items():
+        if w not in keys:
+            raise ValueError(fault.format(w))
+        for x in entry:
+            masks[x] = masks.get(x, 0) | 1 << index[w]
+    return masks
+
+
 def _pairs(states: tuple[str, ...], rows: tuple[int, ...]) -> Pairs:
     return frozenset((states[i], states[j]) for i, row in enumerate(rows) for j in _bits(row))
 
@@ -232,9 +233,10 @@ def _holding(masks: dict, i: int) -> frozenset:
 
 class _View:
     """A field made from a model's other fields on first read, then kept on
-    the model: the pair fields of a model built by _from_masks, and the
-    default scheme's scope. A constructed model holds its pair fields, which
-    hide this descriptor. (A __getattr__ would slow every attribute load.)"""
+    the model: the pair fields of a model built by _from_masks, the default
+    scheme's scope, a Routley model's clauses. A constructed model holds its
+    pair fields, which hide this descriptor. (A __getattr__ would slow every
+    attribute load.)"""
 
     def __init__(self, name: str, build):
         self.name, self.build = name, build
@@ -261,6 +263,7 @@ KripkeModel.formula_rel_overrides = _View("formula_rel_overrides", lambda m: {
 # rows that ~ and the implication read, None for complement and material.
 KripkeModel._clauses = (Counterfactual, MatImp, None, None)
 KripkeModel._foreign = "{} has no clause on relational models; use a Routley model"
+KripkeModel._covered = "normal states"  # where the clauses hold, in _fill's messages
 # The states a default scheme's row R_f(w), the truth set of f, is cut to.
 KripkeModel._scope = _View("_scope", lambda m: (
     m._normal_mask if m.formula_rel_default is RelScheme.TruthsetNormal

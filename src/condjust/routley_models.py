@@ -17,13 +17,14 @@ every condition check reads only masks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from condjust.kripke_models import (
     ConditionReport, KripkeModel, Pairs, RelScheme, _UNKNOWN_PAIR, _Evaluator,
-    _array, _bits, _check_document, _cond_antecedent_truth, _cond_sum,
-    _cond_weak_centering, _diagonal, _frame, _freeze, _load_fields,
-    _lowest, _object, _report, _rows,
+    _Frame, _View, _array, _bits, _check_document, _cond_antecedent_truth,
+    _cond_sum, _cond_weak_centering, _diagonal, _fill, _frame, _freeze, _holding,
+    _load_fields, _lowest, _object, _report, _rows, _state_masks,
     consequence, eval as _eval, model_to_json, truthset, valid_in_model,
 )
 from condjust.syntax import Dialect, Formula, RelCf, RelImp, Term
@@ -37,6 +38,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class RoutleyModel:
+    """A Routley model. As on KripkeModel, the constructor takes the fields
+    by state name and _from_masks takes the bitset form."""
+
     states: tuple[str, ...]
     normal: frozenset[str]
     star: dict[str, str]
@@ -49,48 +53,37 @@ class RoutleyModel:
     def __post_init__(self):
         _freeze(self, star=dict(self.star),
                 ternary=frozenset(tuple(t) for t in self.ternary))
-        states = self.states
-        all_states = set(states)
-        if len(all_states) != len(states) or not states:
-            raise ValueError("states must be a nonempty sequence without repeats")
-        if not self.normal or not self.normal <= all_states:
-            raise ValueError("normal states must be a nonempty subset of states")
-        if set(self.star) != all_states or not set(self.star.values()) <= all_states:
+        frames = _frames(self.states, self.normal)
+        index, n = frames[0].index, len(self.states)
+        if self.star.keys() != index.keys() or not set(self.star.values()) <= index.keys():
             raise ValueError("star must map every state to a state")
         # The checks below also build the bitset form the evaluator reads.
-        frame = _frame(states, self.normal)
-        index, n = frame.index, len(states)
-        tern = [[0] * n for _ in states]
+        tern = [[0] * n for _ in range(n)]
         for triple in self.ternary:
-            if len(triple) != 3 or not set(triple) <= all_states:
+            if len(triple) != 3 or not set(triple) <= index.keys():
                 raise ValueError(f"bad ternary triple {triple!r}")
             x, y, z = map(index.__getitem__, triple)
             tern[x][y] |= 1 << z
-        atoms: dict[str, int] = {}
-        for w, names in self.valuation.items():
-            if w not in all_states:
-                raise ValueError(f"valuation key {w!r} is not a state")
-            for a in names:
-                atoms[a] = atoms.get(a, 0) | 1 << index[w]
-        # Every state follows the clauses; an identity star reads ~ as the complement.
-        everywhere = tuple(range(n))
-        star = tuple(index[self.star[w]] for w in states)
-        tern = tuple(map(tuple, tern))
-        vars(self).update(
-            _index=index,
-            _normal_mask=frame.normal_mask,
-            _normal_idx=frame.normal_idx,
-            _checked=(1 << n) - 1,
-            _checked_idx=everywhere,
-            _star=star,
-            _tern=tern,
-            _clauses=(RelCf, RelImp, None if star == everywhere else star, tern),
-            _atoms=atoms,
-            _term_rows={t: _rows(rel, index, n, _UNKNOWN_PAIR)
-                        for t, rel in self.term_rels.items()},
-            _override_rows={f: _rows(rel, index, n, _UNKNOWN_PAIR)
-                            for f, rel in self.formula_rel_overrides.items()},
-        )
+        _fill(self, self.states, self.normal, self.formula_rel_default, *frames,
+              _state_masks(self.valuation, index, index, "valuation key {!r} is not a state"),
+              _NO_MEMBERS,
+              {t: _rows(rel, index, n, _UNKNOWN_PAIR) for t, rel in self.term_rels.items()},
+              {f: _rows(rel, index, n, _UNKNOWN_PAIR)
+               for f, rel in self.formula_rel_overrides.items()},
+              tuple(index[self.star[w]] for w in self.states), tuple(map(tuple, tern)))
+
+    @classmethod
+    def _from_masks(cls, states: tuple[str, ...], normal: frozenset[str],
+                    star: tuple[int, ...], tern: tuple[tuple[int, ...], ...],
+                    atoms: dict[str, int], term_rows: dict[Term, tuple[int, ...]],
+                    override_rows: dict[Formula, tuple[int, ...]]) -> "RoutleyModel":
+        """As KripkeModel._from_masks; star[i] is the index of the star of
+        state i, and row y of tern[x] holds the states z of the triples
+        (x, y, z)."""
+        m = object.__new__(cls)
+        _fill(m, states, normal, RelScheme.TruthsetAll, *_frames(states, normal), atoms,
+              _NO_MEMBERS, term_rows, override_rows, star, tern)
+        return m
 
     state_index = KripkeModel.state_index
 
@@ -100,13 +93,36 @@ class RoutleyModel:
             "star": {w: s[j] for w, j in zip(s, self._star) if s[j] != w},
             "ternary": [[s[x], s[y], s[z]] for x, rows in enumerate(self._tern)
                         for y, row in enumerate(rows) for z in _bits(row)],
-            "valuation": {w: sorted(self.valuation.get(w, ())) for w in s},
+            "valuation": {w: sorted(_holding(self._atoms, i)) for i, w in enumerate(s)},
         }
 
 
+@functools.lru_cache(maxsize=64)
+def _frames(states: tuple[str, ...], normal: frozenset[str]) -> tuple[_Frame, _Frame]:
+    """The model's frame, and the frame of the states the clauses hold at: all."""
+    everywhere = _frame(states, frozenset(states))  # a fault in the states comes first
+    if not normal or not normal <= everywhere.index.keys():
+        raise ValueError("normal states must be a nonempty subset of states")
+    return _frame(states, normal), everywhere
+
+
+# Set after the class is made, as on KripkeModel.
+RoutleyModel.star = _View("star", lambda m: {
+    w: m.states[j] for w, j in zip(m.states, m._star)})
+RoutleyModel.ternary = _View("ternary", lambda m: frozenset(
+    (m.states[x], m.states[y], m.states[z]) for x, rows in enumerate(m._tern)
+    for y, row in enumerate(rows) for z in _bits(row)))
+RoutleyModel.valuation = _View("valuation", lambda m: {
+    w: _holding(m._atoms, i) for i, w in enumerate(m.states)})
+RoutleyModel.term_rels = KripkeModel.term_rels
+RoutleyModel.formula_rel_overrides = KripkeModel.formula_rel_overrides
 RoutleyModel._scope = KripkeModel._scope
-RoutleyModel._members = {}  # every state follows the clauses; none is literal
 RoutleyModel._foreign = "{} has no clause on Routley models; use a relational model"
+RoutleyModel._covered = "listed states"
+# An identity star reads ~ as the complement.
+RoutleyModel._clauses = _View("_clauses", lambda m: (
+    RelCf, RelImp, None if m._star == m._checked_idx else m._star, m._tern))
+_NO_MEMBERS: dict = {}  # no state holds a formula literally
 
 
 # The jrc names of the evaluation functions are the functions themselves,
@@ -179,9 +195,12 @@ def load_routley_model(doc: dict) -> RoutleyModel:
     if dialect is not Dialect.JRC:
         raise ValueError("Routley model documents must use dialect jrc")
     fields = _load_fields(doc, dialect, "truthset_all")
-    star_doc = _object(doc, "star")
+    states, star_doc = fields["states"], _object(doc, "star")
+    for w, v in star_doc.items():
+        if w not in states or v not in states:
+            raise ValueError(f"star entry {w!r}: {v!r} names a state not in states")
     return RoutleyModel(
-        **fields, star={w: star_doc.get(w, w) for w in fields["states"]},
+        **fields, star={w: star_doc.get(w, w) for w in states},
         ternary=frozenset(
             (a, b, c) for a, b, c in _array(doc.get("ternary", []), "ternary", nested=True)))
 

@@ -15,7 +15,7 @@ import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .kripke_models import RelScheme, _counterexamples
+from .kripke_models import _counterexamples
 from .routley_models import RoutleyModel, check_jrc_conditions
 from .syntax import (
     And, Atom, Dialect, Formula, Just, Neg, RelCf, RelImp, Sum, Term,
@@ -538,37 +538,36 @@ def _state_name(x: Label) -> str:
 
 
 def extract_model(branch: Branch) -> tuple[RoutleyModel, str]:
-    """Read the induced countermodel off an open complete branch."""
+    """Read the induced countermodel off an open complete branch: label i
+    of the sorted labels is state bit i."""
     if not branch.complete:
         raise ValueError("countermodels come only from complete open branches")
     labels = sorted(branch.labels)
-    name = {x: _state_name(x) for x in labels}
-    occurs = set(labels)
-    star = {name[x]: name[x.bar()] if x.bar() in occurs else name[x] for x in labels}
-    ternary = set()
-    term_rels: dict[Term, set] = {}
-    overrides: dict[Formula, set] = {f: set() for f in branch.antecedents}
-    valuation: dict[str, set] = {name[x]: set() for x in labels}
+    bit = {x: i for i, x in enumerate(labels)}
+    n = len(labels)
+    tern = [[0] * n for _ in labels]
+    term_rows: dict[Term, list[int]] = {}
+    overrides: dict[Formula, list[int]] = {f: [0] * n for f in branch.antecedents}
+    atoms: dict[str, int] = {}
     for expr in branch.nodes:
         if isinstance(expr, Ternary):
-            ternary.add((name[expr.x], name[expr.y], name[expr.z]))
+            tern[bit[expr.x]][bit[expr.y]] |= 1 << bit[expr.z]
         elif isinstance(expr, TermEdge):
-            term_rels.setdefault(expr.term, set()).add((name[expr.src], name[expr.dst]))
+            term_rows.setdefault(expr.term, [0] * n)[bit[expr.src]] |= 1 << bit[expr.dst]
         elif isinstance(expr, FormulaEdge):
-            overrides[expr.antecedent].add((name[expr.src], name[expr.dst]))
+            overrides[expr.antecedent][bit[expr.src]] |= 1 << bit[expr.dst]
         elif expr.sign and isinstance(expr.formula, Atom):
-            valuation[name[expr.label]].add(expr.formula.name)
-    model = RoutleyModel(
-        states=tuple(name[x] for x in labels),
-        normal=frozenset({name[_ROOT]}),
-        star=star,
-        ternary=frozenset(ternary),
-        valuation={w: frozenset(v) for w, v in valuation.items()},
-        term_rels={t: frozenset(v) for t, v in term_rels.items()},
-        formula_rel_overrides={f: frozenset(v) for f, v in overrides.items()},
-        formula_rel_default=RelScheme.TruthsetAll,
-    )
-    return model, name[_ROOT]
+            a = expr.formula.name
+            atoms[a] = atoms.get(a, 0) | 1 << bit[expr.label]
+    states = tuple(map(_state_name, labels))
+    root = states[bit[_ROOT]]
+    model = RoutleyModel._from_masks(
+        states, frozenset({root}),
+        tuple(bit.get(x.bar(), i) for i, x in enumerate(labels)),
+        tuple(map(tuple, tern)), atoms,
+        {t: tuple(rows) for t, rows in term_rows.items()},
+        {f: tuple(rows) for f, rows in overrides.items()})
+    return model, root
 
 
 def verify_result(r: ProofResult, premises, goal: Formula, size_bound: int = 3) -> bool:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,6 +177,21 @@ class TestEvalCommand:
         assert code == 2
         assert err.startswith("error: bad model file")
         assert f"{key} must be a JSON array" in err
+
+    @pytest.mark.parametrize("star, error", [
+        ({"w9": "w0", "w0": "w1", "w1": "w0"}, "star entry 'w9': 'w0' names a state not in states"),
+        ({"w0": "w9"}, "star entry 'w0': 'w9' names a state not in states"),
+    ], ids=["key", "value"])
+    @pytest.mark.parametrize("command", ["eval", "check-model"])
+    def test_star_entry_naming_no_state_exits_2(self, capsys, tmp_path, star, error,
+                                                command):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"dialect": "jrc", "states": ["w0", "w1"],
+                                    "star": star}), encoding="utf-8")
+        args = ["--state", "w0", "p"] if command == "eval" else []
+        code, out, err = run(capsys, command, "--model", str(path), *args)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad model file {path}: {error}\n"
 
     def test_bare_fixture_name_resolves(self, capsys):
         code, out, _ = run(capsys, "eval", "--model", "gettier.json",
@@ -594,6 +610,85 @@ def test_deep_trees_exit_cleanly(wraps, command):
         argv += ["--bound", "1"]
     code, output = _exit_and_output(argv)
     assert code in (0, 2, 3)
+    assert b"Traceback" not in output
+
+
+# Malformed input for the commands that read files: a bundled document with
+# some entries replaced or removed, or JSON of any shape. Names and texts are
+# drawn from the fixtures', so some edits still name states and formulas.
+_NAMES = ["w", "v", "u", "w9", "p", "x", "c", "jrc", "l", "truthset_all", ""]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.sampled_from(_NAMES),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_NAMES), inner, max_size=3),
+    max_leaves=8)
+_MODEL_KEYS = ["dialect", "states", "normal", "star", "ternary", "valuation",
+               "nonnormal_valuation", "term_rels", "formula_rels", "formula_rel_default"]
+_FORMULAS = ["p", "~p", "x:p", "p ~> q", "p -> q", "p > q", "p => q", "[]p", "c:(p => p)",
+             "p &", ""]
+
+
+@st.composite
+def _malformed_model(draw):
+    doc = draw(st.sampled_from(["gettier.json", "chisholm.json", "aumann.json", None]))
+    if doc is None:
+        return draw(_JSON)
+    doc = fixture_json(doc)
+    for key in draw(st.lists(st.sampled_from(_MODEL_KEYS), min_size=1, max_size=3)):
+        entry = doc.get(key)
+        if isinstance(entry, dict) and entry and draw(st.booleans()):
+            entry[draw(st.sampled_from(sorted(entry) + _NAMES))] = draw(_JSON)
+        elif draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(_JSON)
+    return doc
+
+
+@st.composite
+def _malformed_derivation(draw):
+    lines = fixture_text(draw(st.sampled_from(
+        ["lemma_cc.txt", "theorem_rck.txt", "gettier_derivation.txt"]))).splitlines()
+    made = st.builds("{}. {} ; {} {}".format, st.integers(-1, 40), st.sampled_from(_FORMULAS),
+                     st.sampled_from(["ax1", "mp", "rcea", "rcn", "ax4p", "axt", "hyp", "x"]),
+                     st.sampled_from(["", "1", "1 2", "0", "99", "a"]))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["drop", "cut", "insert"]))
+        if edit == "drop" and at < len(lines):
+            del lines[at]
+        elif edit == "cut" and at < len(lines):
+            lines[at] = lines[at][:draw(st.integers(0, len(lines[at])))]
+        else:
+            lines.insert(at, draw(made | st.text(max_size=12)))
+    return "\n".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["eval", "check-model", "check-proof"]),
+       model=_malformed_model(), derivation=_malformed_derivation(),
+       cs=st.none() | _JSON | st.just(fixture_json("gettier_cs.json")),
+       dialect=st.sampled_from([d.value for d in Dialect]),
+       formula=st.sampled_from(_FORMULAS), state=st.sampled_from(["w", "v", "w9"]))
+def test_malformed_files_exit_cleanly(command, model, derivation, cs, dialect, formula,
+                                      state):
+    with tempfile.TemporaryDirectory() as tmp:
+        model_file, derivation_file, cs_file = (
+            os.path.join(tmp, name) for name in ("m.json", "d.txt", "cs.json"))
+        with open(model_file, "w", encoding="utf-8") as fh:
+            json.dump(model, fh)
+        with open(derivation_file, "w", encoding="utf-8") as fh:
+            fh.write(derivation)
+        with open(cs_file, "w", encoding="utf-8") as fh:
+            json.dump(cs, fh)
+        with_cs = ["--cs", cs_file] if cs is not None else []
+        argv = {
+            "eval": ["eval", "--model", model_file, "--state", state, formula],
+            "check-model": ["check-model", "--model", model_file, formula, *with_cs],
+            "check-proof": ["check-proof", "--dialect", dialect, derivation_file, *with_cs],
+        }[command]
+        code, output = _exit_and_output(argv)
+    assert code in (0, 1, 2, 3)
     assert b"Traceback" not in output
 
 

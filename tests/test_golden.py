@@ -4,9 +4,14 @@
 ``util_gen`` strategies, each with the SHA-256 digest of what ``prove``
 returns for it at ``Budget(6, 500)`` and at ``Budget()``: the result type,
 ``steps``, ``Closed.tree``, ``Open.branch.text()`` and root state,
-``Exhausted.report`` and the extracted model's JSON.  ``golden/corpus.txt``
-and ``golden/corpus.json`` are the text and JSON output of
-``condjust corpus``.  A change to the prover's data structures must leave all
+``Exhausted.report`` and the extracted model's JSON.  ``golden/falsifier.json``
+holds about 300 more such sequents, each with the SHA-256 digest of the model
+JSON and the witness state that ``find_countermodel`` returns at bound 3, or
+null for none; it keeps only sequents whose vocabulary (atoms plus
+implication, conditional and justification subformulas) has at most 3
+members, so the search stays fast.  ``golden/corpus.txt`` and
+``golden/corpus.json`` are the text and JSON output of ``condjust corpus``.
+A change to the prover's or the falsifier's data structures must leave all
 of them unchanged; a change to a rule or to the schedule rewrites them on
 purpose with ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -19,13 +24,16 @@ from pathlib import Path
 import pytest
 
 from condjust.cli import main
+from condjust.falsifier import SearchSignature, find_countermodel
 from condjust.routley_models import routley_model_to_json
-from condjust.syntax import Dialect, parse_formula
+from condjust.syntax import Dialect, Just, RelCf, RelImp, parse_formula
 from condjust.tableau import Budget, Closed, Exhausted, Open, prove
 
 GOLDEN = Path(__file__).parent / "golden"
 BUDGETS = {"6/500": Budget(6, 500), "default": Budget()}
 SEQUENTS = 300
+# falsifier.json: sequents kept, the largest vocabulary kept, sequents drawn
+FALSIFIER_SEQUENTS, FALSIFIER_VOCABULARY, FALSIFIER_DRAWN = 300, 3, 700
 
 
 def result_digest(premises, goal, budget: Budget) -> str:
@@ -38,6 +46,20 @@ def result_digest(premises, goal, budget: Budget) -> str:
         assert isinstance(r, Exhausted)
         doc = ["exhausted", r.report]
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def countermodel_digest(premises, goal) -> tuple[str | None, str | None]:
+    found = find_countermodel(premises, goal, Dialect.JRC, 3)
+    if found is None:
+        return None, None
+    model, witness = found
+    doc = json.dumps(routley_model_to_json(model), sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest(), witness
+
+
+def _vocabulary(premises, goal) -> int:
+    sig = SearchSignature.for_sequent(premises, goal, Dialect.JRC, 3)
+    return len(sig.atoms) + sum(isinstance(f, (RelImp, RelCf, Just)) for f in sig.universe)
 
 
 def _parse(case):
@@ -57,6 +79,15 @@ def test_tableau_results_match_golden(budget):
         premises, goal = _parse(case)
         got = result_digest(premises, goal, BUDGETS[budget])
         assert got == case[budget], (case["premises"], case["goal"], budget)
+
+
+def test_countermodels_match_golden():
+    cases = json.loads((GOLDEN / "falsifier.json").read_text())["cases"]
+    assert len(cases) == FALSIFIER_SEQUENTS
+    for case in cases:
+        premises, goal = _parse(case)
+        got = countermodel_digest(premises, goal)
+        assert got == (case["model"], case["witness"]), (case["premises"], case["goal"])
 
 
 @pytest.mark.parametrize("fmt,name", [("text", "corpus.txt"), ("json", "corpus.json")])
@@ -102,6 +133,18 @@ def _write() -> None:
         cases.append(case)
     doc = {"note": __doc__.split("\n\n")[0], "cases": cases}
     (GOLDEN / "tableau.json").write_text(json.dumps(doc, indent=1) + "\n")
+    cases = []
+    for premises_text, goal_text in _draw_sequents(FALSIFIER_DRAWN):
+        case = {"premises": premises_text, "goal": goal_text}
+        premises, goal = _parse(case)
+        if _vocabulary(premises, goal) <= FALSIFIER_VOCABULARY:
+            case["model"], case["witness"] = countermodel_digest(premises, goal)
+            cases.append(case)
+    assert len(cases) >= FALSIFIER_SEQUENTS, len(cases)
+    doc = {"note": "find_countermodel(premises, goal, JRC, 3) per sequent: "
+                   "SHA-256 of the model JSON and the witness state, or null",
+           "cases": cases[:FALSIFIER_SEQUENTS]}
+    (GOLDEN / "falsifier.json").write_text(json.dumps(doc, indent=1) + "\n")
     for fmt, name in (("text", "corpus.txt"), ("json", "corpus.json")):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):

@@ -501,3 +501,123 @@ def test_calls_answer_by_the_models_family_or_raise_type_error(call, answer):
             call()
     else:
         assert call() == answer
+
+
+# --- the bitset form: _from_masks and the constructor -------------------------
+
+
+def _masks_of(m: RoutleyModel):
+    """The bitset form of a constructed model, read off its pair fields."""
+    ix = {w: i for i, w in enumerate(m.states)}
+
+    def rows(pairs):
+        out = [0] * len(m.states)
+        for a, b in pairs:
+            out[ix[a]] |= 1 << ix[b]
+        return tuple(out)
+
+    tern = tuple(tuple(sum(1 << ix[z] for a, b, z in m.ternary if (a, b) == (x, y))
+                       for y in m.states) for x in m.states)
+    atoms = {}
+    for w, names in m.valuation.items():
+        for a in names:
+            atoms[a] = atoms.get(a, 0) | 1 << ix[w]
+    return (m.states, m.normal, tuple(ix[m.star[w]] for w in m.states), tern, atoms,
+            {t: rows(rel) for t, rel in m.term_rels.items()},
+            {f: rows(rel) for f, rel in m.formula_rel_overrides.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_models_and_universes())
+def test_from_masks_and_the_constructor_build_the_same_model(drawn):
+    drawn_model, universe = drawn
+    # the mask form has the truthset_all default and a valuation entry per state
+    m = RoutleyModel(
+        drawn_model.states, drawn_model.normal, drawn_model.star, drawn_model.ternary,
+        {w: drawn_model.valuation.get(w, frozenset()) for w in drawn_model.states},
+        drawn_model.term_rels, drawn_model.formula_rel_overrides)
+    built = RoutleyModel._from_masks(*_masks_of(m))
+    for name in ("states", "normal", "star", "ternary", "valuation", "term_rels",
+                 "formula_rel_overrides", "formula_rel_default"):
+        assert getattr(built, name) == getattr(m, name), name
+    assert routley_model_to_json(built) == routley_model_to_json(m)
+    for f in closure(universe):
+        assert truthset_jrc(built, f) == truthset_jrc(m, f), print_formula(f)
+    assert check_jrc_conditions(built, universe) == check_jrc_conditions(m, universe)
+
+
+_X = Variable("x")
+
+
+def _masks(**change):
+    # two states, star swapping them, the diagonal ternary relation at w0
+    form = dict(states=("w0", "w1"), normal=frozenset({"w0"}), star=(1, 0),
+                tern=((1, 2), (0, 0)), atoms={"p": 1}, term_rows={_X: (1, 3)},
+                override_rows={p: (1, 0)})
+    form.update(change)
+    return form
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"atoms": {"p": 4}}, "valuation of 'p' holds outside the listed states"),
+    ({"tern": ((1, 2), (0, 4))}, "ternary relation mentions unknown states"),
+    ({"term_rows": {_X: (1, 4)}}, "relation of x mentions unknown states"),
+    ({"override_rows": {p: (-1, 0)}}, "formula relation of p must join listed states"),
+    ({"star": (1, 2)}, "star must map every state to a state"),
+    ({"star": (-1, 0)}, "star must map every state to a state"),
+    ({"star": (1,)}, "star must map every state to a state"),
+    ({"tern": ((1, 2),)}, "ternary relation mentions unknown states"),
+    ({"tern": ((1, 2), (0,))}, "ternary relation mentions unknown states"),
+    ({"term_rows": {_X: (1, 3, 0)}}, "relation of x mentions unknown states"),
+    ({"override_rows": {p: (1,)}}, "formula relation of p must join listed states"),
+    ({"normal": frozenset()}, "normal states must be a nonempty subset of states"),
+    ({"normal": frozenset({"w2"})}, "normal states must be a nonempty subset of states"),
+    ({"states": ("w0", "w0")}, "states must be a nonempty sequence without repeats"),
+], ids=["atom bit", "ternary bit", "term bit", "override bit", "star index",
+        "negative star index", "star count", "ternary row count", "ternary cell count",
+        "term row count", "override row count", "no normal state", "unknown normal state",
+        "repeated state"])
+def test_from_masks_rejects_a_malformed_bitset_form(change, message):
+    RoutleyModel._from_masks(**_masks())  # the unchanged form is well formed
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RoutleyModel._from_masks(**_masks(**change))
+
+
+def _as_kripke(f):
+    """A jrc formula with -> read as => and ~> as >."""
+    if isinstance(f, Atom):
+        return f
+    if isinstance(f, Neg):
+        return Neg(_as_kripke(f.inner))
+    if isinstance(f, Just):
+        return Just(f.term, _as_kripke(f.inner))
+    if isinstance(f, And):
+        return And(_as_kripke(f.left), _as_kripke(f.right))
+    cls = {RelImp: MatImp, RelCf: Counterfactual}[type(f)]
+    return cls(_as_kripke(f.left), _as_kripke(f.right))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_one_state_models_of_both_families_agree(data):
+    """With one state, the star is the identity and the ternary relation
+    its diagonal, so ~ is classical negation and -> material implication; ~>
+    reads the same rows as > does on the relational model."""
+    _, formula = ast_strategies(JRC)
+    f = data.draw(formula)
+    loop = st.sampled_from([frozenset(), frozenset({("w", "w")})])
+
+    def relations(keys):
+        """Some of the keys, each with no pair or the loop at w."""
+        chosen = data.draw(st.frozensets(st.sampled_from(keys))) if keys else ()
+        return {k: data.draw(loop) for k in chosen}
+
+    valuation = {"w": data.draw(st.frozensets(st.sampled_from(sorted(atoms(f)))))}
+    term_rels = relations(sorted({s for t in terms_of(f) for s in subterms(t)}, key=term_key))
+    overrides = relations(sorted(closure([f]), key=formula_key))
+    routley = RoutleyModel(("w",), frozenset({"w"}), {"w": "w"}, {("w", "w", "w")},
+                           valuation, term_rels, overrides)
+    kripke = KripkeModel(("w",), frozenset({"w"}), valuation, {}, term_rels,
+                         {_as_kripke(g): rel for g, rel in overrides.items()})
+    assert eval_jrc(routley, "w", f) == eval_kripke(kripke, "w", _as_kripke(f)), \
+        print_formula(f)
