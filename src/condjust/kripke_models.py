@@ -161,7 +161,11 @@ def _fill(m, states: tuple[str, ...], normal: frozenset[str], default: RelScheme
                    _index=frame.index, _normal_mask=frame.normal_mask,
                    _normal_idx=frame.normal_idx, _checked=scope.normal_mask,
                    _checked_idx=scope.normal_idx, _atoms=atoms, _members=members,
-                   _term_rows=term_rows, _override_rows=override_rows, _star=star, _tern=tern)
+                   _term_rows=term_rows, _override_rows=override_rows, _star=star, _tern=tern,
+                   # the states a default scheme's row R_f(w), the truth set
+                   # of f, is cut to
+                   _scope=frame.normal_mask if default is RelScheme.TruthsetNormal
+                   else 0 if default is RelScheme.Empty else -1)
 
 
 class _Frame(NamedTuple):
@@ -232,11 +236,11 @@ def _holding(masks: dict, i: int) -> frozenset:
 
 
 class _View:
-    """A field made from a model's other fields on first read, then kept on
-    the model: the pair fields of a model built by _from_masks, the default
-    scheme's scope, a Routley model's clauses. A constructed model holds its
-    pair fields, which hide this descriptor. (A __getattr__ would slow every
-    attribute load.)"""
+    """A field made from an object's other fields on first read, then kept
+    on the object: the pair fields of a model built by _from_masks, a
+    Routley model's clauses, the text of a failed condition, a report's
+    verdict. A constructed object holds its own fields, which hide this
+    descriptor. (A __getattr__ would slow every attribute load.)"""
 
     def __init__(self, name: str, build):
         self.name, self.build = name, build
@@ -264,10 +268,6 @@ KripkeModel.formula_rel_overrides = _View("formula_rel_overrides", lambda m: {
 KripkeModel._clauses = (Counterfactual, MatImp, None, None)
 KripkeModel._foreign = "{} has no clause on relational models; use a Routley model"
 KripkeModel._covered = "normal states"  # where the clauses hold, in _fill's messages
-# The states a default scheme's row R_f(w), the truth set of f, is cut to.
-KripkeModel._scope = _View("_scope", lambda m: (
-    m._normal_mask if m.formula_rel_default is RelScheme.TruthsetNormal
-    else 0 if m.formula_rel_default is RelScheme.Empty else -1))
 
 
 # --- constant specifications -------------------------------------------
@@ -407,7 +407,8 @@ class _Evaluator:
         return value
 
     def fill(self, order) -> None:
-        """Cache the mask of each formula in order, none cached yet, children first."""
+        """Cache the mask of each formula in order, children first; each
+        formula's children are in the cache or earlier in order."""
         masks, m = self.masks, self.m
         checked, members, atoms = m._checked, m._members, m._atoms
         overrides, terms, idx, scope = m._override_rows, m._term_rows, m._checked_idx, m._scope
@@ -474,6 +475,31 @@ class _Evaluator:
         return (scope and self.mask(f) & scope,) * len(self.m.states)
 
 
+# The evaluator of the last model asked about, in a one-item list. An
+# evaluator holds its model, so one read of the slot gives a model and its
+# truth sets together, and a thread never gets another model's evaluator.
+# Models never change, so the questions a caller asks of one model in a row
+# (its counterexamples, then its conditions) share one set of truth sets.
+# Not one evaluator per model: that would keep the truth sets of every model
+# a caller retains.
+_NO_MODEL = _Evaluator(None)
+_last = [_NO_MODEL]
+
+
+def _evaluator(m) -> _Evaluator:
+    ev = _last[0]
+    if ev.m is m:
+        return ev
+    # Dropping the old evaluator first lets the new one reuse its memory, and
+    # skipping __init__ saves a call: each is a few percent of a question
+    # about a model not asked about before.
+    _last[0] = ev = _NO_MODEL
+    ev = object.__new__(_Evaluator)
+    ev.m, ev.masks = m, {}
+    _last[0] = ev
+    return ev
+
+
 def _family(m, dialect: Dialect, formulas=()) -> None:
     """Raise TypeError unless the dialect is read on the model's class
     (Routley models for jrc), then check the formulas' grammar."""
@@ -491,7 +517,7 @@ def eval(m, w: str, f: Formula, dialect: Dialect | None = None) -> bool:
         raise ValueError(f"unknown state {w!r}")
     if dialect is not None:
         _family(m, dialect, (f,))
-    return _Evaluator(m).holds(i, f)
+    return _evaluator(m).holds(i, f)
 
 
 eval_kripke = eval  # the same function, under a name that shadows no builtin
@@ -501,7 +527,7 @@ def truthset(m, f: Formula, dialect: Dialect | None = None) -> frozenset[str]:
     """States where f is true, relational non-normal states by membership."""
     if dialect is not None:
         _family(m, dialect, (f,))
-    ts = _Evaluator(m).mask(f)
+    ts = _evaluator(m).mask(f)
     return frozenset(w for i, w in enumerate(m.states) if ts >> i & 1)
 
 
@@ -509,7 +535,7 @@ def valid_in_model(m, f: Formula, dialect: Dialect | None = None) -> bool:
     """True at every normal state."""
     if dialect is not None:
         _family(m, dialect, (f,))
-    return not m._normal_mask & ~_Evaluator(m).mask(f)
+    return not m._normal_mask & ~_evaluator(m).mask(f)
 
 
 def consequence(m, premises, goal: Formula, dialect: Dialect | None = None) -> bool:
@@ -522,8 +548,8 @@ def consequence(m, premises, goal: Formula, dialect: Dialect | None = None) -> b
 
 def _counterexamples(m, premises, goal: Formula) -> int:
     """The normal states where every premise holds and the goal fails, as a
-    mask read off one evaluator."""
-    ev = _Evaluator(m)
+    mask read off the model's evaluator."""
+    ev = _evaluator(m)
     counter = m._normal_mask & ~ev.mask(goal)
     for f in premises:
         counter &= ev.mask(f)
@@ -564,6 +590,18 @@ class ConditionResult:
     witness: tuple | None = None
     detail: str = ""
 
+    def __reduce__(self):
+        # the fields alone: a detail not read yet is made here, so no
+        # check's text function is pickled
+        return ConditionResult, (self.condition, self.passed, self.witness, self.detail)
+
+
+def _failed(cid: str, witness: tuple, text) -> ConditionResult:
+    """A failed condition whose detail is text() when first read."""
+    r = object.__new__(ConditionResult)
+    vars(r).update(condition=cid, passed=False, witness=witness, _text=text)
+    return r
+
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -571,12 +609,14 @@ class ConditionReport:
     results: tuple[ConditionResult, ...]
     approximation_note: str = APPROXIMATION_NOTE
 
-    @property
-    def ok(self) -> bool:
-        return all(r.passed for r in self.results)
-
     def failures(self) -> tuple[ConditionResult, ...]:
         return tuple(r for r in self.results if not r.passed)
+
+
+# Set after the classes are made, so that the dataclass fields keep their
+# defaults; _report sets ok as it collects the results.
+ConditionResult.detail = _View("detail", lambda r: vars(r)["_text"]())
+ConditionReport.ok = _View("ok", lambda r: all(x.passed for x in r.results))
 
 
 def default_universe(m, queries=()) -> set[Formula]:
@@ -596,12 +636,17 @@ def _query_part(queries: frozenset[Formula]):
     return formulas, frozenset(terms), tuple(sorted(terms, key=term_key))
 
 
-def _report(name: str, cids, checks: dict, m, ev, universe,
+def _report(name: str, cids, checks: dict, m, universe,
             cs: ConstantSpecification | None = None) -> ConditionReport:
     """Run the checks named by cids over the sorted closure of the universe,
-    its terms and the model's; each check reads only masks."""
+    its terms and the model's; each check reads only masks, and a failed
+    one's text is made when first read."""
     formulas, query_terms, terms = _query_part(frozenset(universe))
-    ev.fill(formulas)  # sorted by size, so children come first
+    ev = _evaluator(m)
+    masks = ev.masks
+    todo = [f for f in formulas if f not in masks] if masks else formulas
+    if todo:
+        ev.fill(todo)  # sorted by size, so children come first
     # The query terms are closed under subterms; the model may add others.
     extra: set[Term] = set()
     for t in m._term_rows:
@@ -610,10 +655,19 @@ def _report(name: str, cids, checks: dict, m, ev, universe,
     if extra:
         terms = sorted(query_terms | extra, key=term_key)
     results = []
+    ok = True
     for cid in cids:
-        passed, witness, detail = checks[cid](m, ev, formulas, terms, cs)
-        results.append(_PASSED[cid] if passed else ConditionResult(cid, passed, witness, detail))
-    return ConditionReport(name, tuple(results))
+        passed, witness, text = checks[cid](m, ev, formulas, terms, cs)
+        if passed:
+            results.append(_PASSED[cid])
+        else:
+            ok = False
+            results.append(_failed(cid, witness, text))
+    # built as _failed builds a result, skipping the frozen __init__'s setattr calls
+    report = object.__new__(ConditionReport)
+    vars(report).update(profile=name, results=tuple(results),
+                        approximation_note=APPROXIMATION_NOTE, ok=ok)
+    return report
 
 
 def check_conditions(m: KripkeModel, profile: VariantProfile, universe,
@@ -621,12 +675,13 @@ def check_conditions(m: KripkeModel, profile: VariantProfile, universe,
     """Check the profile's frame conditions over a finite formula universe."""
     if not isinstance(m, KripkeModel):
         raise TypeError(f"check_conditions needs a KripkeModel, not {type(m).__name__}")
-    return _report(profile.name, profile.conditions, _CHECKS, m, _Evaluator(m), universe, cs)
+    return _report(profile.name, profile.conditions, _CHECKS, m, universe, cs)
 
 
 # Each condition walks its formulas, terms and normal states in the same order
-# and reports the first failure; a witness state taken from a mask is its
-# lowest bit, the first such state in state order.
+# and reports the first failure, with a function that makes its text; a
+# witness state taken from a mask is its lowest bit, the first such state in
+# state order.
 
 
 def _cond_antecedent_truth(m, ev, formulas, terms, cs):
@@ -641,7 +696,7 @@ def _cond_antecedent_truth(m, ev, formulas, terms, cs):
             stray = rows[i] & ~ts
             if stray:
                 w, v = m.states[i], _lowest(m, stray)
-                return False, (w, f, v), (
+                return False, (w, f, v), lambda w=w, f=f, v=v: (
                     f"R[{print_formula(f)}]({w}) reaches {v} where the antecedent fails")
     return True, None, ""
 
@@ -658,8 +713,8 @@ def _cond_weak_centering(m, ev, formulas, terms, cs):
         missed = ev.mask(f) & checked & ~_diagonal(ev.rel_rows(f))
         if missed:
             w = _lowest(m, missed)
-            return False, (w, f), (
-                f"{w} satisfies {print_formula(f)} but R[{print_formula(f)}]({w}) misses it")
+            return False, (w, f), lambda w=w, f=f: (
+                "{0} satisfies {1} but R[{1}]({0}) misses it".format(w, print_formula(f)))
     return True, None, ""
 
 
@@ -676,7 +731,7 @@ def _cond_constants(m, ev, formulas, terms, cs):
             stray = rows[i] & ~ts
             if stray:
                 w, v = m.states[i], _lowest(m, stray)
-                return False, (w, c, f), (
+                return False, (w, c, f), lambda w=w, name=name, v=v: (
                     f"R[{name}]({w}) reaches {v} outside the specified formula's truth set")
     return True, None, ""
 
@@ -688,8 +743,8 @@ def _cond_sum(m, ev, formulas, terms, cs):
         rows, left, right = ev.term_rows(t), ev.term_rows(t.left), ev.term_rows(t.right)
         for i in m._checked_idx:
             if rows[i] & ~(left[i] & right[i]):
-                return False, (m.states[i], t.left, t.right), (
-                    f"R[{print_term(t)}]({m.states[i]}) exceeds the intersection of its parts")
+                return False, (m.states[i], t.left, t.right), lambda w=m.states[i], t=t: (
+                    f"R[{print_term(t)}]({w}) exceeds the intersection of its parts")
     return True, None, ""
 
 
@@ -717,7 +772,7 @@ def _cond_application(m, ev, formulas, terms, cs):
                     if any(not left[i] & ~ev.mask(hook(a, b))
                            for hook in (Counterfactual, MatImp)):
                         w, v = m.states[i], _lowest(m, stray)
-                        return False, (w, t, v), (
+                        return False, (w, t, v), lambda w=w, t=t, v=v, a=a, b=b: (
                             f"R[{print_term(t)}]({w}) reaches {v} although "
                             f"{print_term(t.left)} justifies the step from "
                             f"{print_formula(a)} to {print_formula(b)}")
@@ -750,7 +805,7 @@ def _cond_chained_application(m, ev, formulas, terms, cs):
                             u = next(_bits(hit))
                             u2 = _lowest(m, rows[u] & ~ev.mask(b))
                             w, v, u = m.states[i], m.states[v], m.states[u]
-                            return False, (w, v, u, u2, t, a, b), (
+                            return False, (w, v, u, u2, t, a, b), lambda t=t, u2=u2: (
                                 f"chained application through {print_term(t)} escapes "
                                 f"the consequent truth set at {u2}")
     return True, None, ""
@@ -761,7 +816,7 @@ def _cond_reflexive_terms(m, ev, formulas, terms, cs):
         missed = m._normal_mask & ~_diagonal(ev.term_rows(t))
         if missed:
             w = _lowest(m, missed)
-            return False, (w, t), f"R[{print_term(t)}] is not reflexive at {w}"
+            return False, (w, t), lambda w=w, t=t: f"R[{print_term(t)}] is not reflexive at {w}"
     return True, None, ""
 
 
@@ -776,9 +831,9 @@ def _cond_checker(m, ev, formulas, terms, cs):
                 missed = inner_rows[v] & ~inner_rows[i]
                 if missed:
                     w, v, u = m.states[i], m.states[v], _lowest(m, missed)
-                    return False, (w, v, u, inner), (
-                        f"R[{print_term(t)}] step to {v} then R[{print_term(inner)}] "
-                        f"to {u} is not matched by R[{print_term(inner)}]({w})")
+                    return False, (w, v, u, inner), lambda w=w, v=v, u=u, t=t: (
+                        f"R[{print_term(t)}] step to {v} then R[{print_term(t.inner)}] "
+                        f"to {u} is not matched by R[{print_term(t.inner)}]({w})")
     return True, None, ""
 
 
@@ -796,7 +851,7 @@ def _cond_pair(m, ev, formulas, terms, cs):
                 missed = rows[i] & ~ev.mask(target)
                 if missed:
                     w, v = m.states[i], _lowest(m, missed)
-                    return False, (w, t, b, v), (
+                    return False, (w, t, b, v), lambda w=w, t=t, v=v, target=target: (
                         f"R[{print_term(t)}]({w}) reaches {v} where "
                         f"{print_formula(target)} fails")
     return True, None, ""
@@ -813,7 +868,7 @@ def _cond_rel_extensionality(m, ev, formulas, terms, cs):
             if a is b or ts_a != ts_b:
                 continue
             if rows_a != rows_b:
-                return False, (a, b), (
+                return False, (a, b), lambda a=a, b=b: (
                     f"{print_formula(a)} and {print_formula(b)} agree on normal states "
                     f"but have different relations")
     return True, None, ""

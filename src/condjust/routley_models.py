@@ -21,8 +21,8 @@ import functools
 from dataclasses import dataclass, field
 
 from condjust.kripke_models import (
-    ConditionReport, KripkeModel, Pairs, RelScheme, _UNKNOWN_PAIR, _Evaluator,
-    _Frame, _View, _array, _bits, _check_document, _cond_antecedent_truth,
+    ConditionReport, KripkeModel, Pairs, RelScheme, _UNKNOWN_PAIR, _Frame,
+    _View, _array, _bits, _check_document, _cond_antecedent_truth,
     _cond_sum, _cond_weak_centering, _diagonal, _fill, _frame, _freeze, _holding,
     _load_fields, _lowest, _object, _report, _rows, _state_masks,
     consequence, eval as _eval, model_to_json, truthset, valid_in_model,
@@ -116,7 +116,6 @@ RoutleyModel.valuation = _View("valuation", lambda m: {
     w: _holding(m._atoms, i) for i, w in enumerate(m.states)})
 RoutleyModel.term_rels = KripkeModel.term_rels
 RoutleyModel.formula_rel_overrides = KripkeModel.formula_rel_overrides
-RoutleyModel._scope = KripkeModel._scope
 RoutleyModel._foreign = "{} has no clause on Routley models; use a relational model"
 RoutleyModel._covered = "listed states"
 # An identity star reads ~ as the complement.
@@ -142,7 +141,7 @@ def check_jrc_conditions(m: RoutleyModel, universe) -> ConditionReport:
     """Star involution, ternary normality, and the three frame conditions."""
     if not isinstance(m, RoutleyModel):
         raise TypeError(f"check_jrc_conditions needs a RoutleyModel, not {type(m).__name__}")
-    return _report("jrc", _JRC_CHECKS, _JRC_CHECKS, m, _Evaluator(m), universe)
+    return _report("jrc", _JRC_CHECKS, _JRC_CHECKS, m, universe)
 
 
 # Each check has the signature of the kripke_models checks; conditions 2 and
@@ -154,7 +153,8 @@ def _star_involution(m, ev, formulas, terms, cs):
     for i, s in enumerate(m._star):
         if m._star[s] != i:
             w = m.states[i]
-            return False, (w,), f"star(star({w})) = {m.states[m._star[s]]}, expected {w}"
+            return False, (w,), lambda w=w, v=m.states[m._star[s]]: (
+                f"star(star({w})) = {v}, expected {w}")
     return True, None, ""
 
 
@@ -168,12 +168,13 @@ def _normality(m, ev, formulas, terms, cs):
             off = row & ~(1 << y)
             if off:
                 b, c = m.states[y], _lowest(m, off)
-                return False, (w, b, c), (
+                return False, (w, b, c), lambda w=w, b=b, c=c: (
                     f"normal state {w} has off-diagonal ternary triple ({w}, {b}, {c})")
         missing = m._checked & ~_diagonal(rows)
         if missing:
             v = _lowest(m, missing)
-            return False, (w, v), f"normal state {w} lacks the diagonal triple ({w}, {v}, {v})"
+            return False, (w, v), lambda w=w, v=v: (
+                f"normal state {w} lacks the diagonal triple ({w}, {v}, {v})")
     return True, None, ""
 
 

@@ -9,7 +9,11 @@ holds about 300 more such sequents, each with the SHA-256 digest of the model
 JSON and the witness state that ``find_countermodel`` returns at bound 3, or
 null for none; it keeps only sequents whose vocabulary (atoms plus
 implication, conditional and justification subformulas) has at most 3
-members, so the search stays fast.  ``golden/corpus.txt`` and
+members, so the search stays fast.  Those countermodels have one or two
+states, so ``golden/falsifier.json`` says little about the bit layout of
+larger ones: ``golden/falsifier_states.json`` holds deeper sequents drawn
+as the ``crosscheck`` benchmark draws them, kept when their countermodel has
+2 or 3 states, each with the same digest.  ``golden/corpus.txt`` and
 ``golden/corpus.json`` are the text and JSON output of ``condjust corpus``.
 A change to the prover's or the falsifier's data structures must leave all
 of them unchanged; a change to a rule or to the schedule rewrites them on
@@ -18,7 +22,9 @@ purpose with ``PYTHONPATH=src python tests/test_golden.py``.
 
 import hashlib
 import json
+import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -34,6 +40,9 @@ BUDGETS = {"6/500": Budget(6, 500), "default": Budget()}
 SEQUENTS = 300
 # falsifier.json: sequents kept, the largest vocabulary kept, sequents drawn
 FALSIFIER_SEQUENTS, FALSIFIER_VOCABULARY, FALSIFIER_DRAWN = 300, 3, 700
+# falsifier_states.json: sequents kept per countermodel size, the largest
+# vocabulary drawn, the draw's seed
+STATE_CASES, STATE_VOCABULARY, STATE_SEED = {2: 60, 3: 40}, 7, "falsifier-states"
 
 
 def result_digest(premises, goal, budget: Budget) -> str:
@@ -90,6 +99,15 @@ def test_countermodels_match_golden():
         assert got == (case["model"], case["witness"]), (case["premises"], case["goal"])
 
 
+def test_multistate_countermodels_match_golden():
+    cases = json.loads((GOLDEN / "falsifier_states.json").read_text())["cases"]
+    assert Counter(case["states"] for case in cases) == STATE_CASES
+    for case in cases:
+        premises, goal = _parse(case)
+        got = countermodel_digest(premises, goal)
+        assert got == (case["model"], case["witness"]), (case["premises"], case["goal"])
+
+
 @pytest.mark.parametrize("fmt,name", [("text", "corpus.txt"), ("json", "corpus.json")])
 def test_corpus_output_matches_golden(fmt, name, capsys):
     assert main(["corpus", "--format", fmt]) == 0
@@ -116,6 +134,41 @@ def _draw_sequents(count: int) -> list[tuple[list[str], str]]:
 
     draw()
     return [(list(p), g) for p, g in seen]
+
+
+def _state_cases() -> list[dict]:
+    """Sequents drawn by the crosscheck benchmark's generator with a goal of
+    depth 4 and up to two premises of depth 3, kept while STATE_CASES wants
+    one whose countermodel at bound 3 has that many states."""
+    sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+    from gen import random_jrc_formula
+
+    from condjust.syntax import print_formula
+
+    rng = random.Random(STATE_SEED)
+    left, cases = dict(STATE_CASES), []
+    while any(left.values()):
+        goal = random_jrc_formula(rng, 4)
+        premises = [random_jrc_formula(rng, 3) for _ in range(rng.randrange(3))]
+        if _vocabulary(premises, goal) > STATE_VOCABULARY:
+            continue
+        found = find_countermodel(premises, goal, Dialect.JRC, 3)
+        size = len(found[0].states) if found else 0
+        if left.get(size):
+            left[size] -= 1
+            case = {"premises": [print_formula(f) for f in premises],
+                    "goal": print_formula(goal), "states": size}
+            case["model"], case["witness"] = countermodel_digest(premises, goal)
+            cases.append(case)
+    return cases
+
+
+def _write_states() -> None:
+    doc = {"note": "find_countermodel(premises, goal, JRC, 3) per sequent, for "
+                   "sequents whose countermodel has 2 or 3 states: SHA-256 of the "
+                   "model JSON and the witness state",
+           "cases": _state_cases()}
+    (GOLDEN / "falsifier_states.json").write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def _write() -> None:
@@ -145,6 +198,7 @@ def _write() -> None:
                    "SHA-256 of the model JSON and the witness state, or null",
            "cases": cases[:FALSIFIER_SEQUENTS]}
     (GOLDEN / "falsifier.json").write_text(json.dumps(doc, indent=1) + "\n")
+    _write_states()
     for fmt, name in (("text", "corpus.txt"), ("json", "corpus.json")):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
