@@ -24,7 +24,7 @@ from condjust.syntax import (
     And, App, Atom, Bang, Box, Constant, Counterfactual, Dialect, Formula,
     Just, MatImp, Neg, Pair, Sum, Term, check_dialect_formula, closure,
     formula_key, parse_formula, parse_term, print_formula, print_term,
-    subterms, term_key, terms_of, _children, _plan, _sorted_by_key,
+    subterms, term_key, terms_of, _INTERNED, _plan, _sorted_by_key,
 )
 
 __all__ = [
@@ -398,11 +398,7 @@ class _Evaluator:
         masks = self.masks
         value = masks.get(f)
         if value is None:
-            if masks and all(c in masks for c in _children(f)):
-                order = (f,)  # built over cached formulas, as condition checks build them
-            else:
-                order = [g for g in _plan(f) if g not in masks] if masks else _plan(f)
-            self.fill(order)
+            self.fill([g for g in _plan(f) if g not in masks] if masks else _plan(f))
             value = masks[f]
         return value
 
@@ -748,29 +744,94 @@ def _cond_sum(m, ev, formulas, terms, cs):
     return True, None, ""
 
 
+# Conditions 5, 5p and 8 ask about a > b, a => b and t:a over formulas a, b
+# of the universe. At a normal state those follow from the masks of a and b;
+# at a non-normal one only a literal entry makes them true, and an entry is
+# a formula that was built, so it is found through the intern table. The
+# helpers below read them so, building no formula.
+
+
+def _literal(members: dict, key: tuple) -> int:
+    """The non-normal states holding the formula with intern key key
+    (class, then fields) as a literal entry. A formula never built is no
+    entry, so a miss in the intern table builds nothing and answers 0."""
+    return members.get(_INTERNED.get(key), 0) if members else 0
+
+
+def _cf_mask(m, ev, a: Formula, b: Formula) -> tuple[Formula | None, int]:
+    """a > b, interned or None, and the mask ev.mask would give it, without
+    building it: the cached mask, else the clause over the masks of a and
+    b at the normal states and the literal entries elsewhere."""
+    f = _INTERNED.get((Counterfactual, a, b))
+    value = ev.masks.get(f)
+    if value is None:
+        ts_b = ev.mask(b)
+        rows = m._override_rows.get(a)
+        value = (_inside(m._normal_idx, rows, ts_b) if rows is not None
+                 else 0 if ev.mask(a) & m._scope & ~ts_b else -1)
+        value = value & m._normal_mask | m._members.get(f, 0)
+    return f, value
+
+
+def _just_rows(m, ev, s: Term, f: Formula | None, ts_f: int) -> tuple[int, ...]:
+    """ev.rel_rows(s:f) without building s:f, given f's mask ts_f; f is
+    None when it is not interned, and then s:f is not either."""
+    g = None if f is None else _INTERNED.get((Just, s, f))
+    rows = m._override_rows.get(g)
+    if rows is not None:
+        return rows
+    scope = m._scope
+    if scope:
+        value = ev.masks.get(g)
+        if value is None:
+            rows = m._term_rows.get(s)
+            value = -1 if rows is None else _inside(m._normal_idx, rows, ts_f)
+            value = value & m._normal_mask | m._members.get(g, 0)
+        scope &= value
+    return (scope,) * len(m.states)
+
+
 def _cond_application(m, ev, formulas, terms, cs):
     # A failure needs all of: t.right justifies a at w, R[t](w) leaves the
-    # truth set of b, and t.left justifies a > b or a -> b at w. The cheap
-    # tests come first, so the conditionals are built only for such pairs.
+    # truth set of b, and t.left justifies a > b or a => b at w. The cheap
+    # tests come first. Whether a > b and a => b hold on R[t.left](w) is read
+    # off the masks of a and b at the normal states it reaches and off the
+    # literal entries at the others, so neither conditional is built.
     truth = None
     for t in terms:
         if not isinstance(t, App):
             continue
         if truth is None:
             truth = [ev.mask(f) for f in formulas]
+            normal, members, overrides, scope = (
+                m._normal_mask, m._members, m._override_rows, m._scope)
         rows, left, right = ev.term_rows(t), ev.term_rows(t.left), ev.term_rows(t.right)
         for i in m._normal_idx:
-            if not rows[i]:
-                continue
+            row, reach = rows[i], left[i]
+            inside, outside = reach & normal, reach & ~normal
+            if not row or outside and not members:
+                continue  # nothing escapes, or no conditional holds outside
             for a, ts_a in zip(formulas, truth):
                 if right[i] & ~ts_a:
                     continue
+                # a > b holds on inside when the union of R_a over it lies
+                # in the truth set of b, and a => b when inside & ts_a does
+                rel = overrides.get(a)
+                if rel is None:
+                    cf_need = inside and ts_a & scope
+                else:
+                    cf_need = 0
+                    for v in _bits(inside):
+                        cf_need |= rel[v]
+                mat_need = inside & ts_a
                 for b, ts_b in zip(formulas, truth):
-                    stray = rows[i] & ~ts_b
+                    stray = row & ~ts_b
                     if not stray:
                         continue
-                    if any(not left[i] & ~ev.mask(hook(a, b))
-                           for hook in (Counterfactual, MatImp)):
+                    if (not cf_need & ~ts_b and not outside & ~_literal(
+                            members, (Counterfactual, a, b))) or (
+                            not mat_need & ~ts_b and not outside & ~_literal(
+                                members, (MatImp, a, b))):
                         w, v = m.states[i], _lowest(m, stray)
                         return False, (w, t, v), lambda w=w, t=t, v=v, a=a, b=b: (
                             f"R[{print_term(t)}]({w}) reaches {v} although "
@@ -780,6 +841,8 @@ def _cond_application(m, ev, formulas, terms, cs):
 
 
 def _cond_chained_application(m, ev, formulas, terms, cs):
+    # R_{t.left:(a > b)} and R_{t.right:a} are read off the masks of a, b and
+    # a > b, as _just_rows and _cf_mask give them; neither formula is built.
     normal = m._normal_mask
     for t in terms:
         if not isinstance(t, App):
@@ -796,8 +859,8 @@ def _cond_chained_application(m, ev, formulas, terms, cs):
                 if not esc:
                     continue
                 if r2 is None:
-                    r2 = ev.rel_rows(Just(t.right, a))
-                r1 = ev.rel_rows(Just(t.left, Counterfactual(a, b)))
+                    r2 = _just_rows(m, ev, t.right, a, ev.mask(a))
+                r1 = _just_rows(m, ev, t.left, *_cf_mask(m, ev, a, b))
                 for i in m._normal_idx:
                     for v in _bits(r1[i] & normal):
                         hit = r2[v] & esc
@@ -844,16 +907,18 @@ def _cond_pair(m, ev, formulas, terms, cs):
         rows, inner_rows = ev.term_rows(t), ev.term_rows(t.inner)
         for b in formulas:
             ts_b = ev.mask(b)
-            target = Counterfactual(t.antecedent, b)
+            target = None  # the mask of t.antecedent > b, once it is needed
             for i in m._normal_idx:
                 if inner_rows[i] & ~ts_b:
                     continue  # t.inner does not justify b here
-                missed = rows[i] & ~ev.mask(target)
+                if target is None:
+                    target = _cf_mask(m, ev, t.antecedent, b)[1]
+                missed = rows[i] & ~target
                 if missed:
                     w, v = m.states[i], _lowest(m, missed)
-                    return False, (w, t, b, v), lambda w=w, t=t, v=v, target=target: (
+                    return False, (w, t, b, v), lambda w=w, t=t, v=v, b=b: (
                         f"R[{print_term(t)}]({w}) reaches {v} where "
-                        f"{print_formula(target)} fails")
+                        f"{print_formula(Counterfactual(t.antecedent, b))} fails")
     return True, None, ""
 
 

@@ -13,9 +13,15 @@ members, so the search stays fast.  Those countermodels have one or two
 states, so ``golden/falsifier.json`` says little about the bit layout of
 larger ones: ``golden/falsifier_states.json`` holds deeper sequents drawn
 as the ``crosscheck`` benchmark draws them, kept when their countermodel has
-2 or 3 states, each with the same digest.  ``golden/corpus.txt`` and
+2 or 3 states, each with the same digest.  ``golden/conditions.json`` holds,
+for each Kripke profile, relational models drawn by ``sample_models`` over a
+formula universe and the same models with their term rows, relation
+overrides and default scheme redrawn, each with its model JSON, its queries
+and every ``(condition, passed, witness, detail)`` that ``check_conditions``
+reports.  ``golden/corpus.txt`` and
 ``golden/corpus.json`` are the text and JSON output of ``condjust corpus``.
-A change to the prover's or the falsifier's data structures must leave all
+A change to the prover's, the falsifier's or the condition checks' data
+structures must leave all
 of them unchanged; a change to a rule or to the schedule rewrites them on
 purpose with ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -30,9 +36,17 @@ from pathlib import Path
 import pytest
 
 from condjust.cli import main
-from condjust.falsifier import SearchSignature, find_countermodel
+from condjust.falsifier import SearchSignature, find_countermodel, sample_models
+from condjust.kripke_models import (
+    KripkeModel, RelScheme, check_conditions, default_universe, load_model,
+    model_to_json, profile_for,
+)
 from condjust.routley_models import routley_model_to_json
-from condjust.syntax import Dialect, Just, RelCf, RelImp, parse_formula
+from condjust.syntax import (
+    And, App, Atom, Bang, Box, Constant, Counterfactual, Dialect, Just, MatImp,
+    Neg, Pair, RelCf, RelImp, Sum, Variable, closure, formula_key, parse_formula,
+    print_formula, print_term,
+)
 from condjust.tableau import Budget, Closed, Exhausted, Open, prove
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -43,6 +57,11 @@ FALSIFIER_SEQUENTS, FALSIFIER_VOCABULARY, FALSIFIER_DRAWN = 300, 3, 700
 # falsifier_states.json: sequents kept per countermodel size, the largest
 # vocabulary drawn, the draw's seed
 STATE_CASES, STATE_VOCABULARY, STATE_SEED = {2: 60, 3: 40}, 7, "falsifier-states"
+# conditions.json: the Kripke dialects, models sampled per dialect (each
+# also kept perturbed), the draw's seed
+CONDITION_DIALECTS = (Dialect.LPCplus, Dialect.LPCint, Dialect.LPCprime, Dialect.LPCKplus,
+                      Dialect.J4Cplus, Dialect.JCplus, Dialect.L)
+CONDITION_MODELS, CONDITION_SEED = 12, "conditions"
 
 
 def result_digest(premises, goal, budget: Budget) -> str:
@@ -108,6 +127,30 @@ def test_multistate_countermodels_match_golden():
         assert got == (case["model"], case["witness"]), (case["premises"], case["goal"])
 
 
+_FORMULAS = (Atom, Neg, And, MatImp, Counterfactual, Just, Box)
+_TERMS = (Constant, Variable, App, Sum, Bang, Pair)
+
+
+def condition_results(m, dialect: Dialect, queries) -> list:
+    """check_conditions over the default universe of the queries, each
+    result as [condition, passed, witness, detail], formulas and terms of
+    the witness printed."""
+    report = check_conditions(m, profile_for(dialect), default_universe(m, queries))
+    return [[r.condition, r.passed, None if r.witness is None else [
+        print_formula(x) if isinstance(x, _FORMULAS) else
+        print_term(x) if isinstance(x, _TERMS) else x for x in r.witness], r.detail]
+        for r in report.results]
+
+
+def test_condition_reports_match_golden():
+    cases = json.loads((GOLDEN / "conditions.json").read_text())["cases"]
+    assert len(cases) == 2 * CONDITION_MODELS * len(CONDITION_DIALECTS)
+    for case in cases:
+        m, dialect = load_model(case["model"])
+        queries = [parse_formula(t, dialect) for t in case["queries"]]
+        assert condition_results(m, dialect, queries) == case["results"], case["model"]
+
+
 @pytest.mark.parametrize("fmt,name", [("text", "corpus.txt"), ("json", "corpus.json")])
 def test_corpus_output_matches_golden(fmt, name, capsys):
     assert main(["corpus", "--format", fmt]) == 0
@@ -171,6 +214,71 @@ def _write_states() -> None:
     (GOLDEN / "falsifier_states.json").write_text(json.dumps(doc, indent=1) + "\n")
 
 
+def _random_formula(rng, dialect: Dialect, depth: int, terms):
+    """A formula over p and q of at most the given depth, its justifications
+    by the given terms; [] only in l."""
+    if depth == 0 or rng.random() < 0.2:
+        return Atom(rng.choice("pq"))
+    kinds = ["~", "&", "=>", ">", ":", ":"] + ["[]"] * (dialect is Dialect.L)
+    kind = rng.choice(kinds)
+    sub = lambda: _random_formula(rng, dialect, depth - 1, terms)  # noqa: E731
+    if kind == "~":
+        return Neg(sub())
+    if kind == "[]":
+        return Box(sub())
+    if kind == ":":
+        return Just(rng.choice(terms), sub())
+    return {"&": And, "=>": MatImp, ">": Counterfactual}[kind](sub(), sub())
+
+
+def _condition_cases() -> list[dict]:
+    """Per Kripke dialect: queries holding the shapes conditions 5, 5p and 8
+    look for (t:(a > b), t:(a => b), t:a over small a and b), models that
+    sample_models draws over them, then the same models with redrawn term
+    rows, overrides and default scheme, which break the conditions."""
+    rng = random.Random(CONDITION_SEED)
+    x, y = Variable("x"), Variable("y")
+    cases = []
+    for d in CONDITION_DIALECTS:
+        terms = [x, y, Constant("c"), App(x, y), App(y, x), Sum(x, y), Bang(x)]
+        if d is Dialect.LPCint:
+            terms += [Pair(x, Atom("p")), Pair(y, Neg(Atom("q")))]
+        a, b = (_random_formula(rng, d, 1, terms) for _ in range(2))
+        queries = [_random_formula(rng, d, 3, terms) for _ in range(2)]
+        queries += [Just(x, Counterfactual(a, b)), Just(y, MatImp(a, b)), Just(y, a),
+                     Just(App(x, y), b), Counterfactual(a, b), MatImp(a, b)]
+        queries += [Just(t, b) for t in terms if isinstance(t, Pair)]
+        sampled = sample_models(d, ("p", "q"), terms, CONDITION_MODELS, rng, universe=queries)
+        pool = sorted(closure(queries), key=formula_key)
+        for m in [*sampled, *(_perturbed(m, terms, pool, rng) for m in sampled)]:
+            cases.append({"model": model_to_json(m, d),
+                          "queries": [print_formula(f) for f in queries],
+                          "results": condition_results(m, d, queries)})
+    return cases
+
+
+def _perturbed(m, terms, pool, rng) -> KripkeModel:
+    """m with every term row, some formula relations and the default scheme
+    redrawn at random."""
+    states = m.states
+    normal = [w for w in states if w in m.normal]
+    term_rels = {t: {(v, u) for v in states for u in states if rng.random() < 0.4}
+                 for t in terms}
+    overrides = {f: {(v, u) for v in normal for u in normal if rng.random() < 0.5}
+                 for f in pool if rng.random() < 0.3}
+    return KripkeModel(states, m.normal, m.valuation, m.nonnormal_valuation, term_rels,
+                       overrides, rng.choice(list(RelScheme)))
+
+
+def _write_conditions() -> None:
+    cases = _condition_cases()
+    # one case per line: the model documents would take a line per pair
+    body = ",\n".join(json.dumps(case, sort_keys=True) for case in cases)
+    note = json.dumps("check_conditions(model, profile, default_universe(model, "
+                      "queries)) per case: [condition, passed, witness, detail]")
+    (GOLDEN / "conditions.json").write_text(f'{{"note": {note}, "cases": [\n{body}\n]}}\n')
+
+
 def _write() -> None:
     """Redraw the sequents and rewrite every golden file from this checkout."""
     import contextlib
@@ -199,6 +307,7 @@ def _write() -> None:
            "cases": cases[:FALSIFIER_SEQUENTS]}
     (GOLDEN / "falsifier.json").write_text(json.dumps(doc, indent=1) + "\n")
     _write_states()
+    _write_conditions()
     for fmt, name in (("text", "corpus.txt"), ("json", "corpus.json")):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):

@@ -8,14 +8,14 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import condjust
-from condjust.falsifier import find_countermodel
+from condjust.falsifier import find_countermodel, sample_models
 from condjust.fixtures import fixture_json
 from condjust.kripke_models import (
     AxiomaticallyAppropriate, ConditionReport, Explicit, KripkeModel,
-    RelScheme, VariantProfile, _Evaluator, _counterexamples,
+    RelScheme, VariantProfile, _Evaluator, _cf_mask, _counterexamples, _just_rows, _literal,
     check_conditions, consequence, cs_entries, default_universe,
     eval as keval, jtb, knowledge, load_model, model_to_json, profile_for,
     truthset, valid_in_model,
@@ -610,6 +610,186 @@ def test_conditions_match_per_state_reference(conditions, drawn, data):
     rep = check_conditions(m, VariantProfile("reference", conditions), universe, cs)
     got = [(r.condition, r.passed, r.witness, r.detail) for r in rep.results]
     assert got == _ref_conditions(m, conditions, universe, cs)
+
+
+# --- conditions 5, 5p and 8 read a > b, a => b and t:a without building them ---
+
+
+_HOOK_TERMS = (_x, _y, App(_x, _y), App(Pair(_y, q), _x), Sum(_x, _y), Bang(_x), Pair(_x, p))
+_KRIPKE_DIALECTS = (Dialect.LPCplus, Dialect.LPCint, Dialect.LPCprime, Dialect.LPCKplus,
+                    Dialect.J4Cplus, Dialect.JCplus, Dialect.L)
+
+
+def _hooks(formulas, terms):
+    """The intern-table keys of every a > b, a => b and t:a over the
+    formulas and terms: what conditions 5, 5p and 8 ask about."""
+    return [key for a in formulas for b in formulas
+            for key in ((Counterfactual, a, b), (MatImp, a, b))] + [
+        (Just, t, a) for t in terms for a in formulas]
+
+
+def test_condition_checks_build_no_formula():
+    """Every Kripke profile on sampled models with literal entries, and on
+    the same models with random term rows: the intern table does not grow."""
+    rng = random.Random(18)
+    queries = [Just(App(_x, _y), q), Just(_y, MatImp(p, q)), Just(_x, Counterfactual(p, q)),
+               Just(Pair(_x, p), q), Just(App(Pair(_y, q), _x), Neg(p)), Counterfactual(q, p)]
+    universe = closure(queries)
+    for d in _KRIPKE_DIALECTS:
+        models = sample_models(d, ("p", "q"), _HOOK_TERMS, 15, rng, universe=queries)
+        models += [KripkeModel(m.states, m.normal, m.valuation, m.nonnormal_valuation, {
+            t: {(v, u) for v in m.states for u in m.states if rng.random() < 0.5}
+            for t in _HOOK_TERMS}) for m in models]
+        before = len(condjust.syntax._INTERNED)
+        reports = [check_conditions(m, profile_for(d), universe) for m in models]
+        assert len(condjust.syntax._INTERNED) == before, d
+        assert any(not r.ok for r in reports)
+
+
+def test_condition_checks_leave_fresh_hooks_unbuilt():
+    """Over atoms no other test names, none of the formulas conditions 5,
+    5p and 8 ask about exists before the check or after it, and the report
+    still equals the reference, which builds them."""
+    a, b = Atom("hook_fresh_a"), Atom("hook_fresh_b")
+    st_term, pair = App(_x, _y), Pair(_x, a)
+    m = KripkeModel(
+        ("w", "v", "u"), frozenset({"w", "v"}),
+        {"w": frozenset({"hook_fresh_a", "hook_fresh_b"}), "v": frozenset({"hook_fresh_a"})},
+        {"u": {a}},
+        {_x: {("w", "w"), ("w", "u")}, _y: {("w", "w")}, st_term: {("w", "v")},
+         pair: {("w", "u"), ("v", "v")}})
+    universe = {Just(st_term, b), Just(_y, a), Just(pair, b)}
+    formulas = sorted(closure(universe), key=formula_key)
+    hooks = _hooks(formulas, (_x, _y, st_term, pair))
+    assert all(condjust.syntax._INTERNED.get(key) is None for key in hooks if key[0] is not Just)
+    built = {key for key in hooks if condjust.syntax._INTERNED.get(key) is not None}
+    rep = check_conditions(m, VariantProfile("all", ALL_CONDITIONS), universe)
+    assert {key for key in hooks if condjust.syntax._INTERNED.get(key) is not None} == built
+    assert not rep.ok
+    got = [(r.condition, r.passed, r.witness, r.detail) for r in rep.results]
+    assert got == _ref_conditions(m, ALL_CONDITIONS, universe, None)
+
+
+_HOOK_BASE = (p, q, Neg(p), And(p, q), Just(_x, p))
+
+
+@st.composite
+def _literal_models(draw):
+    """(model, universe): non-normal states hold a > b, a => b, t:a and
+    t:(a > b) as literal entries, and term rows from normal states reach
+    them; the universe holds the entries or only the queries."""
+    a, b = draw(st.sampled_from(_HOOK_BASE)), draw(st.sampled_from(_HOOK_BASE))
+    t, s = draw(st.sampled_from([_x, _y])), draw(st.sampled_from([_x, _y]))
+    app, pair = App(t, s), Pair(s, a)
+    entries = [Counterfactual(a, b), MatImp(a, b), Just(t, a), Just(s, a),
+               Just(t, Counterfactual(a, b)), Counterfactual(a, a), MatImp(b, a)]
+    k = draw(st.integers(2, 4))
+    states = tuple(f"w{i}" for i in range(k))
+    n = draw(st.integers(1, k - 1))
+    normal, abnormal = states[:n], states[n:]
+
+    def reaching(sources):
+        # each row from a normal state reaches a non-normal state more often than not
+        return {(v, u) for v in sources for u in states
+                if draw(st.integers(0, 3)) < (2 if u in abnormal else 1)}
+
+    m = KripkeModel(
+        states, frozenset(normal),
+        {w: draw(st.frozensets(st.sampled_from(["p", "q"]))) for w in normal},
+        {w: {f for f in entries if draw(st.integers(0, 3))} for w in abnormal},
+        {u: reaching(states) for u in (_x, _y, app, pair)},
+        {f: {(v, u) for v in normal for u in normal if draw(st.booleans())}
+         for f in (a, Just(s, a)) if draw(st.booleans())},
+        draw(st.sampled_from(list(RelScheme))))
+    queries = [Just(app, b), Just(s, a), Just(pair, b), a, b]
+    return m, default_universe(m, queries) if draw(st.booleans()) else closure(queries)
+
+
+@settings(deadline=None, max_examples=200)
+@given(drawn=_literal_models())
+def test_hook_masks_match_the_evaluator(drawn):
+    """What the checks read of a > b, a => b, t:a and t:(a > b) equals what
+    an evaluator gives those formulas once they are built."""
+    m, universe = drawn
+    formulas = sorted(closure(universe), key=formula_key)
+    ev = _Evaluator(m)
+    ev.fill(formulas)
+    read = {}
+    for a in formulas:
+        for b in formulas:
+            cf, ts_cf = _cf_mask(m, ev, a, b)
+            read[a, b] = (ts_cf, _literal(m._members, (MatImp, a, b)),
+                          [_just_rows(m, ev, t, cf, ts_cf) for t in (_x, _y)],
+                          [_just_rows(m, ev, t, a, ev.mask(a)) for t in (_x, _y)])
+    built = _Evaluator(m)
+    abnormal = ~m._normal_mask
+    for (a, b), (ts_cf, mat, cf_rows, a_rows) in read.items():
+        assert ts_cf == built.mask(Counterfactual(a, b))
+        assert mat == built.mask(MatImp(a, b)) & abnormal
+        assert cf_rows == [built.rel_rows(Just(t, Counterfactual(a, b))) for t in (_x, _y)]
+        assert a_rows == [built.rel_rows(Just(t, a)) for t in (_x, _y)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(drawn=_literal_models())
+def test_hook_conditions_read_literal_entries_as_the_reference(drawn):
+    m, universe = drawn
+    conditions = ("5", "5p", "8")
+    rep = check_conditions(m, VariantProfile("hooks", conditions), universe)
+    got = [(r.condition, r.passed, r.witness, r.detail) for r in rep.results]
+    for r in rep.failures():
+        event(f"condition {r.condition} fails")
+    assert got == _ref_conditions(m, conditions, universe, None)
+
+
+def _one_condition(m, cid, universe):
+    """The one result of condition cid over a universe without the model's
+    literal entries, so that the entry's own mask is not cached."""
+    return check_conditions(m, VariantProfile(cid, (cid,)), universe).results[0]
+
+
+@pytest.mark.parametrize("entry", [False, True])
+def test_condition5_turns_on_one_literal_entry(entry):
+    """x reaches the non-normal u, so x justifies p => q at w only if u holds
+    it; then x.y must stay where q holds, and it reaches v."""
+    m = KripkeModel(("w", "v", "u"), frozenset({"w", "v"}),
+                    {"w": frozenset({"p", "q"}), "v": frozenset({"p"})},
+                    {"u": {MatImp(p, q)} if entry else set()},
+                    {_x: {("w", "w"), ("w", "u")}, _y: {("w", "w")}, App(_x, _y): {("w", "v")}})
+    r = _one_condition(m, "5", closure([Just(App(_x, _y), q), Just(_y, p)]))
+    assert r.passed is not entry
+    if entry:
+        assert r.witness == ("w", App(_x, _y), "v")
+        assert r.detail == "R[x.y](w) reaches v although x justifies the step from p to q"
+
+
+@pytest.mark.parametrize("entry", [False, True])
+def test_condition5p_turns_on_one_literal_entry(entry):
+    """x reaches only the non-normal u, so x:(q > p) holds at w only if u
+    holds q > p; then the chain w, w, w escapes the truth set of p."""
+    m = KripkeModel(("w", "u"), frozenset({"w"}), {"w": frozenset()},
+                    {"u": {Counterfactual(q, p)} if entry else set()},
+                    {_x: {("w", "u")}, App(_x, _y): {("w", "w")}})
+    r = _one_condition(m, "5p", closure([Just(App(_x, _y), p), Just(_y, q)]))
+    assert r.passed is not entry
+    if entry:
+        assert r.witness == ("w", "w", "w", "w", App(_x, _y), q, p)
+        assert r.detail == "chained application through x.y escapes the consequent truth set at w"
+
+
+@pytest.mark.parametrize("entry", [False, True])
+def test_condition8_turns_on_one_literal_entry(entry):
+    """x justifies only q at w (z holds nothing else), and <x,p> reaches
+    the non-normal u, where p > q holds only as an entry."""
+    pair = Pair(_x, p)
+    m = KripkeModel(("w", "u", "z"), frozenset({"w"}), {"w": frozenset({"p", "q"})},
+                    {"u": {Counterfactual(p, q)} if entry else set(), "z": {q}},
+                    {_x: {("w", "w"), ("w", "z")}, pair: {("w", "u")}})
+    r = _one_condition(m, "8", closure([Just(pair, q)]))
+    assert r.passed is entry
+    if not entry:
+        assert r.witness == ("w", pair, q, "u")
+        assert r.detail == "R[<x,p>](w) reaches u where p > q fails"
 
 
 def test_condition5p_steps_only_through_normal_states():
