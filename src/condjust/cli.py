@@ -32,7 +32,7 @@ from condjust.hilbert import (
     check_derivation, internalize, load_constant_specification,
     parse_derivation, print_derivation,
 )
-from condjust.fixtures import fixture_json, fixture_names, fixture_text
+from condjust.fixtures import fixture_names, fixture_text
 
 __all__ = ["main", "parse_sequent", "run_corpus"]
 
@@ -62,20 +62,28 @@ def parse_sequent(text: str, dialect: Dialect) -> tuple[tuple[Formula, ...], For
     return premises, goal
 
 
-def _load_json(path: str) -> dict:
-    # Bare bundled-fixture names resolve without touching the filesystem,
-    # same as corpus cases; any path with a separator goes to disk.
-    if path in fixture_names():
-        try:
-            return fixture_json(path)
-        except json.JSONDecodeError as exc:
-            raise _InputError(f"fixture {path} is not JSON: {exc}") from exc
+def _read_text(name: str, base: Path | None = None) -> str:
+    """The text of the bundled fixture called name, else of the file at
+    name, taken under base when one is given.  Bare fixture names resolve
+    without touching the filesystem; any path with a separator goes to disk."""
+    if name in fixture_names():
+        return fixture_text(name)
+    path = name if base is None else base / name
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _load_json(name: str, base: Path | None = None) -> dict:
+    """The JSON document _read_text reads for name and base."""
+    text = _read_text(name, base)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
+        if name in fixture_names():
+            raise _InputError(f"fixture {name} is not JSON: {exc}") from exc
+        path = name if base is None else base / name
         raise _InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -295,14 +303,7 @@ def _cmd_falsify(args) -> int:
 
 def _read_derivation(args):
     dialect = Dialect(args.dialect)
-    if args.file in fixture_names():
-        text = fixture_text(args.file)
-    else:
-        try:
-            text = Path(args.file).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise _InputError(
-                f"cannot read {args.file}: {exc.strerror or exc}") from exc
+    text = _read_text(args.file)
     try:
         return parse_derivation(text, dialect), dialect
     except (ParseError, ValueError) as exc:
@@ -367,20 +368,8 @@ def _cmd_internalize(args) -> int:
 # --- corpus -----------------------------------------------------------------
 
 
-def _corpus_resource(name: str, base: Path, as_json: bool):
-    if name in fixture_names():
-        return fixture_json(name) if as_json else fixture_text(name)
-    path = base / name
-    if as_json:
-        return _load_json(str(path))
-    try:
-        return path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
-
-
 def _case_eval(case: dict, base: Path) -> tuple[bool, str]:
-    model, dialect = _model_from_doc(_corpus_resource(case["model"], base, as_json=True))
+    model, dialect = _model_from_doc(_load_json(case["model"], base))
     f = parse_formula(case["formula"], dialect)
     got = _evaluate(model, dialect, f, None if case["check"] == "valid" else case["state"])
     want = bool(case["expect"])
@@ -390,12 +379,12 @@ def _case_eval(case: dict, base: Path) -> tuple[bool, str]:
 
 
 def _case_conditions(case: dict, base: Path) -> tuple[bool, str]:
-    model, dialect = _model_from_doc(_corpus_resource(case["model"], base, as_json=True))
+    model, dialect = _model_from_doc(_load_json(case["model"], base))
     load_cs = None
     if "cs" in case:
         def load_cs(d):
             return load_constant_specification(
-                _corpus_resource(case["cs"], base, as_json=True), d)
+                _load_json(case["cs"], base), d)
     formulas = _array(case.get("formulas", []), "formulas")
     report = _condition_report(model, dialect, formulas, case.get("profile"), load_cs)
     want_ok = bool(case["expect_ok"])
@@ -412,11 +401,11 @@ def _case_conditions(case: dict, base: Path) -> tuple[bool, str]:
 
 def _case_derivation(case: dict, base: Path) -> tuple[bool, str]:
     dialect = Dialect(case["dialect"])
-    d = parse_derivation(_corpus_resource(case["file"], base, False), dialect)
+    d = parse_derivation(_read_text(case["file"], base), dialect)
     cs = None
     if "cs" in case:
         cs = load_constant_specification(
-            _corpus_resource(case["cs"], base, as_json=True), dialect)
+            _load_json(case["cs"], base), dialect)
     res = check_derivation(d, dialect, cs)
     if not res.ok:
         return False, f"rejected at line {res.error_line}: {res.reason}"
@@ -486,7 +475,7 @@ def _cmd_corpus(args) -> int:
         doc = _load_json(args.cases)
         base = Path(args.cases).resolve().parent
     else:
-        doc = fixture_json("cases.json")
+        doc = _load_json("cases.json")
         base = Path.cwd()
     outcomes = run_corpus(doc, base)
     failed = [(c, detail) for c, ok, detail in outcomes if not ok]

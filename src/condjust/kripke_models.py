@@ -653,12 +653,12 @@ def _report(name: str, cids, checks: dict, m, universe,
     results = []
     ok = True
     for cid in cids:
-        passed, witness, text = checks[cid](m, ev, formulas, terms, cs)
-        if passed:
+        failure = checks[cid](m, ev, formulas, terms, cs)
+        if failure is None:
             results.append(_PASSED[cid])
         else:
             ok = False
-            results.append(_failed(cid, witness, text))
+            results.append(_failed(cid, *failure))
     # built as _failed builds a result, skipping the frozen __init__'s setattr calls
     report = object.__new__(ConditionReport)
     vars(report).update(profile=name, results=tuple(results),
@@ -675,9 +675,9 @@ def check_conditions(m: KripkeModel, profile: VariantProfile, universe,
 
 
 # Each condition walks its formulas, terms and normal states in the same order
-# and reports the first failure, with a function that makes its text; a
-# witness state taken from a mask is its lowest bit, the first such state in
-# state order.
+# and returns None when it holds, else its first failure as (witness, a
+# function that makes its text); a witness state taken from a mask is its
+# lowest bit, the first such state in state order.
 
 
 def _cond_antecedent_truth(m, ev, formulas, terms, cs):
@@ -692,9 +692,8 @@ def _cond_antecedent_truth(m, ev, formulas, terms, cs):
             stray = rows[i] & ~ts
             if stray:
                 w, v = m.states[i], _lowest(m, stray)
-                return False, (w, f, v), lambda w=w, f=f, v=v: (
+                return (w, f, v), lambda w=w, f=f, v=v: (
                     f"R[{print_formula(f)}]({w}) reaches {v} where the antecedent fails")
-    return True, None, ""
 
 
 def _cond_weak_centering(m, ev, formulas, terms, cs):
@@ -709,9 +708,8 @@ def _cond_weak_centering(m, ev, formulas, terms, cs):
         missed = ev.mask(f) & checked & ~_diagonal(ev.rel_rows(f))
         if missed:
             w = _lowest(m, missed)
-            return False, (w, f), lambda w=w, f=f: (
+            return (w, f), lambda w=w, f=f: (
                 "{0} satisfies {1} but R[{1}]({0}) misses it".format(w, print_formula(f)))
-    return True, None, ""
 
 
 def _cond_constants(m, ev, formulas, terms, cs):
@@ -727,9 +725,8 @@ def _cond_constants(m, ev, formulas, terms, cs):
             stray = rows[i] & ~ts
             if stray:
                 w, v = m.states[i], _lowest(m, stray)
-                return False, (w, c, f), lambda w=w, name=name, v=v: (
+                return (w, c, f), lambda w=w, name=name, v=v: (
                     f"R[{name}]({w}) reaches {v} outside the specified formula's truth set")
-    return True, None, ""
 
 
 def _cond_sum(m, ev, formulas, terms, cs):
@@ -739,9 +736,8 @@ def _cond_sum(m, ev, formulas, terms, cs):
         rows, left, right = ev.term_rows(t), ev.term_rows(t.left), ev.term_rows(t.right)
         for i in m._checked_idx:
             if rows[i] & ~(left[i] & right[i]):
-                return False, (m.states[i], t.left, t.right), lambda w=m.states[i], t=t: (
+                return (m.states[i], t.left, t.right), lambda w=m.states[i], t=t: (
                     f"R[{print_term(t)}]({w}) exceeds the intersection of its parts")
-    return True, None, ""
 
 
 # Conditions 5, 5p and 8 ask about a > b, a => b and t:a over formulas a, b
@@ -833,11 +829,10 @@ def _cond_application(m, ev, formulas, terms, cs):
                             not mat_need & ~ts_b and not outside & ~_literal(
                                 members, (MatImp, a, b))):
                         w, v = m.states[i], _lowest(m, stray)
-                        return False, (w, t, v), lambda w=w, t=t, v=v, a=a, b=b: (
+                        return (w, t, v), lambda w=w, t=t, v=v, a=a, b=b: (
                             f"R[{print_term(t)}]({w}) reaches {v} although "
                             f"{print_term(t.left)} justifies the step from "
                             f"{print_formula(a)} to {print_formula(b)}")
-    return True, None, ""
 
 
 def _cond_chained_application(m, ev, formulas, terms, cs):
@@ -868,10 +863,9 @@ def _cond_chained_application(m, ev, formulas, terms, cs):
                             u = next(_bits(hit))
                             u2 = _lowest(m, rows[u] & ~ev.mask(b))
                             w, v, u = m.states[i], m.states[v], m.states[u]
-                            return False, (w, v, u, u2, t, a, b), lambda t=t, u2=u2: (
+                            return (w, v, u, u2, t, a, b), lambda t=t, u2=u2: (
                                 f"chained application through {print_term(t)} escapes "
                                 f"the consequent truth set at {u2}")
-    return True, None, ""
 
 
 def _cond_reflexive_terms(m, ev, formulas, terms, cs):
@@ -879,8 +873,7 @@ def _cond_reflexive_terms(m, ev, formulas, terms, cs):
         missed = m._normal_mask & ~_diagonal(ev.term_rows(t))
         if missed:
             w = _lowest(m, missed)
-            return False, (w, t), lambda w=w, t=t: f"R[{print_term(t)}] is not reflexive at {w}"
-    return True, None, ""
+            return (w, t), lambda w=w, t=t: f"R[{print_term(t)}] is not reflexive at {w}"
 
 
 def _cond_checker(m, ev, formulas, terms, cs):
@@ -894,10 +887,9 @@ def _cond_checker(m, ev, formulas, terms, cs):
                 missed = inner_rows[v] & ~inner_rows[i]
                 if missed:
                     w, v, u = m.states[i], m.states[v], _lowest(m, missed)
-                    return False, (w, v, u, inner), lambda w=w, v=v, u=u, t=t: (
+                    return (w, v, u, inner), lambda w=w, v=v, u=u, t=t: (
                         f"R[{print_term(t)}] step to {v} then R[{print_term(t.inner)}] "
                         f"to {u} is not matched by R[{print_term(t.inner)}]({w})")
-    return True, None, ""
 
 
 def _cond_pair(m, ev, formulas, terms, cs):
@@ -916,10 +908,9 @@ def _cond_pair(m, ev, formulas, terms, cs):
                 missed = rows[i] & ~target
                 if missed:
                     w, v = m.states[i], _lowest(m, missed)
-                    return False, (w, t, b, v), lambda w=w, t=t, v=v, b=b: (
+                    return (w, t, b, v), lambda w=w, t=t, v=v, b=b: (
                         f"R[{print_term(t)}]({w}) reaches {v} where "
                         f"{print_formula(Counterfactual(t.antecedent, b))} fails")
-    return True, None, ""
 
 
 def _cond_rel_extensionality(m, ev, formulas, terms, cs):
@@ -933,10 +924,9 @@ def _cond_rel_extensionality(m, ev, formulas, terms, cs):
             if a is b or ts_a != ts_b:
                 continue
             if rows_a != rows_b:
-                return False, (a, b), lambda a=a, b=b: (
+                return (a, b), lambda a=a, b=b: (
                     f"{print_formula(a)} and {print_formula(b)} agree on normal states "
                     f"but have different relations")
-    return True, None, ""
 
 
 _CHECKS = {

@@ -153,9 +153,8 @@ def _star_involution(m, ev, formulas, terms, cs):
     for i, s in enumerate(m._star):
         if m._star[s] != i:
             w = m.states[i]
-            return False, (w,), lambda w=w, v=m.states[m._star[s]]: (
+            return (w,), lambda w=w, v=m.states[m._star[s]]: (
                 f"star(star({w})) = {v}, expected {w}")
-    return True, None, ""
 
 
 def _normality(m, ev, formulas, terms, cs):
@@ -168,14 +167,13 @@ def _normality(m, ev, formulas, terms, cs):
             off = row & ~(1 << y)
             if off:
                 b, c = m.states[y], _lowest(m, off)
-                return False, (w, b, c), lambda w=w, b=b, c=c: (
+                return (w, b, c), lambda w=w, b=b, c=c: (
                     f"normal state {w} has off-diagonal ternary triple ({w}, {b}, {c})")
         missing = m._checked & ~_diagonal(rows)
         if missing:
             v = _lowest(m, missing)
-            return False, (w, v), lambda w=w, v=v: (
+            return (w, v), lambda w=w, v=v: (
                 f"normal state {w} lacks the diagonal triple ({w}, {v}, {v})")
-    return True, None, ""
 
 
 _JRC_CHECKS = {

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .kripke_models import _counterexamples
 from .routley_models import RoutleyModel, check_jrc_conditions
@@ -180,18 +180,6 @@ class Exhausted:
 
 ProofResult = Closed | Open | Exhausted
 
-# Scheduling tiers: decomposition rules run before branching ones, and the
-# label-multiplying normality and cut rules go last so fresh labels settle
-# before they fan out.
-_TIERS = {
-    "T&": 0, "T~": 0, "F~": 0, "F~>0": 0, "F~>": 0, "F:": 0, "F->": 0,
-    "T~>": 0, "T:": 0, "sum": 0,
-    "F&": 1, "T->": 1,
-    "norm": 2,
-    "cut": 3,
-}
-_BRANCHING = {"F&", "T->", "cut"}
-
 _CLOSED, _EXHAUSTED, _OPEN = "closed", "exhausted", "open"
 
 
@@ -201,6 +189,76 @@ def _merge(*parts: tuple) -> tuple:
     if len(nonempty) < 2:
         return nonempty[0] if nonempty else ()
     return tuple(dict.fromkeys(x for p in nonempty for x in p))
+
+
+class _Blocked(Exception):
+    """Raised by _fresh when the budget refuses an instance its labels."""
+
+
+class _Rule(NamedTuple):
+    tier: int
+    branching: bool
+    # (prover, branch, a, b) -> the nodes an instance adds, or a branching
+    # rule's alternatives, minus side first.  a, b: the enabling node and its
+    # partner or None, the label for norm, the antecedent and label for cut.
+    nodes: Callable
+
+
+def _f_cf_root(p, branch, s, _):
+    (j,) = p._fresh(branch, 1)
+    return (FormulaEdge(_ROOT, s.formula.left, j),
+            Signed(s.formula.left, True, j), Signed(s.formula.right, False, j))
+
+
+def _f_cf(p, branch, s, _):
+    (j,) = p._fresh(branch, 1)
+    return FormulaEdge(s.label, s.formula.left, j), Signed(s.formula.right, False, j)
+
+
+def _f_just(p, branch, s, _):
+    (j,) = p._fresh(branch, 1)
+    return TermEdge(s.label, s.formula.term, j), Signed(s.formula.inner, False, j)
+
+
+def _f_imp(p, branch, s, _):
+    # r 0 j k at the normal root needs j = k, so one fresh label serves both
+    j, k = p._fresh(branch, 1) * 2 if s.label == _ROOT else p._fresh(branch, 2)
+    return (Ternary(s.label, j, k),
+            Signed(s.formula.left, True, j), Signed(s.formula.right, False, k))
+
+
+# The rules by trace name.  Tiers: decomposition (0) runs before branching
+# (1), and the label-multiplying normality (2) and cut (3) go last so fresh
+# labels settle before they fan out.
+_RULES = {
+    "T&": _Rule(0, False, lambda p, br, s, _: (
+        Signed(s.formula.left, True, s.label), Signed(s.formula.right, True, s.label))),
+    "T~": _Rule(0, False, lambda p, br, s, _: (Signed(s.formula.inner, False, s.label.bar()),)),
+    "F~": _Rule(0, False, lambda p, br, s, _: (Signed(s.formula.inner, True, s.label.bar()),)),
+    "F~>0": _Rule(0, False, _f_cf_root),
+    "F~>": _Rule(0, False, _f_cf),
+    "F:": _Rule(0, False, _f_just),
+    "F->": _Rule(0, False, _f_imp),
+    "T~>": _Rule(0, False, lambda p, br, s, edge: (Signed(s.formula.right, True, edge.dst),)),
+    "T:": _Rule(0, False, lambda p, br, s, edge: (Signed(s.formula.inner, True, edge.dst),)),
+    "sum": _Rule(0, False, lambda p, br, e, _: (
+        TermEdge(e.src, e.term.left, e.dst), TermEdge(e.src, e.term.right, e.dst))),
+    "F&": _Rule(1, True, lambda p, br, s, _: (
+        (Signed(s.formula.left, False, s.label),), (Signed(s.formula.right, False, s.label),))),
+    "T->": _Rule(1, True, lambda p, br, s, tern: (
+        (Signed(s.formula.left, False, tern.y),), (Signed(s.formula.right, True, tern.z),))),
+    "norm": _Rule(2, False, lambda p, br, x, _: (Ternary(_ROOT, x, x),)),
+    "cut": _Rule(3, True, lambda p, br, ante, x: (
+        (Signed(ante, False, x),), (Signed(ante, True, x), FormulaEdge(x, ante, x)))),
+}
+
+# The rule a signed node enables on its own, by sign and formula class; at
+# the root F~> becomes F~>0.  T->, T~> and T: wait for a partner in _pair.
+_SINGLE = {
+    (True, And): "T&", (True, Neg): "T~",
+    (False, Neg): "F~", (False, And): "F&", (False, RelImp): "F->",
+    (False, RelCf): "F~>", (False, Just): "F:",
+}
 
 
 class _Prover:
@@ -236,55 +294,56 @@ class _Prover:
 
     # -- branch growth -----------------------------------------------------
 
-    def add_node(self, branch: Branch, expr: NodeExpr, tag: str) -> bool:
-        """Add expr if new; returns False when the branch just closed."""
+    def add_nodes(self, branch: Branch, exprs, tag: str) -> bool:
+        """Add each new expr in order; returns False once the branch closes."""
         nodes = branch.nodes
-        if expr in nodes:
-            return True
-        self.line_no += 1
-        line = nodes[expr] = self.line_no
-        branch.events.append((line, branch.depth, expr, tag))
-        self._enable(branch, expr)
-        if type(expr) is Signed:
-            twin = nodes.get(Signed(expr.formula, not expr.sign, expr.label))
-            if twin is not None:
-                branch.closed = True
-                branch.closure = (twin, line)
-                self._note(branch, f"closed [{twin}, {line}]")
-                return False
+        for expr in exprs:
+            if expr in nodes:
+                continue
+            self.line_no += 1
+            line = nodes[expr] = self.line_no
+            branch.events.append((line, branch.depth, expr, tag))
+            self._enable(branch, expr)
+            if type(expr) is Signed:
+                twin = nodes.get(Signed(expr.formula, not expr.sign, expr.label))
+                if twin is not None:
+                    branch.closed = True
+                    branch.closure = (twin, line)
+                    self._note(branch, f"closed [{twin}, {line}]")
+                    return False
         return True
 
-    def _enqueue(self, branch: Branch, rule: str, data: tuple):
+    def _enqueue(self, branch: Branch, rule: str, a, b=None):
         # Each instance is queued once: single-node rules when their node
         # arrives, pair rules when the later partner arrives, norm per new
         # label and cut per new (antecedent, label) pair.
         self.seq += 1
-        heapq.heappush(branch.agenda, (_TIERS[rule], self.seq, rule, data))
+        heapq.heappush(branch.agenda, (_RULES[rule].tier, self.seq, rule, a, b))
 
     def _pair(self, branch: Branch, rule: str, expr: NodeExpr,
               mine: tuple, theirs: tuple, signed_first: bool):
         """File expr under mine and queue rule with each partner filed
-        under theirs, oldest first; the signed node leads the data."""
+        under theirs, oldest first; the signed node comes first."""
         index = branch.partners
         index[mine] = index.get(mine, ()) + (expr,)
         for other in index.get(theirs, ()):
-            self._enqueue(branch, rule,
-                          (expr, other) if signed_first else (other, expr))
+            a, b = (expr, other) if signed_first else (other, expr)
+            self._enqueue(branch, rule, a, b)
 
     def _register_label(self, branch: Branch, x: Label):
         if x in branch.labels:
             return
         branch.labels[x] = None
-        self._enqueue(branch, "norm", (x,))
+        self._enqueue(branch, "norm", x)
         for ante in branch.antecedents:
-            self._enqueue(branch, "cut", (ante, x))
+            self._enqueue(branch, "cut", ante, x)
 
     def _register_antecedent(self, branch: Branch, ante: Formula):
         if ante in branch.antecedents:
             return
         branch.antecedents[ante] = None
         for x in branch.labels:
-            self._enqueue(branch, "cut", (ante, x))
+            self._enqueue(branch, "cut", ante, x)
 
     def _enable(self, branch: Branch, expr: NodeExpr):
         """Queue every rule instance the new expression participates in."""
@@ -294,13 +353,14 @@ class _Prover:
             self._register_label(branch, x)
             for ante in self._cond_antecedents(f):
                 self._register_antecedent(branch, ante)
-            fkind = type(f)
-            if expr.sign:
-                if fkind is And:
-                    self._enqueue(branch, "T&", (expr,))
-                elif fkind is Neg:
-                    self._enqueue(branch, "T~", (expr,))
-                elif fkind is RelImp:
+            rule = _SINGLE.get((expr.sign, type(f)))
+            if rule is not None:
+                if rule == "F~>" and x == _ROOT:
+                    rule = "F~>0"
+                self._enqueue(branch, rule, expr)
+            elif expr.sign:
+                fkind = type(f)
+                if fkind is RelImp:
                     self._pair(branch, "T->", expr, (RelImp, x), (Ternary, x), True)
                 elif fkind is RelCf:
                     self._pair(branch, "T~>", expr, (RelCf, x, f.left),
@@ -308,17 +368,6 @@ class _Prover:
                 elif fkind is Just:
                     self._pair(branch, "T:", expr, (Just, x, f.term),
                                (TermEdge, x, f.term), True)
-            else:
-                if fkind is Neg:
-                    self._enqueue(branch, "F~", (expr,))
-                elif fkind is And:
-                    self._enqueue(branch, "F&", (expr,))
-                elif fkind is RelImp:
-                    self._enqueue(branch, "F->", (expr,))
-                elif fkind is RelCf:
-                    self._enqueue(branch, "F~>0" if x == _ROOT else "F~>", (expr,))
-                elif fkind is Just:
-                    self._enqueue(branch, "F:", (expr,))
         elif kind is FormulaEdge:
             self._register_label(branch, expr.src)
             self._register_label(branch, expr.dst)
@@ -328,7 +377,7 @@ class _Prover:
             self._register_label(branch, expr.src)
             self._register_label(branch, expr.dst)
             if isinstance(expr.term, Sum):
-                self._enqueue(branch, "sum", (expr,))
+                self._enqueue(branch, "sum", expr)
             self._pair(branch, "T:", expr, (TermEdge, expr.src, expr.term),
                        (Just, expr.src, expr.term), False)
         else:
@@ -338,101 +387,20 @@ class _Prover:
 
     # -- rule firing ---------------------------------------------------------
 
-    def _cite(self, branch: Branch, rule: str, data: tuple) -> str:
+    def _cite(self, branch: Branch, rule: str, a, b) -> str:
         nodes = branch.nodes
-        sources = [nodes[d] for d in data if d in nodes]
+        sources = [nodes[d] for d in (a, b) if d in nodes]
         return rule if not sources else rule + " " + " ".join(map(str, sources))
 
-    def _fresh(self, branch: Branch, count: int) -> list[Label] | None:
+    def _fresh(self, branch: Branch, count: int) -> list[Label]:
+        """count new labels, drawn together.  Past the budget it draws none,
+        marks the branch blocked and raises _Blocked to drop the instance."""
         if branch.next_fresh + count - 1 >= self.budget.max_fresh_labels:
             branch.blocked = True
-            return None
+            raise _Blocked
         out = [Label(branch.next_fresh + k) for k in range(count)]
         branch.next_fresh += count
         return out
-
-    def _conclusions(self, branch: Branch, rule: str, data: tuple):
-        """Nodes a non-branching instance adds, or None when fresh-blocked."""
-        if rule == "T&":
-            (s,) = data
-            return [Signed(s.formula.left, True, s.label),
-                    Signed(s.formula.right, True, s.label)]
-        if rule == "T~":
-            (s,) = data
-            return [Signed(s.formula.inner, False, s.label.bar())]
-        if rule == "F~":
-            (s,) = data
-            return [Signed(s.formula.inner, True, s.label.bar())]
-        if rule == "T~>":
-            s, edge = data
-            return [Signed(s.formula.right, True, edge.dst)]
-        if rule == "T:":
-            s, edge = data
-            return [Signed(s.formula.inner, True, edge.dst)]
-        if rule == "sum":
-            (edge,) = data
-            return [TermEdge(edge.src, edge.term.left, edge.dst),
-                    TermEdge(edge.src, edge.term.right, edge.dst)]
-        if rule == "norm":
-            (x,) = data
-            return [Ternary(_ROOT, x, x)]
-        if rule == "F~>0":
-            (s,) = data
-            fresh = self._fresh(branch, 1)
-            if fresh is None:
-                return None
-            (j,) = fresh
-            return [FormulaEdge(_ROOT, s.formula.left, j),
-                    Signed(s.formula.left, True, j),
-                    Signed(s.formula.right, False, j)]
-        if rule == "F~>":
-            (s,) = data
-            fresh = self._fresh(branch, 1)
-            if fresh is None:
-                return None
-            (j,) = fresh
-            return [FormulaEdge(s.label, s.formula.left, j),
-                    Signed(s.formula.right, False, j)]
-        if rule == "F:":
-            (s,) = data
-            fresh = self._fresh(branch, 1)
-            if fresh is None:
-                return None
-            (j,) = fresh
-            return [TermEdge(s.label, s.formula.term, j),
-                    Signed(s.formula.inner, False, j)]
-        if rule == "F->":
-            (s,) = data
-            if s.label == _ROOT:
-                fresh = self._fresh(branch, 1)
-                if fresh is None:
-                    return None
-                j = k = fresh[0]
-            else:
-                fresh = self._fresh(branch, 2)
-                if fresh is None:
-                    return None
-                j, k = fresh
-            return [Ternary(s.label, j, k),
-                    Signed(s.formula.left, True, j),
-                    Signed(s.formula.right, False, k)]
-        raise AssertionError(rule)
-
-    def _alternatives(self, rule: str, data: tuple):
-        """Node lists for a branching instance; the minus side comes first."""
-        if rule == "F&":
-            (s,) = data
-            return [[Signed(s.formula.left, False, s.label)],
-                    [Signed(s.formula.right, False, s.label)]]
-        if rule == "T->":
-            s, tern = data
-            return [[Signed(s.formula.left, False, tern.y)],
-                    [Signed(s.formula.right, True, tern.z)]]
-        if rule == "cut":
-            ante, x = data
-            return [[Signed(ante, False, x)],
-                    [Signed(ante, True, x), FormulaEdge(x, ante, x)]]
-        raise AssertionError(rule)
 
     # -- search ----------------------------------------------------------------
 
@@ -442,33 +410,30 @@ class _Prover:
             if branch.closed:
                 return _CLOSED
             if not branch.agenda:
-                if branch.blocked:
-                    self._note(branch, "exhausted")
-                    return _EXHAUSTED
-                branch.complete = True
-                self._note(branch, "open")
-                return _OPEN
+                branch.complete = not branch.blocked
+                outcome = _OPEN if branch.complete else _EXHAUSTED
+                self._note(branch, outcome)
+                return outcome
             if self.steps >= self.budget.max_steps:
                 self.step_capped = True
-                self._note(branch, "exhausted")
+                self._note(branch, _EXHAUSTED)
                 return _EXHAUSTED
-            _, _, rule, data = heapq.heappop(branch.agenda)
-            if rule in _BRANCHING:
+            _, _, rule, a, b = heapq.heappop(branch.agenda)
+            row = _RULES[rule]
+            if row.branching:
                 self.steps += 1
-                return (rule, data)
-            nodes = self._conclusions(branch, rule, data)
-            if nodes is None:
+                return (rule, a, b)
+            try:
+                nodes = row.nodes(self, branch, a, b)
+            except _Blocked:
                 continue
             self.steps += 1
-            tag = self._cite(branch, rule, data)
-            for expr in nodes:
-                if not self.add_node(branch, expr, tag):
-                    break
+            self.add_nodes(branch, nodes, self._cite(branch, rule, a, b))
 
     def search(self, root: Branch):
         any_exhausted = False
         # (branch, alternative nodes, tag, whether to copy the branch first)
-        pending: list[tuple[Branch, list | None, str, bool]] = [(root, None, "", False)]
+        pending: list[tuple[Branch, tuple | None, str, bool]] = [(root, None, "", False)]
         while pending:
             if self.step_capped:
                 return _EXHAUSTED
@@ -478,26 +443,19 @@ class _Prover:
                     branch = branch.copy()
                 branch.depth += 1
                 branch.start = len(branch.events)
-                alive = True
-                for expr in alt:
-                    if not self.add_node(branch, expr, tag):
-                        alive = False
-                        break
-                if not alive:
+                if not self.add_nodes(branch, alt, tag):
                     continue
             outcome = self.saturate_linear(branch)
             if outcome == _OPEN:
                 return branch
-            if outcome == _CLOSED:
+            if isinstance(outcome, str):
+                any_exhausted |= outcome == _EXHAUSTED
                 continue
-            if outcome == _EXHAUSTED:
-                any_exhausted = True
-                continue
-            rule, data = outcome
-            tag = self._cite(branch, rule, data)
+            rule, a, b = outcome
+            tag = self._cite(branch, rule, a, b)
             branch.trail += ((branch.start, len(branch.events)),)
             # The last alternative pops last, after every copy is taken.
-            last, *earlier = reversed(self._alternatives(rule, data))
+            last, *earlier = reversed(_RULES[rule].nodes(self, branch, a, b))
             pending.append((branch, last, tag, False))
             for nodes in earlier:
                 pending.append((branch, nodes, tag, True))
@@ -505,9 +463,9 @@ class _Prover:
 
     def run(self) -> ProofResult:
         root = Branch()
-        for f in self.premises:
-            self.add_node(root, Signed(f, True, _ROOT), "premise")
-        alive = self.add_node(root, Signed(self.goal, False, _ROOT), "goal")
+        # Premises all sit at +0, so only the goal can close the root.
+        self.add_nodes(root, [Signed(f, True, _ROOT) for f in self.premises], "premise")
+        alive = self.add_nodes(root, [Signed(self.goal, False, _ROOT)], "goal")
         outcome = _CLOSED if not alive else self.search(root)
         if isinstance(outcome, Branch):
             model, root_state = extract_model(outcome)

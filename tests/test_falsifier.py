@@ -581,15 +581,11 @@ class TestCrossCheck:
     def test_broken_rule_is_flagged(self, monkeypatch):
         # corrupt the conditional elimination rule: it now concludes the
         # negated consequent, so the proof goes open with a bogus branch
-        orig = tableau._Prover._conclusions
+        def broken(prover, branch, s, edge):
+            return [Signed(Neg(s.formula.right), True, edge.dst)]
 
-        def broken(self, branch, rule, data):
-            if rule == "T~>":
-                s, edge = data
-                return [Signed(Neg(s.formula.right), True, edge.dst)]
-            return orig(self, branch, rule, data)
-
-        monkeypatch.setattr(tableau._Prover, "_conclusions", broken)
+        monkeypatch.setitem(tableau._RULES, "T~>",
+                            tableau._RULES["T~>"]._replace(nodes=broken))
         rep = cross_check([pf("p"), pf("p ~> q")], pf("q"), Budget(6, 500), 3)
         assert rep.contradiction
         assert "failed verification" in rep.detail

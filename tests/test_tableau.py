@@ -232,6 +232,14 @@ class TestBudgetExhaustion:
         assert isinstance(r, Exhausted)
         assert "step budget of 1" in r.report
 
+    def test_blocked_instance_draws_no_label(self):
+        # With one label left, F-> off the root is refused its two labels
+        # and must draw neither; the one left serves a later one-label rule.
+        # A prover that drew the labels one at a time would spend it and
+        # stop after 90 instances.
+        r = prove([], pf("~(p -> q) ~> q -> (s+s):q"), Budget(3, 500))
+        assert r == Exhausted("fresh-label budget of 3 blocked a branch after 142 fired instances")
+
     def test_exhausted_verifies_vacuously(self):
         goal = pf("s:p ~> (s+t):p")
         r = prove([], goal, Budget(6, 1))
