@@ -21,7 +21,7 @@ from condjust.kripke_models import (
     AxiomaticallyAppropriate, Explicit, eval as keval, load_model,
 )
 from condjust.syntax import (
-    And, App, Atom, Bang, Constant, Counterfactual, Dialect, Just, MatImp, Neg,
+    And, App, Atom, Bang, Box, Constant, Counterfactual, Dialect, Just, MatImp, Neg,
     Pair, Sum, Variable, parse_formula, parse_term, print_formula,
 )
 
@@ -260,6 +260,116 @@ class TestCheckDerivation:
         assert implication_form([], pf("p")) == pf("p")
         assert implication_form([pf("q")], pf("p")) == pf("q => p")
         assert implication_form([pf("q"), pf("r")], pf("p")) == pf("(q & r) => p")
+
+
+def _conjoined(n, leaf):
+    """leaf(0) & leaf(1) & … & leaf(n - 1), nested to the left."""
+    out = leaf(0)
+    for i in range(1, n):
+        out = And(out, leaf(i))
+    return out
+
+
+_LK, _L = Dialect.LPCKplus, Dialect.L
+_C_PP = Explicit((("c", pf("p > p")),))
+# One derivation for every reason check_derivation gives, with the exact
+# (ok, error_line, reason) it answers. Where a line breaks two rules, the
+# expected reason pins which check comes first.
+_REASONS = [
+    ("accepted", LPC, None,
+     lines((pf("q"), Hyp()), (pf("p > q"), RCN(1))), (True, None, None)),
+    ("index-not-increasing", LPC, None,
+     Derivation((Line(2, pf("p => p"), Axiom("ax1")), Line(2, pf("q"), MP(9, 9)))),
+     (False, 2, "line indices must be strictly increasing")),
+    ("formula-outside-dialect", LPC, None,
+     lines((Box(pf("p")), Axiom("bogus"))), (False, 1, "box is not in dialect lpcplus")),
+    ("premise-after-derived-line", LPC, None,
+     lines((pf("p => p"), Axiom("ax1")), (pf("q"), Hyp())),
+     (False, 2, "premises must precede all derived lines")),
+    ("unknown-justification", LPC, None,
+     lines((pf("q"), Hyp()), (pf("p"), "ax1")),
+     (False, 2, "unknown justification 'ax1'")),
+    ("scheme-not-in-dialect", LPC, None,
+     lines((pf("x:q => (x.p):(p > q)", INT), Axiom("ax10"))),
+     (False, 1, "scheme ax10 is not available in lpcplus")),
+    ("not-an-instance", LPC, None,
+     lines((pf("p > q"), Axiom("ax3"))), (False, 1, "not an instance of ax3")),
+    ("ax1-past-component-cap", LPC, None,
+     lines((MatImp(_conjoined(17, lambda i: Atom(f"p{i}")), Atom("p0")), Axiom("ax1"))),
+     (False, 1, "not an instance of ax1")),
+    ("cs-not-a-constant", LPC, _C_PP,
+     lines((pf("x:(p > p)"), CS())),
+     (False, 1, "a constant-specification line must have the form c:φ")),
+    ("cs-missing", LPC, None,
+     lines((pf("c:(p > p)"), CS())), (False, 1, "no constant specification supplied")),
+    ("cs-pair-not-listed", LPC, _C_PP,
+     lines((pf("c2:(p > p)"), CS())), (False, 1, "pair is not in the constant specification")),
+    ("cs-not-an-axiom", LPC, AxiomaticallyAppropriate(),
+     lines((pf("c:p"), CS())), (False, 1, "justified formula is not an axiom instance")),
+    ("mp-bad-citation", LPC, None,
+     lines((pf("p"), Hyp()), (pf("p"), MP(1, 2))), (False, 2, "bad citation in mp 1 2")),
+    ("mp-wrong-shape", LPC, None,
+     lines((pf("p"), Hyp()), (pf("p => q"), Hyp()), (pf("r"), MP(1, 2))),
+     (False, 3, "cited lines do not support modus ponens")),
+    ("rcn-bad-citation", LPC, None,
+     lines((pf("q"), Hyp()), (pf("p > q"), RCN(3))), (False, 2, "bad citation in rcn 3")),
+    ("rcn-wrong-shape", LPC, None,
+     lines((pf("q"), Hyp()), (pf("p > r"), RCN(1))),
+     (False, 2, "line must be φ > (cited line)")),
+    ("rck-bad-citation", LPC, None,
+     lines((pf("q"), Hyp()), (pf("p > q"), RCK(0))), (False, 2, "bad citation in rck 0")),
+    ("rck-degenerate-wrong-citation", LPC, None,
+     lines((pf("q"), Hyp()), (pf("p > r"), RCK(1))),
+     (False, 2, "cited line must be the conditional's consequent")),
+    ("rck-antecedents-differ", LPC, None,
+     lines((pf("q1 => r"), Hyp()), (pf("(s > q1) => (p > r)"), RCK(1))),
+     (False, 2, "antecedent must conjoin conditionals sharing the conclusion's antecedent")),
+    ("rck-wrong-citation", LPC, None,
+     lines((pf("q1 => r"), Hyp()), (pf("(p > q2) => (p > r)"), RCK(1))),
+     (False, 2, "cited line must be the conjoined-consequents implication")),
+    ("rck-wrong-shape", LPC, None,
+     lines((pf("q"), Hyp()), (pf("p => q"), RCK(1))),
+     (False, 2, "rck must conclude ((φ>ψ1) & … & (φ>ψn)) => (φ>ψ) or φ>ψ")),
+    ("rck-declared-antecedent", LPC, None,
+     lines((pf("q1 => r"), Hyp()), (pf("(p > q1) => (p > r)"), RCK(1, pf("q")))),
+     (False, 2, "declared rck antecedent does not match the line")),
+    ("rck-declared-count", LPC, None,
+     lines((pf("q1 => r"), Hyp()), (pf("(p > q1) => (p > r)"), RCK(1, pf("p"), 2))),
+     (False, 2, "declared rck conjunct count does not match the line")),
+    ("rck-expansion-past-component-cap", LPC, None,
+     lines((MatImp(_conjoined(15, lambda i: Atom(f"q{i}")), Atom("r")), Hyp()),
+           (MatImp(_conjoined(15, lambda i: Counterfactual(Atom("p"), Atom(f"q{i}"))),
+                   pf("p > r")), RCK(1))),
+     (False, 2, "rck expansion does not reproduce the line")),
+    ("rcea-outside-lpckplus", LPC, None,
+     lines((pf("p == q", _LK), Hyp()), (pf("p > r == q > r", _LK), RCEA(7))),
+     (False, 2, "rcea is not a rule of lpcplus")),
+    ("rcea-bad-citation", _LK, None,
+     lines((pf("p == q", _LK), Hyp()), (pf("p > r == q > r", _LK), RCEA(2))),
+     (False, 2, "bad citation in rcea 2")),
+    ("rcea-not-biconditionals", _LK, None,
+     lines((pf("p => q"), Hyp()), (pf("p > r == q > r", _LK), RCEA(1))),
+     (False, 2, "rcea needs biconditionals on both lines")),
+    ("rcea-wrong-shape", _LK, None,
+     lines((pf("p == q", _LK), Hyp()), (pf("p > r == q > q", _LK), RCEA(1))),
+     (False, 2, "line must equate φ>χ with ψ>χ for the cited φ ≡ ψ")),
+    ("nec-outside-l", LPC, None,
+     lines((pf("p => p"), Axiom("ax1")), (pf("p"), Nec(5))),
+     (False, 2, "nec is not a rule of lpcplus")),
+    ("nec-bad-citation", _L, None,
+     lines((pf("p => p"), Axiom("ax1")), (pf("[](p => p)", _L), Nec(2))),
+     (False, 2, "bad citation in nec 2")),
+    ("nec-wrong-shape", _L, None,
+     lines((pf("p => p"), Axiom("ax1")), (pf("[](q => q)", _L), Nec(1))),
+     (False, 2, "line must be [](cited line)")),
+]
+
+
+@pytest.mark.parametrize("dialect,cs,d,expected", [r[1:] for r in _REASONS],
+                         ids=[r[0] for r in _REASONS])
+def test_every_reject_reason(dialect, cs, d, expected):
+    res = check_derivation(d, dialect, cs)
+    assert (res.ok, res.error_line, res.reason) == expected
 
 
 def _mutate(text, index, replacement):
