@@ -25,7 +25,7 @@ from condjust.kripke_models import (
     AxiomaticallyAppropriate, ConditionReport, default_universe, eval_kripke,
     check_conditions, load_model, model_to_json, profile_for, valid_in_model, _array,
 )
-from condjust.routley_models import check_jrc_conditions, load_routley_model
+from condjust.routley_models import check_jrc_conditions
 from condjust.tableau import Budget, Closed, Exhausted, Open, prove, verify_result
 from condjust.falsifier import find_countermodel
 from condjust.hilbert import (
@@ -87,18 +87,10 @@ def _load_json(name: str, base: Path | None = None) -> dict:
         raise _InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _model_from_doc(doc: dict):
-    """A model document's model plus its dialect; Routley models carry
-    Dialect.JRC."""
-    if isinstance(doc, dict) and doc.get("dialect") == "jrc":
-        return load_routley_model(doc), Dialect.JRC
-    return load_model(doc)
-
-
 def _load_model_file(path: str):
     doc = _load_json(path)
     try:
-        return _model_from_doc(doc)
+        return load_model(doc)
     except (ParseError, ValueError, KeyError, TypeError) as exc:
         raise _InputError(f"bad model file {path}: {exc}") from exc
 
@@ -369,7 +361,7 @@ def _cmd_internalize(args) -> int:
 
 
 def _case_eval(case: dict, base: Path) -> tuple[bool, str]:
-    model, dialect = _model_from_doc(_load_json(case["model"], base))
+    model, dialect = load_model(_load_json(case["model"], base))
     f = parse_formula(case["formula"], dialect)
     got = _evaluate(model, dialect, f, None if case["check"] == "valid" else case["state"])
     want = bool(case["expect"])
@@ -379,7 +371,7 @@ def _case_eval(case: dict, base: Path) -> tuple[bool, str]:
 
 
 def _case_conditions(case: dict, base: Path) -> tuple[bool, str]:
-    model, dialect = _model_from_doc(_load_json(case["model"], base))
+    model, dialect = load_model(_load_json(case["model"], base))
     load_cs = None
     if "cs" in case:
         def load_cs(d):

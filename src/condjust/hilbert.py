@@ -91,6 +91,16 @@ Justification = Axiom | CS | MP | RCN | RCK | RCEA | Nec | Hyp
 _CITES = {cls: tuple(f.name for f in fields(cls) if f.name in ("i", "j"))
           for cls in (CS, Hyp, MP, RCN, RCK, RCEA, Nec)}
 _RULES = {cls.__name__.lower(): cls for cls in _CITES}
+# The two rules that only one dialect has.
+_RULE_DIALECT = {RCEA: Dialect.LPCKplus, Nec: Dialect.L}
+
+
+def _tag(j: Justification) -> str:
+    """j in the text format: an axiom's scheme, else the rule's tag followed
+    by the lines it cites."""
+    if isinstance(j, Axiom):
+        return j.scheme
+    return " ".join([type(j).__name__.lower(), *(str(getattr(j, n)) for n in _CITES[type(j)])])
 
 
 def _renumber(j: Justification, new) -> Justification:
@@ -336,73 +346,68 @@ def check_derivation(
 ) -> CheckResult:
     """Validate every line; on failure, name the first offending line."""
     _structural_schemes(dialect)  # reject dialects without a Hilbert system
-    by_index: dict[int, Line] = {}
+    by_index: dict[int, Formula] = {}
     premises: list[Formula] = []
-    seen_non_hyp = False
     prev_index = 0
 
     def fail(idx: int, reason: str) -> CheckResult:
         return CheckResult(False, idx, reason, tuple(premises))
 
-    def cited(idx: int, i: int) -> Line | None:
-        ref = by_index.get(i)
-        return ref if ref is not None and i < idx else None
-
-    for line in d.lines:
-        idx = line.index
+    for position, line in enumerate(d.lines):
+        idx, f, j = line.index, line.formula, line.justification
         if idx <= prev_index:
             return fail(idx, "line indices must be strictly increasing")
         prev_index = idx
         try:
-            check_dialect_formula(line.formula, dialect)
+            check_dialect_formula(f, dialect)
         except ValueError as exc:
             return fail(idx, str(exc))
-        j = line.justification
         if isinstance(j, Hyp):
-            if seen_non_hyp:
+            if len(premises) < position:
                 return fail(idx, "premises must precede all derived lines")
-            premises.append(line.formula)
-            by_index[idx] = line
+            premises.append(f)
+            by_index[idx] = f
             continue
-        seen_non_hyp = True
+        # The prologue every other rule passes: a known class, a rule of
+        # this dialect, and an earlier line at each citation.
+        kind = type(j)
+        if kind is not Axiom and kind not in _CITES:
+            return fail(idx, f"unknown justification {j!r}")
+        home = _RULE_DIALECT.get(kind)
+        if home is not None and dialect is not home:
+            return fail(idx, f"{kind.__name__.lower()} is not a rule of {dialect.value}")
+        refs = [by_index.get(getattr(j, name)) for name in _CITES.get(kind, ())]
+        if None in refs:
+            return fail(idx, f"bad citation in {_tag(j)}")
         if isinstance(j, Axiom):
             if j.scheme not in axiom_schemes(dialect):
                 return fail(idx, f"scheme {j.scheme} is not available in {dialect.value}")
-            if _matches_scheme(line.formula, j.scheme) is None:
+            if _matches_scheme(f, j.scheme) is None:
+                width = len(_boolean_components(f)[0])
+                if j.scheme == "ax1" and width > _TAUT_VAR_CAP:
+                    return fail(idx, f"ax1 is decided only up to {_TAUT_VAR_CAP}"
+                                     f" components; this line has {width}")
                 return fail(idx, f"not an instance of {j.scheme}")
         elif isinstance(j, CS):
-            f = line.formula
             if not (isinstance(f, Just) and isinstance(f.term, Constant)):
                 return fail(idx, "a constant-specification line must have the form c:φ")
             if cs is None:
                 return fail(idx, "no constant specification supplied")
-            if isinstance(cs, Explicit):
-                if (f.term.name, f.inner) not in cs.entries:
-                    return fail(idx, "pair is not in the constant specification")
+            if isinstance(cs, Explicit) and (f.term.name, f.inner) not in cs.entries:
+                return fail(idx, "pair is not in the constant specification")
             if match_axiom(f.inner, dialect) is None:
                 return fail(idx, "justified formula is not an axiom instance")
             if isinstance(cs, AxiomaticallyAppropriate):
                 cs.allocations.setdefault(f.inner, f.term.name)
         elif isinstance(j, MP):
-            fi = cited(idx, j.i)
-            fj = cited(idx, j.j)
-            if fi is None or fj is None:
-                return fail(idx, f"bad citation in mp {j.i} {j.j}")
-            if fj.formula != MatImp(fi.formula, line.formula):
+            if refs[1] != MatImp(refs[0], f):
                 return fail(idx, "cited lines do not support modus ponens")
         elif isinstance(j, RCN):
-            fi = cited(idx, j.i)
-            if fi is None:
-                return fail(idx, f"bad citation in rcn {j.i}")
-            if not (isinstance(line.formula, Counterfactual)
-                    and line.formula.right == fi.formula):
+            if not (isinstance(f, Counterfactual) and f.right == refs[0]):
                 return fail(idx, "line must be φ > (cited line)")
         elif isinstance(j, RCK):
-            fi = cited(idx, j.i)
-            if fi is None:
-                return fail(idx, f"bad citation in rck {j.i}")
             try:
-                phi, psis, psi = _rck_parameters(line.formula, fi.formula)
+                phi, psis, psi = _rck_parameters(f, refs[0])
             except ValueError as exc:
                 return fail(idx, str(exc))
             if j.antecedent is not None and j.antecedent != phi:
@@ -411,17 +416,13 @@ def check_derivation(
                 return fail(idx, "declared rck conjunct count does not match the line")
             expansion = derive_rck(phi, psis, psi)
             sub = check_derivation(expansion, dialect)
-            if not (sub.ok and expansion.conclusion == line.formula
-                    and sub.premises == (fi.formula,)):
+            if not sub.ok:
+                return fail(idx, f"rck expansion fails at its line {sub.error_line}: {sub.reason}")
+            if expansion.conclusion != f or sub.premises != tuple(refs):
                 return fail(idx, "rck expansion does not reproduce the line")
         elif isinstance(j, RCEA):
-            if dialect is not Dialect.LPCKplus:
-                return fail(idx, f"rcea is not a rule of {dialect.value}")
-            fi = cited(idx, j.i)
-            if fi is None:
-                return fail(idx, f"bad citation in rcea {j.i}")
-            parts = _equiv_parts(fi.formula)
-            conc = _equiv_parts(line.formula)
+            parts = _equiv_parts(refs[0])
+            conc = _equiv_parts(f)
             if parts is None or conc is None:
                 return fail(idx, "rcea needs biconditionals on both lines")
             a, b = parts
@@ -431,16 +432,9 @@ def check_derivation(
                     and left.right == right.right):
                 return fail(idx, "line must equate φ>χ with ψ>χ for the cited φ ≡ ψ")
         elif isinstance(j, Nec):
-            if dialect is not Dialect.L:
-                return fail(idx, f"nec is not a rule of {dialect.value}")
-            fi = cited(idx, j.i)
-            if fi is None:
-                return fail(idx, f"bad citation in nec {j.i}")
-            if line.formula != Box(fi.formula):
+            if f != Box(refs[0]):
                 return fail(idx, "line must be [](cited line)")
-        else:
-            return fail(idx, f"unknown justification {j!r}")
-        by_index[idx] = line
+        by_index[idx] = f
     return CheckResult(True, None, None, tuple(premises))
 
 
@@ -604,7 +598,7 @@ def internalize(d: Derivation, cs: ConstantSpecification) -> tuple[Term, Derivat
         elif isinstance(j, MP):
             r = terms[j.j]
             s = terms[j.i]
-            phi_i = _line_formula(d, j.i)
+            phi_i = d.lines[j.i - 1].formula  # expand_rck numbered the lines 1, 2, …
             rf = Just(r, MatImp(phi_i, chi))
             sf = Just(s, phi_i)
             pair_f = And(rf, sf)
@@ -619,7 +613,7 @@ def internalize(d: Derivation, cs: ConstantSpecification) -> tuple[Term, Derivat
             terms[line.index] = App(r, s)
         elif isinstance(j, RCN):
             s = terms[j.i]
-            inner = _line_formula(d, j.i)
+            inner = d.lines[j.i - 1].formula
             t = Pair(s, chi.left)
             bridge = MatImp(Just(s, inner), Just(t, chi))
             l1 = emit(bridge, Axiom("ax10"))
@@ -631,13 +625,6 @@ def internalize(d: Derivation, cs: ConstantSpecification) -> tuple[Term, Derivat
     return terms[last], Derivation(tuple(out))
 
 
-def _line_formula(d: Derivation, index: int) -> Formula:
-    for line in d.lines:
-        if line.index == index:
-            return line.formula
-    raise ValueError(f"no line {index}")
-
-
 # --- text and document formats ---------------------------------------------
 
 
@@ -645,16 +632,8 @@ _AXIOM_TAGS = frozenset(_TEMPLATES) | {"ax1"}
 
 
 def print_derivation(d: Derivation) -> str:
-    out = []
-    for line in d.lines:
-        j = line.justification
-        if isinstance(j, Axiom):
-            tag = j.scheme
-        else:
-            cited = (str(getattr(j, name)) for name in _CITES[type(j)])
-            tag = " ".join([type(j).__name__.lower(), *cited])
-        out.append(f"{line.index}. {print_formula(line.formula)} ; {tag}")
-    return "\n".join(out)
+    return "\n".join(f"{line.index}. {print_formula(line.formula)} ; {_tag(line.justification)}"
+                     for line in d.lines)
 
 
 def parse_derivation(text: str, dialect: Dialect) -> Derivation:

@@ -18,7 +18,7 @@ import enum
 import functools
 from dataclasses import dataclass, field
 from operator import and_, or_
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from condjust.syntax import (
     And, App, Atom, Bang, Box, Constant, Counterfactual, Dialect, Formula,
@@ -26,6 +26,9 @@ from condjust.syntax import (
     formula_key, parse_formula, parse_term, print_formula, print_term,
     subterms, term_key, terms_of, _INTERNED, _plan, _sorted_by_key,
 )
+
+if TYPE_CHECKING:
+    from condjust.routley_models import RoutleyModel
 
 __all__ = [
     "RelScheme", "KripkeModel", "VariantProfile",
@@ -950,9 +953,14 @@ _PASSED = {cid: ConditionResult(cid, True) for cid in (*_CHECKS, "star", "normal
 # --- JSON documents ---------------------------------------------------------
 
 
-def load_model(doc: dict) -> tuple[KripkeModel, Dialect]:
-    """Build a model from its JSON document; returns the declared dialect too."""
+def load_model(doc: dict) -> tuple[KripkeModel | RoutleyModel, Dialect]:
+    """Build a model from its JSON document; returns the declared dialect too.
+    A document of dialect jrc gives the RoutleyModel load_routley_model builds."""
     _check_document(doc)
+    if doc.get("dialect") == "jrc":
+        from condjust.routley_models import load_routley_model
+
+        return load_routley_model(doc), Dialect.JRC
     if "star" in doc or "ternary" in doc:
         raise ValueError("document describes a Routley model, not a relational one")
     dialect = Dialect(doc.get("dialect", "lpcplus"))

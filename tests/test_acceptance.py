@@ -27,7 +27,7 @@ from condjust.kripke_models import (
 )
 from condjust.kripke_models import eval as kripke_eval
 from condjust.routley_models import (
-    check_jrc_conditions, eval_jrc, jrc_valid, load_routley_model,
+    check_jrc_conditions, eval_jrc, jrc_valid,
 )
 from condjust.tableau import Budget, Closed, Open, prove, verify_result
 from condjust.falsifier import (
@@ -48,10 +48,7 @@ JRC = Dialect.JRC
 
 
 def _model(name):
-    doc = fixture_json(name)
-    if doc.get("dialect") == "jrc":
-        return load_routley_model(doc), JRC
-    return load_model(doc)
+    return load_model(fixture_json(name))
 
 
 def _passline(n, label, elapsed):

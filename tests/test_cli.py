@@ -142,6 +142,18 @@ class TestEvalCommand:
         assert code == 2
         assert "cannot read" in err
 
+    def test_model_that_is_not_json_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "eval", "--model", "lemma_cc.txt", "--state", "w", "p")
+        assert (code, out) == (2, "")
+        assert err == ("error: fixture lemma_cc.txt is not JSON:"
+                       " Expecting value: line 1 column 1 (char 0)\n")
+        path = tmp_path / "broken.json"
+        path.write_text('{"states": [', encoding="utf-8")
+        code, out, err = run(capsys, "eval", "--model", str(path), "--state", "w", "p")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path} is not valid JSON:"
+                       " Expecting value: line 1 column 13 (char 12)\n")
+
     @pytest.mark.parametrize("doc", [
         [1, 2],
         {"states": ["w"], "valuation": []},
@@ -486,6 +498,49 @@ class TestCorpusCommand:
         assert code == 1
         assert "FAIL  wrong" in out
         assert "expected false, got true" in out
+
+    def test_every_failure_message(self, capsys, tmp_path):
+        # Not named cases.json: that bare name is the bundled corpus.
+        cases = tmp_path / "failing.json"
+        (tmp_path / "bad.txt").write_text("1. p => q ; ax1\n", encoding="utf-8")
+        gettier_6 = {"check": "conditions", "model": "gettier.json",
+                     "profile": "lpcplus", "formulas": ["(c.x):(p | q)"]}
+        cases.write_text(json.dumps({"cases": [
+            {"name": "eval", "check": "eval", "model": "gettier.json", "state": "w",
+             "formula": "p | q", "expect": False},
+            {"name": "valid", "note": "counterpossibles are vacuously true",
+             "check": "valid", "model": "gettier.json", "formula": "false > p",
+             "expect": False},
+            {"name": "conditions-ok", **gettier_6, "expect_ok": True},
+            {"name": "conditions-failed", **gettier_6, "expect_ok": False,
+             "failed": ["5", "6"]},
+            {"name": "derivation-rejected", "check": "derivation", "file": "bad.txt",
+             "dialect": "lpcplus"},
+            {"name": "derivation-premises", "check": "derivation",
+             "file": "theorem_rck.txt", "dialect": "lpcplus", "premises": []},
+            {"name": "derivation-conclusion", "check": "derivation",
+             "file": "lemma_cc.txt", "dialect": "lpcplus", "conclusion": "p"},
+            {"name": "prove-closed", "check": "prove", "sequent": "p ~> q",
+             "expect": "closed"},
+            {"name": "prove-steps", "check": "prove", "sequent": "p, p ~> q |- q",
+             "expect": "closed", "max_steps": 0},
+            {"name": "prove-open", "check": "prove", "sequent": "p ~> p", "expect": "open"},
+        ]}), encoding="utf-8")
+        code, out, err = run(capsys, "corpus", "--cases", str(cases))
+        assert (code, err) == (1, "")
+        assert out == "\n".join([
+            "FAIL  eval: expected false, got true",
+            "FAIL  valid  (counterpossibles are vacuously true): expected false, got true",
+            "FAIL  conditions-ok: expected ok=True, failing conditions: 6",
+            "FAIL  conditions-failed: expected failures ['5', '6'], got ['6']",
+            "FAIL  derivation-rejected: rejected at line 1: not an instance of ax1",
+            "FAIL  derivation-premises: premises differ: got q1 & q2 => r",
+            "FAIL  derivation-conclusion: conclusion differs: got (p > q) & (p > r) => p > q & r",
+            "FAIL  prove-closed: expected closed, got open",
+            "FAIL  prove-steps: closed in 3 steps, limit 0",
+            "FAIL  prove-open: expected open, got closed",
+            "0 passed, 10 failed",
+            ""])
 
     def test_unknown_kind_exits_2(self, capsys, tmp_path):
         cases = tmp_path / "cases.json"

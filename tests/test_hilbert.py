@@ -296,7 +296,7 @@ _REASONS = [
      lines((pf("p > q"), Axiom("ax3"))), (False, 1, "not an instance of ax3")),
     ("ax1-past-component-cap", LPC, None,
      lines((MatImp(_conjoined(17, lambda i: Atom(f"p{i}")), Atom("p0")), Axiom("ax1"))),
-     (False, 1, "not an instance of ax1")),
+     (False, 1, "ax1 is decided only up to 16 components; this line has 17")),
     ("cs-not-a-constant", LPC, _C_PP,
      lines((pf("x:(p > p)"), CS())),
      (False, 1, "a constant-specification line must have the form c:φ")),
@@ -340,7 +340,8 @@ _REASONS = [
      lines((MatImp(_conjoined(15, lambda i: Atom(f"q{i}")), Atom("r")), Hyp()),
            (MatImp(_conjoined(15, lambda i: Counterfactual(Atom("p"), Atom(f"q{i}"))),
                    pf("p > r")), RCK(1))),
-     (False, 2, "rck expansion does not reproduce the line")),
+     (False, 2, "rck expansion fails at its line 181:"
+                " ax1 is decided only up to 16 components; this line has 17")),
     ("rcea-outside-lpckplus", LPC, None,
      lines((pf("p == q", _LK), Hyp()), (pf("p > r == q > r", _LK), RCEA(7))),
      (False, 2, "rcea is not a rule of lpcplus")),
@@ -795,3 +796,8 @@ def test_component_cap_is_kept():
         conj = And(conj, Atom(f"p{i}"))
     assert match_axiom(MatImp(conj, Atom("p0")), LPC) == ("ax1", {})
     assert match_axiom(MatImp(And(conj, Atom("p16")), Atom("p0")), LPC) is None
+    # The checker names the cap (see _REASONS), which derive_rck meets at
+    # 15 conjuncts: its line 181 is an ax1 line with 17 components.
+    res = check_derivation(derive_rck(pf("p"), [pf(f"q{i}") for i in range(15)], pf("r")), LPC)
+    assert (res.ok, res.error_line, res.reason) == (
+        False, 181, "ax1 is decided only up to 16 components; this line has 17")

@@ -20,7 +20,7 @@ from condjust.kripke_models import (
     eval as keval, jtb, knowledge, load_model, model_to_json, profile_for,
     truthset, valid_in_model,
 )
-from condjust.routley_models import load_routley_model
+from condjust.routley_models import RoutleyModel, load_routley_model
 from condjust.syntax import (
     And, App, Atom, Bang, Box, Constant, Counterfactual, Dialect, Just, MatImp,
     Neg, Pair, RelCf, RelImp, Sum, Variable, closure, formula_key, parse_formula,
@@ -298,6 +298,24 @@ def test_model_json_roundtrip():
 def test_loading_a_document_that_is_not_an_object_raises_type_error(load, doc):
     with pytest.raises(TypeError, match="a model document must be a JSON object"):
         load(doc)
+
+
+def test_load_model_reads_a_jrc_document_as_load_routley_model_does():
+    jrc = Dialect.JRC
+    doc = fixture_json("chisholm.json")
+    m, d = load_model(doc)
+    assert d is jrc and type(m) is RoutleyModel
+    assert model_to_json(m, jrc) == model_to_json(load_routley_model(doc), jrc)
+    assert valid_in_model(m, parse_formula("q -> p", jrc), jrc)
+    assert not valid_in_model(m, parse_formula("p", jrc), jrc)
+    m, d = load_model({"dialect": "jrc", "states": ["w0"], "valuation": {"w0": ["p"]}})
+    assert d is jrc and valid_in_model(m, parse_formula("p", jrc), jrc)
+
+
+def test_load_model_keeps_routley_fields_out_of_other_dialects():
+    for key, value in [("star", {}), ("ternary", [])]:
+        with pytest.raises(ValueError, match="describes a Routley model"):
+            load_model({"dialect": "lpcplus", "states": ["w"], key: value})
 
 
 def _random_safe_model(rng):

@@ -209,6 +209,13 @@ class TestOpenSequents:
         assert isinstance(r, Open)
         assert verify_result(r, [], goal) is True
 
+    def test_closed_proof_verifies_and_a_false_closed_does_not(self):
+        premises, goal = [pf("p"), pf("p ~> q")], pf("q")
+        r = prove(premises, goal)
+        assert isinstance(r, Closed)
+        assert verify_result(r, premises, goal) is True
+        assert verify_result(Closed(None, 0), [], pf("p ~> q")) is False
+
     def test_open_branch_transcript_available(self):
         r = prove([], pf("(p & ~p) ~> q"), Budget(6, 500))
         text = r.branch.text()
