@@ -525,18 +525,28 @@ def derive_rck(phi: Formula, psis: list[Formula] | tuple[Formula, ...], psi: For
 
 
 def expand_rck(d: Derivation) -> Derivation:
-    """Replace every rck step by its primitive expansion, renumbering."""
-    formulas = {line.index: line.formula for line in d.lines}
+    """Replace every rck step by its primitive expansion, renumbering.  A
+    citation of a line that does not come before it, or an rck line of the
+    wrong shape, raises ValueError naming the citing line."""
+    formulas: dict[int, Formula] = {}  # the lines read so far
     new_lines: list[Line] = []
     remap: dict[int, int] = {}
     nxt = 1
 
+    def new_index(i: int) -> int:  # cited by the line being expanded
+        if i not in remap:
+            raise ValueError(f"line {line.index} cites line {i}, which does not come before it")
+        return remap[i]
+
     for line in d.lines:
         j = line.justification
         if isinstance(j, RCK):
-            phi, psis, psi = _rck_parameters(line.formula, formulas[j.i])
+            local = {1: new_index(j.i)}  # the expansion's hypothesis is line j.i
+            try:
+                phi, psis, psi = _rck_parameters(line.formula, formulas[j.i])
+            except ValueError as exc:
+                raise ValueError(f"line {line.index}: {exc}") from None
             expansion = derive_rck(phi, psis, psi)
-            local = {1: remap[j.i]}  # the expansion's hypothesis is line j.i
             for el in expansion.lines[1:]:
                 new_lines.append(Line(nxt, el.formula,
                                       _renumber(el.justification, local.__getitem__)))
@@ -544,9 +554,10 @@ def expand_rck(d: Derivation) -> Derivation:
                 nxt += 1
             remap[line.index] = nxt - 1
         else:
-            new_lines.append(Line(nxt, line.formula, _renumber(j, remap.__getitem__)))
+            new_lines.append(Line(nxt, line.formula, _renumber(j, new_index)))
             remap[line.index] = nxt
             nxt += 1
+        formulas[line.index] = line.formula
     return Derivation(tuple(new_lines))
 
 

@@ -7,6 +7,14 @@ stand for star images of each other.  Saturation is budgeted and fair: rule
 instances fire FIFO within tiers (decomposition, then branching, then
 normality, then cut), each at most once per branch, so a branch that
 completes without closing is genuinely complete and induces a countermodel.
+
+A branch the fresh-label budget has refused a rule instance is blocked: it
+and every copy of it can close but never end open.  Once a blocked branch
+ends without closing, the proof cannot close either, so the search drops
+every blocked branch from then on, queued or running, and spends its steps
+only on branches that can still end open.  ``Exhausted`` thus means that no
+unblocked branch ended open within the step budget, and that either the
+step budget ran out or some blocked branch ended open.
 """
 
 from __future__ import annotations
@@ -270,6 +278,10 @@ class _Prover:
         self.steps = 0
         self.line_no = 0
         self.step_capped = False
+        # Set once a blocked branch runs out of rules without closing: the
+        # proof can no longer close, and no blocked branch can end Open, so
+        # blocked branches are searched no further.
+        self.cannot_close = False
         self.antecedents_of: dict[Formula, tuple[Formula, ...]] = {}
 
     def _cond_antecedents(self, f: Formula) -> tuple[Formula, ...]:
@@ -411,6 +423,7 @@ class _Prover:
                 return _CLOSED
             if not branch.agenda:
                 branch.complete = not branch.blocked
+                self.cannot_close |= branch.blocked
                 outcome = _OPEN if branch.complete else _EXHAUSTED
                 self._note(branch, outcome)
                 return outcome
@@ -426,18 +439,20 @@ class _Prover:
             try:
                 nodes = row.nodes(self, branch, a, b)
             except _Blocked:
+                if self.cannot_close:
+                    self._note(branch, _EXHAUSTED)
+                    return _EXHAUSTED
                 continue
             self.steps += 1
             self.add_nodes(branch, nodes, self._cite(branch, rule, a, b))
 
     def search(self, root: Branch):
-        any_exhausted = False
         # (branch, alternative nodes, tag, whether to copy the branch first)
         pending: list[tuple[Branch, tuple | None, str, bool]] = [(root, None, "", False)]
-        while pending:
-            if self.step_capped:
-                return _EXHAUSTED
+        while pending and not self.step_capped:
             branch, alt, tag, fork = pending.pop()
+            if self.cannot_close and branch.blocked:
+                continue
             if alt is not None:
                 if fork:
                     branch = branch.copy()
@@ -449,7 +464,6 @@ class _Prover:
             if outcome == _OPEN:
                 return branch
             if isinstance(outcome, str):
-                any_exhausted |= outcome == _EXHAUSTED
                 continue
             rule, a, b = outcome
             tag = self._cite(branch, rule, a, b)
@@ -459,7 +473,7 @@ class _Prover:
             pending.append((branch, last, tag, False))
             for nodes in earlier:
                 pending.append((branch, nodes, tag, True))
-        return _EXHAUSTED if any_exhausted else _CLOSED
+        return _EXHAUSTED if self.step_capped or self.cannot_close else _CLOSED
 
     def run(self) -> ProofResult:
         root = Branch()

@@ -23,7 +23,10 @@ reports.  ``golden/corpus.txt`` and
 A change to the prover's, the falsifier's or the condition checks' data
 structures must leave all
 of them unchanged; a change to a rule or to the schedule rewrites them on
-purpose with ``PYTHONPATH=src python tests/test_golden.py``.
+purpose with ``PYTHONPATH=src python tests/test_golden.py``, which redraws
+every sequent, or ``PYTHONPATH=src python tests/test_golden.py tableau``,
+which recomputes the digests of the sequents already in
+``golden/tableau.json`` and writes no other file.
 """
 
 import hashlib
@@ -279,14 +282,11 @@ def _write_conditions() -> None:
     (GOLDEN / "conditions.json").write_text(f'{{"note": {note}, "cases": [\n{body}\n]}}\n')
 
 
-def _write() -> None:
-    """Redraw the sequents and rewrite every golden file from this checkout."""
-    import contextlib
-    import io
-
-    GOLDEN.mkdir(exist_ok=True)
+def _write_tableau(sequents) -> None:
+    """Write golden/tableau.json: each (premises, goal) text pair with its
+    result digest at each budget."""
     cases = []
-    for premises_text, goal_text in _draw_sequents(SEQUENTS):
+    for premises_text, goal_text in sequents:
         case = {"premises": premises_text, "goal": goal_text}
         premises, goal = _parse(case)
         for name, budget in BUDGETS.items():
@@ -294,6 +294,15 @@ def _write() -> None:
         cases.append(case)
     doc = {"note": __doc__.split("\n\n")[0], "cases": cases}
     (GOLDEN / "tableau.json").write_text(json.dumps(doc, indent=1) + "\n")
+
+
+def _write() -> None:
+    """Redraw the sequents and rewrite every golden file from this checkout."""
+    import contextlib
+    import io
+
+    GOLDEN.mkdir(exist_ok=True)
+    _write_tableau(_draw_sequents(SEQUENTS))
     cases = []
     for premises_text, goal_text in _draw_sequents(FALSIFIER_DRAWN):
         case = {"premises": premises_text, "goal": goal_text}
@@ -316,5 +325,8 @@ def _write() -> None:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).parent))
-    _write()
+    if sys.argv[1:] == ["tableau"]:
+        _write_tableau((case["premises"], case["goal"]) for case in _tableau_cases())
+    else:
+        sys.path.insert(0, str(Path(__file__).parent))
+        _write()

@@ -478,6 +478,25 @@ class TestDeriveMacros:
                   (pf("p > r"), Nec(4)))
         assert print_derivation(expand_rck(d)) == _EXPANDED
 
+    @pytest.mark.parametrize("rows,message", [
+        # a missing line, a later line, the citing line itself
+        (((pf("p > q"), RCN(2)),), "line 1 cites line 2,"),
+        (((pf("p"), Hyp()), (pf("q"), MP(1, 3)), (pf("p => q"), Hyp())), "line 2 cites line 3,"),
+        (((pf("q => r"), Hyp()), (pf("(p > q) => (p > r)"), RCK(3)),
+          (pf("p"), Hyp())), "line 2 cites line 3,"),
+        (((pf("(p > q) => (p > r)"), RCK(1)),), "line 1 cites line 1,"),
+    ])
+    def test_expand_rck_names_a_bad_citation(self, rows, message):
+        with pytest.raises(ValueError, match=f"^{message} which does not come before it$"):
+            expand_rck(lines(*rows))
+
+    def test_expand_rck_numbers_a_malformed_rck_line(self):
+        d = lines((pf("q => r"), Hyp()), (pf("p"), Axiom("ax1")),
+                  (pf("(p > s) => (p > r)"), RCK(1)))
+        with pytest.raises(ValueError, match="^line 3: cited line must be the"
+                                             " conjoined-consequents implication$"):
+            expand_rck(d)
+
     def test_macros_check_in_every_hilbert_dialect(self):
         for dialect in (LPC, INT, Dialect.LPCprime, Dialect.LPCKplus,
                         Dialect.J4Cplus, Dialect.JCplus, Dialect.L):

@@ -1,11 +1,16 @@
 """Tableau prover tests: pinned traces, countermodel extraction, budgets."""
 
 import json
+import re
+import sys
 from importlib import resources
+from pathlib import Path
 from textwrap import dedent
 
 import pytest
 
+from condjust import tableau
+from condjust.falsifier import find_countermodel
 from condjust.routley_models import (
     check_jrc_conditions,
     eval_jrc,
@@ -240,17 +245,141 @@ class TestBudgetExhaustion:
         assert "step budget of 1" in r.report
 
     def test_blocked_instance_draws_no_label(self):
-        # With one label left, F-> off the root is refused its two labels
-        # and must draw neither; the one left serves a later one-label rule.
-        # A prover that drew the labels one at a time would spend it and
-        # stop after 90 instances.
-        r = prove([], pf("~(p -> q) ~> q -> (s+s):q"), Budget(3, 500))
-        assert r == Exhausted("fresh-label budget of 3 blocked a branch after 142 fired instances")
+        # With one label left, F-> on p -> p at label 1 is refused its two
+        # labels and must draw neither; the one left serves F~>0 on the cut
+        # node q ~> p0, -0.  A prover that drew the labels one at a time
+        # would spend it and stop after 7 instances.
+        r = prove([], pf("(q ~> p0) ~> p -> p"), Budget(3, 500))
+        assert r == Exhausted("fresh-label budget of 3 blocked a branch after 11 fired instances")
 
     def test_exhausted_verifies_vacuously(self):
         goal = pf("s:p ~> (s+t):p")
         r = prove([], goal, Budget(6, 1))
         assert verify_result(r, [], goal) is True
+
+
+class _NeverSet:
+    """Stands in for ``_Prover.cannot_close`` and always reads False, so no
+    blocked branch is dropped: the search as it was before the skip.  What
+    is written to it is kept as ``ended_blocked``, from which
+    ``_unskipped_search`` gives the verdict that search gave."""
+
+    def __get__(self, prover, owner=None):
+        return False
+
+    def __set__(self, prover, value):
+        prover.__dict__["ended_blocked"] = prover.__dict__.get("ended_blocked") or value
+
+
+def _unskipped_search(prover, root, search=tableau._Prover.search):
+    out = search(prover, root)
+    if out == tableau._CLOSED and prover.__dict__.get("ended_blocked"):
+        return tableau._EXHAUSTED
+    return out
+
+
+_TRACE_LINE = re.compile(r"(\s*)(\d+)\. (.*)  \[(\S+)((?: \d+)*)\]")
+
+
+def _renumbered(text: str) -> str:
+    """The trace with each line number, and each citation of it, replaced
+    by the line's place in the text."""
+    place: dict[str, str] = {}
+    rows = []
+    for row in text.splitlines():
+        m = _TRACE_LINE.fullmatch(row)
+        if m is None:
+            rows.append(row)
+            continue
+        indent, line, expr, rule, cites = m.groups()
+        place[line] = str(len(place) + 1)
+        rows.append(f"{indent}{place[line]}. {expr}  "
+                    f"[{' '.join([rule, *(place[c] for c in cites.split())])}]")
+    return "\n".join(rows)
+
+
+def _differential_sequents():
+    """The golden tableau sequents, then the fixed prove families of the
+    proofs benchmark at seeds 41 and 7: (x op y) ~> p, and the right-nested
+    ~> chains of depth 2 to 12."""
+    golden = json.loads((Path(__file__).parent / "golden" / "tableau.json").read_text())
+    out = [(tuple(map(pf, c["premises"])), pf(c["goal"])) for c in golden["cases"]]
+    sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+    import workloads
+
+    families = 12 + len(workloads.PROOFS_CHAIN_DEPTHS)
+    for seed in (41, 7):
+        records = workloads.generate("proofs", seed)
+        end = next(i for i, r in enumerate(records) if r[0] == "derivation")
+        out += [((), pf(r[2])) for r in records[end - families:end]]
+    return out
+
+
+class TestBlockedBranchSkip:
+    """Once a blocked branch ends without closing, the proof cannot close,
+    and the prover searches no blocked branch further.  Against the search
+    without the skip, a Closed result is unchanged, an Open one comes from
+    the same branch, and an Exhausted one may become an Open that verifies."""
+
+    @pytest.mark.parametrize("budget", [Budget(6, 500), Budget()], ids=str)
+    def test_answers_match_the_unskipped_search(self, budget, monkeypatch):
+        changed = []
+        for premises, goal in _differential_sequents():
+            got = prove(premises, goal, budget)
+            with monkeypatch.context() as m:
+                m.setattr(tableau._Prover, "cannot_close", _NeverSet(), raising=False)
+                m.setattr(tableau._Prover, "search", _unskipped_search)
+                was = prove(premises, goal, budget)
+            case = (premises, goal)
+            if isinstance(was, Closed) or isinstance(got, Closed):
+                assert (type(got), got.tree, got.steps) == (type(was), was.tree, was.steps), case
+            elif isinstance(was, Open):
+                assert isinstance(got, Open), case
+                assert got.root_state == was.root_state, case
+                assert routley_model_to_json(got.extracted) == routley_model_to_json(
+                    was.extracted), case
+                assert _renumbered(got.branch.text()) == _renumbered(was.branch.text()), case
+            elif isinstance(got, Open):
+                assert verify_result(got, premises, goal), case
+                assert find_countermodel(premises, goal, Dialect.JRC, 3) is not None, case
+                changed.append(case)
+            else:
+                assert isinstance(got, Exhausted), case
+        # the skip decides some sequents that the search without it does not
+        assert changed
+
+    def test_renumbering_keeps_citations(self):
+        text = "3. p, -0  [goal]\n  7. q, +1  [F~>0 3]\nopen"
+        assert _renumbered(text) == "1. p, -0  [goal]\n  2. q, +1  [F~>0 1]\nopen"
+
+    def test_blocked_branch_that_closes_keeps_the_proof_closed(self):
+        # F~>0 on q ~> q, -0 is refused its label, then the branch closes on
+        # p; only a blocked branch that ends without closing stops the skip
+        r = prove([pf("p")], pf("(q ~> q) | ~~p"), Budget(1, 500))
+        assert isinstance(r, Closed)
+        assert r.steps == 6
+        assert r.tree.endswith("6. q ~> q, -0  [T~ 4]\n7. ~~p, -0  [T~ 5]\n"
+                               "8. ~p, +0#  [F~ 7]\n9. p, -0  [T~ 8]\nclosed [1, 9]")
+
+    # Without the skip, each of these spent its steps on blocked branches
+    # from 6 or 8 fresh labels up, so a larger budget lost the verdict.
+    @pytest.mark.parametrize("budget", [Budget(4, 2000), Budget(), Budget(12, 2000),
+                                        Budget(16, 20000)], ids=str)
+    @pytest.mark.parametrize("text", ["(~p -> ~p) ~> p", "(~p ~> p) ~> p",
+                                      "(~p ~> ~p) ~> p"])
+    def test_verdict_does_not_depend_on_the_budget(self, text, budget):
+        r = prove([], pf(text), budget)
+        assert isinstance(r, Open)
+        assert verify_result(r, [], pf(text))
+
+    def test_chain_past_the_labels_ends_early(self):
+        # a depth-9 chain needs more fresh labels than the default budget
+        # gives, and the first blocked branch to end stops the search
+        r = prove([], pf("q ~> q ~> q ~> p ~> q ~> p ~> p ~> q ~> p"))
+        assert isinstance(r, Exhausted)
+        m = re.fullmatch(r"fresh-label budget of 8 blocked a branch after (\d+) fired instances",
+                         r.report)
+        assert m and int(m[1]) < 100
 
 
 class TestDeterminism:
