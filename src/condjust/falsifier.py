@@ -40,6 +40,7 @@ from .kripke_models import (
     profile_for,
     _bits,
     _counterexamples,
+    _link_sample,
     _lowest,
     _slice_patterns,
 )
@@ -635,8 +636,13 @@ def sample_models(dialect: Dialect, atom_names, terms, count: int, rng,
     and chained-application dialects keep a single normal state; their
     pairing and chained-application conditions need it. Non-normal states
     draw their literal memberships from the universe's subformulas.
+    The models share one packed evaluator, which valid_in_model reads.
     """
     profile_for(dialect)  # reject dialects without a Kripke profile
+    if size_bound < 1:
+        raise ValueError("state bound must be at least 1")
+    if count < 0:
+        raise ValueError("sample count must not be negative")
     single_normal = dialect in (Dialect.LPCint, Dialect.LPCprime)
     all_terms = sorted({s for t in terms for s in subterms(t)}, key=term_key)
     pool = _sorted_by_key(closure(universe))
@@ -659,4 +665,5 @@ def sample_models(dialect: Dialect, atom_names, terms, count: int, rng,
         out.append(KripkeModel(states, frozenset(states[:n]), valuation,
                                nn_val, term_rels, {},
                                RelScheme.TruthsetNormal))
+    _link_sample(out)
     return out

@@ -499,6 +499,132 @@ def _evaluator(m) -> _Evaluator:
     return ev
 
 
+class _Packed:
+    """Truth sets of all the models of one sample at once, one wide int per
+    formula, cached per formula: state i of model j is bit j * width + i,
+    width being the sample's largest state count, as the falsifier's walks
+    pack one bit per model code. Holds for what sample_models builds:
+    relational models under the normal-truth-set scheme with no overrides,
+    so the checked states are the normal ones. A clause that asks whether
+    something holds anywhere in a model ORs the model's block down to its
+    lowest bit."""
+
+    __slots__ = ("sample", "masks", "low", "ones", "normal", "atoms", "members", "terms",
+                 "shifts")
+
+    def __init__(self, sample):
+        self.sample, self.masks = sample, {}
+        width, parts = sample
+        low = normal = 0
+        atoms: dict[str, int] = {}
+        members: dict[Formula, int] = {}
+        terms: dict[Term, list[int]] = {}  # per state position, the rows of all models
+        for j, (normal_mask, m_atoms, m_members, m_terms) in enumerate(parts):
+            shift = j * width
+            low |= 1 << shift
+            normal |= normal_mask << shift
+            for a, mask in m_atoms.items():
+                atoms[a] = atoms.get(a, 0) | mask << shift
+            for f, mask in m_members.items():
+                members[f] = members.get(f, 0) | mask << shift
+            for t, rows in m_terms.items():
+                wide = terms.setdefault(t, [0] * width)
+                for i, row in enumerate(rows):
+                    wide[i] |= row << shift
+        self.low, self.normal, self.atoms, self.members, self.terms = (
+            low, normal, atoms, members, terms)
+        self.ones = (1 << width) - 1  # times a block's lowest bit: the whole block
+        self.shifts = range(1, width)
+
+    def mask(self, f: Formula) -> int:
+        masks = self.masks
+        value = masks.get(f)
+        if value is None:
+            if len(masks) > _PACKED_CAP:
+                # a new dict, not a cleared one: a thread filling the old
+                # one still finds the children it cached there
+                self.masks = masks = {}
+            self.fill(masks, [g for g in _plan(f) if g not in masks] if masks else _plan(f))
+            value = masks[f]
+        return value
+
+    def _any(self, x: int) -> int:
+        """The lowest bit of each block where x has a bit: a shift by less
+        than the width brings no bit of the next block down to it."""
+        y = x
+        for s in self.shifts:
+            y |= x >> s
+        return y & self.low
+
+    def fill(self, masks: dict[Formula, int], order) -> None:
+        """As _Evaluator.fill, every model at once, into masks."""
+        members, terms = self.members, self.terms
+        normal, low, ones, any_ = self.normal, self.low, self.ones, self._any
+        for g in order:
+            kind = type(g)
+            if kind is Atom:
+                value = self.atoms.get(g.name, 0)
+            elif kind is Counterfactual:
+                value = ~(any_(masks[g.left] & normal & ~masks[g.right]) * ones)
+            elif kind is MatImp:
+                value = ~masks[g.left] | masks[g.right]
+            elif kind is Just:
+                rows = terms.get(g.term)
+                if rows is None:
+                    value = -1
+                else:
+                    outside = ~masks[g.inner]
+                    value = 0
+                    for i, row in enumerate(rows):
+                        value |= (low & ~any_(row & outside)) << i
+            elif kind is And:
+                value = masks[g.left] & masks[g.right]
+            elif kind is Neg:
+                value = ~masks[g.inner]
+            elif kind is Box:
+                value = ~(any_(normal & ~masks[g.inner]) * ones)
+            else:
+                raise ValueError(KripkeModel._foreign.format(kind.__name__))
+            masks[g] = value & normal | members[g] if g in members else value & normal
+
+
+# The packed evaluator of the last sample asked about, in a one-item list, as
+# _last keeps the last model's evaluator: it holds its sample, so one read
+# gives a sample and its masks together. Each formula is evaluated once for
+# the whole sample, whichever order a caller asks its models and formulas
+# in; the cap bounds what a caller that asks many formulas keeps.
+_NO_SAMPLE = _Packed((1, ()))
+_last_sample = [_NO_SAMPLE]
+_PACKED_CAP = 4096
+
+
+def _link_sample(models) -> None:
+    """Link each model to the sample, its width and the bitset parts of all
+    the models, and to the offset of its block. The link is no field, so
+    dataclasses.replace, repr and model_to_json leave it out, and
+    __getstate__ drops it from a pickle or a copy. It holds no model, so no
+    model keeps another alive."""
+    if models:
+        width = max(len(m.states) for m in models)
+        sample = width, tuple((m._normal_mask, m._atoms, m._members, m._term_rows)
+                              for m in models)
+        for j, m in enumerate(models):
+            vars(m)["_sample"] = (sample, j * width)
+
+
+def _getstate(m) -> dict:
+    """What a pickle or a copy of a model keeps: its attributes but the
+    sample link."""
+    state = vars(m)
+    if "_sample" in state:
+        state = {k: v for k, v in state.items() if k != "_sample"}
+    return state
+
+
+KripkeModel._sample = None  # the sample link of a model sample_models built
+KripkeModel.__getstate__ = _getstate
+
+
 def _family(m, dialect: Dialect, formulas=()) -> None:
     """Raise TypeError unless the dialect is read on the model's class
     (Routley models for jrc), then check the formulas' grammar."""
@@ -534,7 +660,15 @@ def valid_in_model(m, f: Formula, dialect: Dialect | None = None) -> bool:
     """True at every normal state."""
     if dialect is not None:
         _family(m, dialect, (f,))
-    return not m._normal_mask & ~_evaluator(m).mask(f)
+    link = m._sample
+    if link is None:
+        return not m._normal_mask & ~_evaluator(m).mask(f)
+    sample, shift = link
+    pack = _last_sample[0]
+    if pack.sample is not sample:
+        _last_sample[0] = _NO_SAMPLE  # drop the old masks first, as _evaluator does
+        _last_sample[0] = pack = _Packed(sample)
+    return not m._normal_mask & ~(pack.mask(f) >> shift)
 
 
 def consequence(m, premises, goal: Formula, dialect: Dialect | None = None) -> bool:

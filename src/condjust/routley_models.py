@@ -118,6 +118,7 @@ RoutleyModel.term_rels = KripkeModel.term_rels
 RoutleyModel.formula_rel_overrides = KripkeModel.formula_rel_overrides
 RoutleyModel._foreign = "{} has no clause on Routley models; use a relational model"
 RoutleyModel._covered = "listed states"
+RoutleyModel._sample = None  # no sample_models link, as on a KripkeModel not sampled
 # An identity star reads ~ as the complement.
 RoutleyModel._clauses = _View("_clauses", lambda m: (
     RelCf, RelImp, None if m._star == m._checked_idx else m._star, m._tern))

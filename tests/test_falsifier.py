@@ -1,5 +1,6 @@
 """Falsifier tests: bounded enumeration, oracle cross-checks, samplers."""
 
+import copy
 import dataclasses
 import pickle
 import random
@@ -26,6 +27,7 @@ from condjust.kripke_models import (
     eval as kripke_eval,
     model_to_json,
     profile_for,
+    valid_in_model,
 )
 from condjust.routley_models import (
     RoutleyModel,
@@ -47,6 +49,8 @@ from condjust.syntax import (
     Term,
     Variable,
     atoms,
+    closure,
+    formula_key,
     parse_formula,
     parse_term,
 )
@@ -671,6 +675,15 @@ class TestSampleModels:
         with pytest.raises(ValueError):
             sample_models(J, ["p"], [], 1, random.Random(0))
 
+    def test_rejects_a_state_bound_below_one(self):
+        with pytest.raises(ValueError, match="^state bound must be at least 1$"):
+            sample_models(L, ["p"], [], 1, random.Random(0), size_bound=0)
+
+    def test_rejects_a_negative_count(self):
+        with pytest.raises(ValueError, match="count"):
+            sample_models(L, ["p"], [], -3, random.Random(0))
+        assert sample_models(L, ["p"], [], 0, random.Random(0)) == []
+
 
 # --- models built from slot codes -----------------------------------------
 
@@ -803,6 +816,24 @@ class TestMaskModels:
                 assert vars(back)[name] == vars(want)[name]
             for name in VIEWS:
                 assert getattr(back, name) == getattr(want, name)
+        # A sampled model's link to its sample is no field: a pickle, a copy
+        # and dataclasses.replace leave it behind, and the model they give
+        # answers on its own as the sampled one did.
+        universe = [pf("x:p > p", L), pf("~x:q", L)]
+        queries = sorted(closure(universe), key=formula_key)
+        for m in sample_models(L, ["p", "q"], [Variable("x")], 6, random.Random(2),
+                               universe=universe):
+            assert m._sample is not None
+            before = [valid_in_model(m, f) for f in queries]
+            doc, text = model_to_json(m, L), repr(m)
+            assert "_sample" not in text
+            for back in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m),
+                         dataclasses.replace(m)):
+                assert "_sample" not in vars(back) and back._sample is None
+                assert model_to_json(back, L) == doc
+                assert "_sample" not in repr(back)
+                assert [valid_in_model(back, f) for f in queries] == before
+            assert [valid_in_model(m, f) for f in queries] == before
 
     def test_replace_validates_and_keeps_the_model(self):
         m, want = self.sample()
