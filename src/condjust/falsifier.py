@@ -635,14 +635,18 @@ def sample_models(dialect: Dialect, atom_names, terms, count: int, rng,
     which settles every frame condition structurally. The internalization
     and chained-application dialects keep a single normal state; their
     pairing and chained-application conditions need it. Non-normal states
-    draw their literal memberships from the universe's subformulas.
-    The models share one packed evaluator, which valid_in_model reads.
+    draw their literal memberships from the universe's subformulas; the
+    universe and the terms must be of the dialect. valid_in_model reads
+    the models together, as one wide model with a block of bits each.
     """
     profile_for(dialect)  # reject dialects without a Kripke profile
     if size_bound < 1:
         raise ValueError("state bound must be at least 1")
     if count < 0:
         raise ValueError("sample count must not be negative")
+    universe, terms = tuple(universe), tuple(terms)
+    for node in (*universe, *terms):
+        check_dialect_formula(node, dialect)
     single_normal = dialect in (Dialect.LPCint, Dialect.LPCprime)
     all_terms = sorted({s for t in terms for s in subterms(t)}, key=term_key)
     pool = _sorted_by_key(closure(universe))

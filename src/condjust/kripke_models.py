@@ -9,7 +9,9 @@ on top of a default scheme derived from truth sets.
 The evaluation functions also take the Routley models of routley_models.
 One evaluator reads both families: the model supplies its conditional and
 implication, the star and ternary rows negation and implication go through
-(none here), and the states that follow the clauses.
+(none here), and the states that follow the clauses. It also reads the
+models one sample_models call returns as one wide model, a block of bits
+per model, so that valid_in_model walks a formula once for the sample.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from operator import and_, or_
+from operator import and_, not_, or_
 from typing import TYPE_CHECKING, NamedTuple
 
 from condjust.syntax import (
@@ -118,7 +120,7 @@ class KripkeModel:
 
 def _freeze(m, **fields) -> None:
     """Store the given fields and the fields both model families share,
-    the latter as tuples and frozensets."""
+    the latter as tuples, frozensets and a RelScheme."""
     vars(m).update(
         states=tuple(m.states),
         normal=frozenset(m.normal),
@@ -126,6 +128,7 @@ def _freeze(m, **fields) -> None:
         term_rels={t: frozenset(tuple(p) for p in v) for t, v in m.term_rels.items()},
         formula_rel_overrides={
             f: frozenset(tuple(p) for p in v) for f, v in m.formula_rel_overrides.items()},
+        formula_rel_default=RelScheme(m.formula_rel_default),
         **fields)
 
 
@@ -376,20 +379,24 @@ def _diagonal(rows: tuple[int, ...]) -> int:
     return out
 
 
-def _inside(idx, rows: tuple[int, ...], target: int) -> int:
-    """The states among idx whose row lies inside the target mask."""
+def _inside(m, rows, target: int) -> int:
+    """The checked states whose row lies inside the target mask. On a
+    sample, rows[i] holds the rows of state i of every model, and the test
+    is made block by block."""
+    none, outside = m._none, ~target
     out = 0
-    for i in idx:
-        if not rows[i] & ~target:
-            out |= 1 << i
+    for i in m._checked_idx:
+        out |= none(rows[i] & outside) << i
     return out
 
 
 class _Evaluator:
-    """Truth sets of one model of either family as int masks, bit i for
-    state i, cached per formula. At the checked states (the normal ones of a
-    relational model, all of a Routley model) a formula's bits follow its
-    clause; elsewhere they are the literal valuation's memberships."""
+    """Truth sets of one model of either family, or of one _Sample, as int
+    masks, bit i for state i, cached per formula. At the checked states (the
+    normal ones of a relational model, all of a Routley model) a formula's
+    bits follow its clause; elsewhere they are the literal valuation's
+    memberships. A clause that asks whether something holds anywhere asks
+    it of each block: the whole model, or one model of a sample."""
 
     __slots__ = ("m", "masks")
 
@@ -410,7 +417,7 @@ class _Evaluator:
         formula's children are in the cache or earlier in order."""
         masks, m = self.masks, self.m
         checked, members, atoms = m._checked, m._members, m._atoms
-        overrides, terms, idx, scope = m._override_rows, m._term_rows, m._checked_idx, m._scope
+        overrides, terms, scope = m._override_rows, m._term_rows, m._scope
         cond, imp, star, tern = m._clauses
         for g in order:
             kind = type(g)
@@ -420,9 +427,10 @@ class _Evaluator:
                 rows = overrides.get(g.left)
                 b = masks[g.right]
                 if rows is not None:
-                    value = _inside(idx, rows, b)
+                    value = _inside(m, rows, b)
                 else:
-                    value = 0 if masks[g.left] & scope & ~b else -1
+                    # read here, not before the loop: most fills need neither
+                    value = m._none(masks[g.left] & scope & ~b) * m._ones
             elif kind is imp:
                 if tern is None:
                     value = ~masks[g.left] | masks[g.right]
@@ -436,7 +444,7 @@ class _Evaluator:
                             value |= 1 << x
             elif kind is Just:
                 rows = terms.get(g.term)
-                value = -1 if rows is None else _inside(idx, rows, masks[g.inner])
+                value = -1 if rows is None else _inside(m, rows, masks[g.inner])
             elif kind is And:
                 value = masks[g.left] & masks[g.right]
             elif kind is Neg:
@@ -450,7 +458,7 @@ class _Evaluator:
                         if not a >> s & 1:
                             value |= 1 << i
             elif kind is Box:
-                value = 0 if m._normal_mask & ~masks[g.inner] else -1
+                value = m._none(m._normal_mask & ~masks[g.inner]) * m._ones
             else:
                 raise ValueError(m._foreign.format(kind.__name__))
             masks[g] = value & checked | members[g] if g in members else value & checked
@@ -480,136 +488,86 @@ class _Evaluator:
 # Models never change, so the questions a caller asks of one model in a row
 # (its counterexamples, then its conditions) share one set of truth sets.
 # Not one evaluator per model: that would keep the truth sets of every model
-# a caller retains.
+# a caller retains. valid_in_model keeps the evaluator of the last sample
+# asked about in a slot of its own, so that a caller asking a sample's
+# models in either order, or other questions in between, walks each
+# formula's plan once for the whole sample.
 _NO_MODEL = _Evaluator(None)
 _last = [_NO_MODEL]
+_last_sample = [_NO_MODEL]
 
 
-def _evaluator(m) -> _Evaluator:
-    ev = _last[0]
+def _evaluator(m, slot: list) -> _Evaluator:
+    ev = slot[0]
     if ev.m is m:
         return ev
     # Dropping the old evaluator first lets the new one reuse its memory, and
     # skipping __init__ saves a call: each is a few percent of a question
     # about a model not asked about before.
-    _last[0] = ev = _NO_MODEL
+    slot[0] = ev = _NO_MODEL
     ev = object.__new__(_Evaluator)
     ev.m, ev.masks = m, {}
-    _last[0] = ev
+    slot[0] = ev
     return ev
 
 
-class _Packed:
-    """Truth sets of all the models of one sample at once, one wide int per
-    formula, cached per formula: state i of model j is bit j * width + i,
-    width being the sample's largest state count, as the falsifier's walks
-    pack one bit per model code. Holds for what sample_models builds:
-    relational models under the normal-truth-set scheme with no overrides,
-    so the checked states are the normal ones. A clause that asks whether
-    something holds anywhere in a model ORs the model's block down to its
-    lowest bit."""
+# A lone model is one block: x holds nowhere in it when not x, and -1
+# covers the block.
+KripkeModel._none, KripkeModel._ones = not_, -1
 
-    __slots__ = ("sample", "masks", "low", "ones", "normal", "atoms", "members", "terms",
-                 "shifts")
 
-    def __init__(self, sample):
-        self.sample, self.masks = sample, {}
-        width, parts = sample
+class _Sample:
+    """The models one sample_models call returns, as one wide model that
+    _Evaluator reads: state i of model j is bit j * width + i, width being
+    the largest state count, as the falsifier's walks pack one bit per model
+    code. A term's row at position i holds row i of every model. Holds for
+    what sample_models builds: relational models under the normal-truth-set
+    scheme with no overrides, so the checked states are the normal ones."""
+
+    _override_rows: dict[Formula, tuple[int, ...]] = {}
+    _clauses, _foreign = KripkeModel._clauses, KripkeModel._foreign
+
+    def __init__(self, models):
+        width = max(len(m.states) for m in models)
         low = normal = 0
         atoms: dict[str, int] = {}
         members: dict[Formula, int] = {}
-        terms: dict[Term, list[int]] = {}  # per state position, the rows of all models
-        for j, (normal_mask, m_atoms, m_members, m_terms) in enumerate(parts):
+        terms: dict[Term, list[int]] = {}
+        for j, m in enumerate(models):
             shift = j * width
             low |= 1 << shift
-            normal |= normal_mask << shift
-            for a, mask in m_atoms.items():
-                atoms[a] = atoms.get(a, 0) | mask << shift
-            for f, mask in m_members.items():
-                members[f] = members.get(f, 0) | mask << shift
-            for t, rows in m_terms.items():
-                wide = terms.setdefault(t, [0] * width)
+            normal |= m._normal_mask << shift
+            for wide, masks in ((atoms, m._atoms), (members, m._members)):
+                for key, mask in masks.items():
+                    wide[key] = wide.get(key, 0) | mask << shift
+            for t, rows in m._term_rows.items():
+                wide_rows = terms.setdefault(t, [0] * width)
                 for i, row in enumerate(rows):
-                    wide[i] |= row << shift
-        self.low, self.normal, self.atoms, self.members, self.terms = (
-            low, normal, atoms, members, terms)
-        self.ones = (1 << width) - 1  # times a block's lowest bit: the whole block
-        self.shifts = range(1, width)
+                    wide_rows[i] |= row << shift
+        self.width, self._atoms, self._members, self._term_rows = width, atoms, members, terms
+        self._checked = self._normal_mask = self._scope = normal
+        # the positions some model checks: a row test skips the others
+        self._checked_idx = tuple(i for i in range(width) if normal >> i & low)
+        self._low, self._ones, self._shifts = low, (1 << width) - 1, range(1, width)
 
-    def mask(self, f: Formula) -> int:
-        masks = self.masks
-        value = masks.get(f)
-        if value is None:
-            if len(masks) > _PACKED_CAP:
-                # a new dict, not a cleared one: a thread filling the old
-                # one still finds the children it cached there
-                self.masks = masks = {}
-            self.fill(masks, [g for g in _plan(f) if g not in masks] if masks else _plan(f))
-            value = masks[f]
-        return value
-
-    def _any(self, x: int) -> int:
-        """The lowest bit of each block where x has a bit: a shift by less
+    def _none(self, x: int) -> int:
+        """The lowest bit of each block where x has no bit: a shift by less
         than the width brings no bit of the next block down to it."""
         y = x
-        for s in self.shifts:
+        for s in self._shifts:
             y |= x >> s
-        return y & self.low
-
-    def fill(self, masks: dict[Formula, int], order) -> None:
-        """As _Evaluator.fill, every model at once, into masks."""
-        members, terms = self.members, self.terms
-        normal, low, ones, any_ = self.normal, self.low, self.ones, self._any
-        for g in order:
-            kind = type(g)
-            if kind is Atom:
-                value = self.atoms.get(g.name, 0)
-            elif kind is Counterfactual:
-                value = ~(any_(masks[g.left] & normal & ~masks[g.right]) * ones)
-            elif kind is MatImp:
-                value = ~masks[g.left] | masks[g.right]
-            elif kind is Just:
-                rows = terms.get(g.term)
-                if rows is None:
-                    value = -1
-                else:
-                    outside = ~masks[g.inner]
-                    value = 0
-                    for i, row in enumerate(rows):
-                        value |= (low & ~any_(row & outside)) << i
-            elif kind is And:
-                value = masks[g.left] & masks[g.right]
-            elif kind is Neg:
-                value = ~masks[g.inner]
-            elif kind is Box:
-                value = ~(any_(normal & ~masks[g.inner]) * ones)
-            else:
-                raise ValueError(KripkeModel._foreign.format(kind.__name__))
-            masks[g] = value & normal | members[g] if g in members else value & normal
-
-
-# The packed evaluator of the last sample asked about, in a one-item list, as
-# _last keeps the last model's evaluator: it holds its sample, so one read
-# gives a sample and its masks together. Each formula is evaluated once for
-# the whole sample, whichever order a caller asks its models and formulas
-# in; the cap bounds what a caller that asks many formulas keeps.
-_NO_SAMPLE = _Packed((1, ()))
-_last_sample = [_NO_SAMPLE]
-_PACKED_CAP = 4096
+        return self._low & ~y
 
 
 def _link_sample(models) -> None:
-    """Link each model to the sample, its width and the bitset parts of all
-    the models, and to the offset of its block. The link is no field, so
-    dataclasses.replace, repr and model_to_json leave it out, and
-    __getstate__ drops it from a pickle or a copy. It holds no model, so no
-    model keeps another alive."""
+    """Link each model to one _Sample of them all and to the offset of its
+    block. The link is no field, so dataclasses.replace, repr and
+    model_to_json leave it out, and __getstate__ drops it from a pickle or a
+    copy. The sample holds no model, so no model keeps another alive."""
     if models:
-        width = max(len(m.states) for m in models)
-        sample = width, tuple((m._normal_mask, m._atoms, m._members, m._term_rows)
-                              for m in models)
+        sample = _Sample(models)
         for j, m in enumerate(models):
-            vars(m)["_sample"] = (sample, j * width)
+            vars(m)["_sample"] = (sample, j * sample.width)
 
 
 def _getstate(m) -> dict:
@@ -642,7 +600,7 @@ def eval(m, w: str, f: Formula, dialect: Dialect | None = None) -> bool:
         raise ValueError(f"unknown state {w!r}")
     if dialect is not None:
         _family(m, dialect, (f,))
-    return _evaluator(m).holds(i, f)
+    return _evaluator(m, _last).holds(i, f)
 
 
 eval_kripke = eval  # the same function, under a name that shadows no builtin
@@ -652,7 +610,7 @@ def truthset(m, f: Formula, dialect: Dialect | None = None) -> frozenset[str]:
     """States where f is true, relational non-normal states by membership."""
     if dialect is not None:
         _family(m, dialect, (f,))
-    ts = _evaluator(m).mask(f)
+    ts = _evaluator(m, _last).mask(f)
     return frozenset(w for i, w in enumerate(m.states) if ts >> i & 1)
 
 
@@ -662,13 +620,12 @@ def valid_in_model(m, f: Formula, dialect: Dialect | None = None) -> bool:
         _family(m, dialect, (f,))
     link = m._sample
     if link is None:
-        return not m._normal_mask & ~_evaluator(m).mask(f)
+        return not m._normal_mask & ~_evaluator(m, _last).mask(f)
     sample, shift = link
-    pack = _last_sample[0]
-    if pack.sample is not sample:
-        _last_sample[0] = _NO_SAMPLE  # drop the old masks first, as _evaluator does
-        _last_sample[0] = pack = _Packed(sample)
-    return not m._normal_mask & ~(pack.mask(f) >> shift)
+    ev = _last_sample[0]
+    if ev.m is not sample:  # read here, not through a call: a sample is asked in a row
+        ev = _evaluator(sample, _last_sample)
+    return not m._normal_mask & ~(ev.mask(f) >> shift)
 
 
 def consequence(m, premises, goal: Formula, dialect: Dialect | None = None) -> bool:
@@ -682,7 +639,7 @@ def consequence(m, premises, goal: Formula, dialect: Dialect | None = None) -> b
 def _counterexamples(m, premises, goal: Formula) -> int:
     """The normal states where every premise holds and the goal fails, as a
     mask read off the model's evaluator."""
-    ev = _evaluator(m)
+    ev = _evaluator(m, _last)
     counter = m._normal_mask & ~ev.mask(goal)
     for f in premises:
         counter &= ev.mask(f)
@@ -775,7 +732,7 @@ def _report(name: str, cids, checks: dict, m, universe,
     its terms and the model's; each check reads only masks, and a failed
     one's text is made when first read."""
     formulas, query_terms, terms = _query_part(frozenset(universe))
-    ev = _evaluator(m)
+    ev = _evaluator(m, _last)
     masks = ev.masks
     todo = [f for f in formulas if f not in masks] if masks else formulas
     if todo:
@@ -900,7 +857,7 @@ def _cf_mask(m, ev, a: Formula, b: Formula) -> tuple[Formula | None, int]:
     if value is None:
         ts_b = ev.mask(b)
         rows = m._override_rows.get(a)
-        value = (_inside(m._normal_idx, rows, ts_b) if rows is not None
+        value = (_inside(m, rows, ts_b) if rows is not None
                  else 0 if ev.mask(a) & m._scope & ~ts_b else -1)
         value = value & m._normal_mask | m._members.get(f, 0)
     return f, value
@@ -918,7 +875,7 @@ def _just_rows(m, ev, s: Term, f: Formula | None, ts_f: int) -> tuple[int, ...]:
         value = ev.masks.get(g)
         if value is None:
             rows = m._term_rows.get(s)
-            value = -1 if rows is None else _inside(m._normal_idx, rows, ts_f)
+            value = -1 if rows is None else _inside(m, rows, ts_f)
             value = value & m._normal_mask | m._members.get(g, 0)
         scope &= value
     return (scope,) * len(m.states)

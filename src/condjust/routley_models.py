@@ -119,6 +119,7 @@ RoutleyModel.formula_rel_overrides = KripkeModel.formula_rel_overrides
 RoutleyModel._foreign = "{} has no clause on Routley models; use a relational model"
 RoutleyModel._covered = "listed states"
 RoutleyModel._sample = None  # no sample_models link, as on a KripkeModel not sampled
+RoutleyModel._none, RoutleyModel._ones = KripkeModel._none, KripkeModel._ones  # one block
 # An identity star reads ~ as the complement.
 RoutleyModel._clauses = _View("_clauses", lambda m: (
     RelCf, RelImp, None if m._star == m._checked_idx else m._star, m._tern))

@@ -21,7 +21,7 @@ from condjust.falsifier import (
     iter_kripke_models,
     sample_models,
 )
-from condjust.kripke_models import KripkeModel, RelScheme, _bits
+from condjust.kripke_models import KripkeModel, RelScheme, _bits, load_model
 from condjust.kripke_models import (
     check_conditions,
     eval as kripke_eval,
@@ -683,6 +683,22 @@ class TestSampleModels:
         with pytest.raises(ValueError, match="count"):
             sample_models(L, ["p"], [], -3, random.Random(0))
         assert sample_models(L, ["p"], [], 0, random.Random(0)) == []
+
+    def test_rejects_a_universe_or_term_outside_the_dialect(self):
+        # A literal entry outside the dialect would make a model whose own
+        # JSON document load_model refuses.
+        lpc = Dialect.LPCplus
+        with pytest.raises(ValueError, match="not in dialect lpcplus"):
+            sample_models(lpc, ["p"], [], 40, random.Random(0),
+                          universe=[RelCf(Atom("p"), Atom("q"))])
+        with pytest.raises(ValueError, match="lpcplus"):
+            sample_models(lpc, ["p"], [parse_term("<x, p>", Dialect.LPCint)], 4,
+                          random.Random(0))
+        universe = [parse_formula("x:p > q", lpc)]
+        for m in sample_models(lpc, ["p"], [Variable("x")], 40, random.Random(0),
+                               universe=universe):
+            doc = model_to_json(m, lpc)
+            assert model_to_json(load_model(doc)[0], lpc) == doc
 
 
 # --- models built from slot codes -----------------------------------------

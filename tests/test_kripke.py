@@ -291,6 +291,24 @@ def test_model_json_roundtrip():
         assert m2.formula_rel_default == m.formula_rel_default
 
 
+def test_constructors_take_a_relation_scheme_by_its_value():
+    # "empty" is RelScheme.Empty, under which p > false holds vacuously;
+    # a value that names no scheme is refused.
+    f = parse_formula("p > false", LPC)
+    m = KripkeModel(("w",), frozenset({"w"}), {"w": {"p"}}, formula_rel_default="empty")
+    assert m.formula_rel_default is RelScheme.Empty
+    assert valid_in_model(m, f)
+    assert model_to_json(m, LPC)["formula_rel_default"] == "empty"
+    r = RoutleyModel(("w",), frozenset({"w"}), {"w": "w"}, {("w", "w", "w")},
+                     formula_rel_default="empty")
+    assert r.formula_rel_default is RelScheme.Empty
+    with pytest.raises(ValueError, match="bogus"):
+        KripkeModel(("w",), frozenset({"w"}), formula_rel_default="bogus")
+    with pytest.raises(ValueError, match="bogus"):
+        RoutleyModel(("w",), frozenset({"w"}), {"w": "w"}, {("w", "w", "w")},
+                     formula_rel_default="bogus")
+
+
 @pytest.mark.parametrize("load,doc", [
     (load_model, [1]), (load_model, "x"), (load_model, None),
     (load_routley_model, None), (load_routley_model, ["jrc"]),
@@ -646,15 +664,24 @@ def _hooks(formulas, terms):
         (Just, t, a) for t in terms for a in formulas]
 
 
+def _has_pair(t) -> bool:
+    return any(isinstance(s, Pair) for s in subterms(t))
+
+
 def test_condition_checks_build_no_formula():
     """Every Kripke profile on sampled models with literal entries, and on
-    the same models with random term rows: the intern table does not grow."""
+    the same models with random term rows of every hook term: the intern
+    table does not grow. A sample takes the terms and entries its dialect
+    admits."""
     rng = random.Random(18)
     queries = [Just(App(_x, _y), q), Just(_y, MatImp(p, q)), Just(_x, Counterfactual(p, q)),
                Just(Pair(_x, p), q), Just(App(Pair(_y, q), _x), Neg(p)), Counterfactual(q, p)]
     universe = closure(queries)
     for d in _KRIPKE_DIALECTS:
-        models = sample_models(d, ("p", "q"), _HOOK_TERMS, 15, rng, universe=queries)
+        pairs = d is Dialect.LPCint  # no other dialect has pair terms
+        terms = [t for t in _HOOK_TERMS if pairs or not _has_pair(t)]
+        entries = [f for f in queries if pairs or not any(map(_has_pair, terms_of(f)))]
+        models = sample_models(d, ("p", "q"), terms, 15, rng, universe=entries)
         models += [KripkeModel(m.states, m.normal, m.valuation, m.nonnormal_valuation, {
             t: {(v, u) for v in m.states for u in m.states if rng.random() < 0.5}
             for t in _HOOK_TERMS}) for m in models]

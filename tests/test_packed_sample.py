@@ -1,12 +1,12 @@
-"""One packed evaluator per sample: valid_in_model on the models one
-sample_models call returns answers as it does on each model alone.
+"""One evaluator per sample: valid_in_model on the models one sample_models
+call returns answers as it does on each model alone.
 
-The models of a sample share one evaluator that computes a formula's truth
-on all of them at once, each model in a block of bits of one wide int. The
-tests below ask the packed path and the one-model path the same questions,
-in either loop order, with and without literal entries at non-normal
-states, and interleaved with the questions that keep the one-model
-evaluator.
+The models of a sample are read as one wide model, each model in a block of
+bits of one wide int, so one evaluator computes a formula's truth on all of
+them at once. The tests below ask the sample's evaluator and the one-model
+path the same questions, in either loop order, with and without literal
+entries at non-normal states, and interleaved with the questions that keep
+the one-model evaluator.
 """
 
 import dataclasses
@@ -23,7 +23,7 @@ from condjust.kripke_models import (
 )
 from condjust.syntax import (
     And, App, Atom, Bang, Box, Constant, Counterfactual, Dialect, Just, MatImp, Neg,
-    Pair, RelCf, Sum, Variable, check_dialect_formula, terms_of,
+    Pair, RelCf, Sum, Variable, check_dialect_formula, formula_key, terms_of,
 )
 
 KRIPKE_DIALECTS = [Dialect.LPCplus, Dialect.LPCint, Dialect.LPCprime, Dialect.LPCKplus,
@@ -129,14 +129,29 @@ def test_two_samples_in_turn_keep_their_own_answers():
             assert valid_in_model(n, f) == valid_in_model(ref_n, f)
 
 
-def test_cache_is_cleared_past_its_cap(monkeypatch):
-    monkeypatch.setattr(km, "_PACKED_CAP", 8)
-    formulas, models, alone = sampled(Dialect.LPCplus, 4, True)
-    longest = max(len(km._plan(f)) for f in formulas)
-    for f in formulas:
-        assert [valid_in_model(m, f) for m in models] == [valid_in_model(m, f) for m in alone]
-        # a miss clears a cache past the cap, then adds one plan
-        assert len(km._last_sample[0].masks) <= 8 + longest
+def test_many_formulas_model_major_walk_each_plan_once(monkeypatch):
+    """A caller asking one sample about more than 4,096 distinct formulas,
+    model by model, walks each formula's plan once for the whole sample:
+    the sample's truth sets are kept while it is asked about."""
+    rng = random.Random(8)
+    formulas = set()
+    while len(formulas) <= 4_100:
+        formulas.add(random_formula(rng, Dialect.LPCplus, 5))
+    formulas = sorted(formulas, key=formula_key)
+    terms = {t for f in formulas[-50:] for t in terms_of(f)}
+    models = sample_models(Dialect.LPCplus, ["p", "q"], terms, MODELS, rng)
+    planned, walk = [], km._plan
+
+    def plan(f):
+        planned.append(f)
+        return walk(f)
+
+    monkeypatch.setattr(km, "_plan", plan)
+    got = [[valid_in_model(m, f) for f in formulas] for m in models]
+    assert len(planned) == len(set(planned)) <= len(formulas)
+    monkeypatch.undo()
+    alone = [dataclasses.replace(m) for m in models]
+    assert got == [[valid_in_model(m, f) for f in formulas] for m in alone]
 
 
 def test_foreign_formula_raises_as_on_one_model():
@@ -149,11 +164,10 @@ def test_foreign_formula_raises_as_on_one_model():
     assert str(packed.value) == str(single.value)
 
 
-def test_threads_share_samples_and_a_small_cache(monkeypatch):
+def test_threads_share_samples():
     """Four threads ask the models of two samples, so the slot swaps samples
-    and a cache of 4 formulas is replaced many times while others fill it, at
-    a very short switch interval; every answer is the model's own."""
-    monkeypatch.setattr(km, "_PACKED_CAP", 4)
+    many times while others fill a sample's truth sets, at a very short
+    switch interval; every answer is the model's own."""
     cases = [sampled(Dialect.L, seed, True, count=10) for seed in (21, 22)]
     wants = [[[valid_in_model(m, f) for f in formulas] for m in alone]
              for formulas, _, alone in cases]

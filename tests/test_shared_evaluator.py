@@ -2,12 +2,14 @@
 
 The evaluation functions and the condition checks of both families share
 the evaluator of the last model they were asked about, so a caller that asks
-several questions of one model computes each truth set once. A failed
-condition's detail is printed the first time it is read.
+several questions of one model computes each truth set once; the models of
+a sample share the sample's evaluator. A failed condition's detail is
+printed the first time it is read.
 """
 
 import dataclasses
 import pickle
+import random
 import sys
 import threading
 
@@ -15,7 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from condjust import falsifier, kripke_models as km
-from condjust.falsifier import SearchSignature, find_countermodel, iter_kripke_models
+from condjust.falsifier import (
+    SearchSignature, find_countermodel, iter_kripke_models, sample_models,
+)
+from condjust.hilbert import axiom_schemes
 from condjust.kripke_models import (
     ConditionReport, ConditionResult, KripkeModel, VariantProfile, _Evaluator,
     check_conditions, default_universe, profile_for, truthset, valid_in_model,
@@ -23,9 +28,10 @@ from condjust.kripke_models import (
 from condjust.routley_models import RoutleyModel, check_jrc_conditions
 from condjust.syntax import (
     Atom, Dialect, Sum, Variable, closure, formula_key, parse_formula, print_formula,
-    print_term,
+    print_term, subterms, term_key, terms_of,
 )
 from condjust.tableau import Budget, Open, prove, verify_result
+from test_acceptance import _ATOMS, _inst_formula, _scheme_instance
 from test_kripke import ALL_CONDITIONS, _models
 from test_routley import _models_and_universes
 
@@ -145,6 +151,22 @@ def test_each_search_candidate_builds_one_evaluator(counts, monkeypatch, dialect
                               parse_formula(goal, dialect), dialect, 3)
     assert found is not None
     assert counts["evaluators"] == len(built) > 0
+
+
+def test_criterion_8_pass_builds_one_evaluator_per_sample(counts, monkeypatch):
+    """Scheme soundness (criterion 8) asks every instance of every model of
+    a 20-model sample. Instances first or models first, that builds one
+    evaluator, the sample's, and none per model."""
+    monkeypatch.setattr(km, "_last_sample", _Slot(counts))
+    rng = random.Random(802)
+    pair_pool = [_inst_formula(rng, Dialect.L, 1) for _ in range(6)]
+    instances = [_scheme_instance(scheme, rng, Dialect.L, pair_pool)
+                 for scheme in axiom_schemes(Dialect.L) for _ in range(20)]
+    terms = {s for f in instances for t in terms_of(f) for s in subterms(t)}
+    models = sample_models(Dialect.L, _ATOMS, sorted(terms, key=term_key), 20, rng)
+    assert all(valid_in_model(m, f) for f in instances for m in models)
+    assert all(valid_in_model(m, f) for m in models for f in instances)
+    assert counts["evaluators"] == 1
 
 
 @settings(deadline=None, max_examples=150)
