@@ -9,9 +9,12 @@ on top of a default scheme derived from truth sets.
 The evaluation functions also take the Routley models of routley_models.
 One evaluator reads both families: the model supplies its conditional and
 implication, the star and ternary rows negation and implication go through
-(none here), and the states that follow the clauses. It also reads the
-models one sample_models call returns as one wide model, a block of bits
-per model, so that valid_in_model walks a formula once for the sample.
+(none here), and the states that follow the clauses. It also reads many
+models as one wide model, a block of bits per model: the models one
+sample_models call returns, or a chunk of iter_kripke_models, so that
+valid_in_model walks a formula once for them all. check_conditions tests
+conditions 1 and 2 on a chunk's wide model once, block by block, and a
+model that fails there gets its report's results when they are first read.
 """
 
 from __future__ import annotations
@@ -359,23 +362,24 @@ def _bits(mask: int):
 
 
 @functools.cache
-def _slice_patterns(width: int) -> tuple[int, tuple[int, ...]]:
-    """All-ones over 2**width bits, and per slot i < width the int whose
-    bit j is bit i of j: slot i's value across one slice of codes."""
-    full = (1 << (1 << width)) - 1
+def _slice_patterns(width: int, stride: int = 1) -> tuple[int, tuple[int, ...]]:
+    """The int with bit j * stride set for each code j < 2**width (all-ones
+    when stride is 1), and per slot i < width the int whose bit j * stride
+    is bit i of j: slot i's value across one slice of codes."""
+    unit, ones = (1 << stride) - 1, (1 << (stride << width)) - 1
     pats = []
     for i in range(width):
-        half = 1 << i
-        every_period = full // ((1 << 2 * half) - 1)
-        pats.append(every_period * (((1 << half) - 1) << half))
-    return full, tuple(pats)
+        span = stride << i  # the bits of 2**i codes
+        pats.append(ones // ((1 << 2 * span) - 1) * ((1 << span) - 1) // unit << span)
+    return ones // unit, tuple(pats)
 
 
-def _diagonal(rows: tuple[int, ...]) -> int:
-    """States whose row reaches themselves."""
+def _diagonal(rows: tuple[int, ...], low: int = 1) -> int:
+    """States whose row reaches themselves; on a sample, low is the lowest
+    bit of each block."""
     out = 0
     for i, row in enumerate(rows):
-        out |= row & 1 << i
+        out |= row & low << i
     return out
 
 
@@ -488,10 +492,10 @@ class _Evaluator:
 # Models never change, so the questions a caller asks of one model in a row
 # (its counterexamples, then its conditions) share one set of truth sets.
 # Not one evaluator per model: that would keep the truth sets of every model
-# a caller retains. valid_in_model keeps the evaluator of the last sample
-# asked about in a slot of its own, so that a caller asking a sample's
-# models in either order, or other questions in between, walks each
-# formula's plan once for the whole sample.
+# a caller retains. valid_in_model and the block test of check_conditions
+# keep the evaluator of the last sample asked about in a slot of its own, so
+# that a caller asking a sample's models in either order, or other questions
+# in between, walks each formula's plan once for the whole sample.
 _NO_MODEL = _Evaluator(None)
 _last = [_NO_MODEL]
 _last_sample = [_NO_MODEL]
@@ -517,38 +521,26 @@ KripkeModel._none, KripkeModel._ones = not_, -1
 
 
 class _Sample:
-    """The models one sample_models call returns, as one wide model that
-    _Evaluator reads: state i of model j is bit j * width + i, width being
-    the largest state count, as the falsifier's walks pack one bit per model
-    code. A term's row at position i holds row i of every model. Holds for
-    what sample_models builds: relational models under the normal-truth-set
-    scheme with no overrides, so the checked states are the normal ones."""
+    """Models as one wide model that _Evaluator reads: state i of model j is
+    bit j * width + i, width being the largest state count, as the
+    falsifier's walks pack one bit per model code. A term's or an override's
+    row at position i holds row i of every model. The models are relational
+    under the normal-truth-set scheme, so the checked states are the normal
+    ones: those one sample_models call returns, without overrides, or a
+    chunk of iter_kripke_models, whose override rows are 0 off the normal
+    positions."""
 
-    _override_rows: dict[Formula, tuple[int, ...]] = {}
     _clauses, _foreign = KripkeModel._clauses, KripkeModel._foreign
 
-    def __init__(self, models):
-        width = max(len(m.states) for m in models)
-        low = normal = 0
-        atoms: dict[str, int] = {}
-        members: dict[Formula, int] = {}
-        terms: dict[Term, list[int]] = {}
-        for j, m in enumerate(models):
-            shift = j * width
-            low |= 1 << shift
-            normal |= m._normal_mask << shift
-            for wide, masks in ((atoms, m._atoms), (members, m._members)):
-                for key, mask in masks.items():
-                    wide[key] = wide.get(key, 0) | mask << shift
-            for t, rows in m._term_rows.items():
-                wide_rows = terms.setdefault(t, [0] * width)
-                for i, row in enumerate(rows):
-                    wide_rows[i] |= row << shift
-        self.width, self._atoms, self._members, self._term_rows = width, atoms, members, terms
+    def __init__(self, width: int, low: int, normal: int, atoms: dict, members: dict,
+                 term_rows: dict, override_rows: dict):
+        self._atoms, self._members = atoms, members
+        self._term_rows, self._override_rows = term_rows, override_rows
         self._checked = self._normal_mask = self._scope = normal
         # the positions some model checks: a row test skips the others
         self._checked_idx = tuple(i for i in range(width) if normal >> i & low)
         self._low, self._ones, self._shifts = low, (1 << width) - 1, range(1, width)
+        self._fails: dict = {}  # _block_failures per (conditions, universe)
 
     def _none(self, x: int) -> int:
         """The lowest bit of each block where x has no bit: a shift by less
@@ -564,10 +556,27 @@ def _link_sample(models) -> None:
     block. The link is no field, so dataclasses.replace, repr and
     model_to_json leave it out, and __getstate__ drops it from a pickle or a
     copy. The sample holds no model, so no model keeps another alive."""
-    if models:
-        sample = _Sample(models)
-        for j, m in enumerate(models):
-            vars(m)["_sample"] = (sample, j * sample.width)
+    if not models:
+        return
+    width = max(len(m.states) for m in models)
+    low = normal = 0
+    atoms: dict[str, int] = {}
+    members: dict[Formula, int] = {}
+    terms: dict[Term, list[int]] = {}
+    for j, m in enumerate(models):
+        shift = j * width
+        low |= 1 << shift
+        normal |= m._normal_mask << shift
+        for wide, masks in ((atoms, m._atoms), (members, m._members)):
+            for key, mask in masks.items():
+                wide[key] = wide.get(key, 0) | mask << shift
+        for t, rows in m._term_rows.items():
+            wide_rows = terms.setdefault(t, [0] * width)
+            for i, row in enumerate(rows):
+                wide_rows[i] |= row << shift
+    sample = _Sample(width, low, normal, atoms, members, terms, {})
+    for j, m in enumerate(models):
+        vars(m)["_sample"] = (sample, j * width)
 
 
 def _getstate(m) -> dict:
@@ -702,11 +711,18 @@ class ConditionReport:
     def failures(self) -> tuple[ConditionResult, ...]:
         return tuple(r for r in self.results if not r.passed)
 
+    def __reduce__(self):
+        # the fields alone: results not made yet are made here, so no model
+        # is pickled
+        return ConditionReport, (self.profile, self.results, self.approximation_note)
+
 
 # Set after the classes are made, so that the dataclass fields keep their
-# defaults; _report sets ok as it collects the results.
+# defaults; _report sets ok as it collects the results, and a report that
+# the block test answers makes its results when they are first read.
 ConditionResult.detail = _View("detail", lambda r: vars(r)["_text"]())
 ConditionReport.ok = _View("ok", lambda r: all(x.passed for x in r.results))
+ConditionReport.results = _View("results", lambda r: _report(*r._args).results)
 
 
 def default_universe(m, queries=()) -> set[Formula]:
@@ -762,10 +778,45 @@ def _report(name: str, cids, checks: dict, m, universe,
 
 def check_conditions(m: KripkeModel, profile: VariantProfile, universe,
                      cs: ConstantSpecification | None = None) -> ConditionReport:
-    """Check the profile's frame conditions over a finite formula universe."""
+    """Check the profile's frame conditions over a finite formula universe.
+    A model of a chunk of iter_kripke_models that fails its chunk's block
+    test of conditions 1 and 2 gets a failed report at once, which runs the
+    checks when its results are first read."""
     if not isinstance(m, KripkeModel):
         raise TypeError(f"check_conditions needs a KripkeModel, not {type(m).__name__}")
+    universe = frozenset(universe)
+    link = m._sample
+    if link is not None and link[0]._override_rows:
+        sample, shift = link
+        if _block_failures(sample, profile.conditions, universe) >> shift & sample._ones:
+            if isinstance(cs, AxiomaticallyAppropriate):  # its entries as they are now
+                cs = Explicit(cs_entries(cs))
+            report = object.__new__(ConditionReport)
+            vars(report).update(profile=profile.name, approximation_note=APPROXIMATION_NOTE,
+                                ok=False, _args=(profile.name, profile.conditions, _CHECKS,
+                                                 m, universe, cs))
+            return report
     return _report(profile.name, profile.conditions, _CHECKS, m, universe, cs)
+
+
+def _block_failures(sample: _Sample, conditions, universe: frozenset) -> int:
+    """The states, over every block of the sample, at which condition 1 or
+    2 (those of the conditions) fails for a formula of the universe's
+    closure, cached on the sample. Only an override row can fail them."""
+    key = conditions, universe
+    fails = sample._fails.get(key)
+    if fails is None:
+        ev, normal, fails = _evaluator(sample, _last_sample), sample._normal_mask, 0
+        for f in _query_part(universe)[0]:
+            rows = sample._override_rows.get(f)
+            if rows is not None:
+                ts = ev.mask(f)
+                if "1" in conditions:
+                    fails |= normal & ~_inside(sample, rows, ts)
+                if "2" in conditions:
+                    fails |= ts & normal & ~_diagonal(rows, sample._low)
+        sample._fails[key] = fails
+    return fails
 
 
 # Each condition walks its formulas, terms and normal states in the same order

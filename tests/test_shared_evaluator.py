@@ -87,16 +87,28 @@ def report(m, universe):
 # --- one evaluator per model ---------------------------------------------------
 
 
-def test_criterion_6_enumeration_builds_one_evaluator_per_model(counts):
+def test_criterion_6_enumeration_builds_one_evaluator_per_chunk(counts, monkeypatch):
     """The loop of acceptance criterion 6 asks each model for its validity
-    and, for a refuting model, its conditions: one evaluator and no text."""
+    and, for a refuting model, its conditions. The models of a chunk of
+    codes share one evaluator, a report the block test answers builds none,
+    the others one each at most, and no text is made."""
+    in_chunks = {"evaluators": 0}
+    monkeypatch.setattr(km, "_last_sample", _Slot(in_chunks))
+    full = []  # the models whose full report is built
+    report_of = km._report
+
+    def counted_report(*args):
+        full.append(args[3])
+        return report_of(*args)
+
+    monkeypatch.setattr(km, "_report", counted_report)
     f = parse_formula("false > p", LPC)
     profile = profile_for(LPC)
-    models = refuting = 0
+    sig = SearchSignature.for_sequent([], f, LPC, 3)
+    refuting = 0
     passing_validator_seen = False
     last = None
-    for m in iter_kripke_models(SearchSignature.for_sequent([], f, LPC, 3)):
-        models += 1
+    for m in iter_kripke_models(sig):
         if valid_in_model(m, f):
             if not passing_validator_seen and check_conditions(m, profile, [f]).ok:
                 passing_validator_seen = True
@@ -105,7 +117,12 @@ def test_criterion_6_enumeration_builds_one_evaluator_per_model(counts):
         last = check_conditions(m, profile, [f])
         assert not last.ok
     assert refuting and passing_validator_seen
-    assert counts["evaluators"] == models
+    chunks = sum(1 << lay.size - min(lay.size, falsifier._CHUNK_BITS)
+                 for lay in falsifier._layouts(sig))
+    assert in_chunks["evaluators"] == chunks
+    # every refuting model fails condition 1, so only validators are checked
+    assert all(valid_in_model(m, f) for m in full)
+    assert counts["evaluators"] <= len({id(m) for m in full})
     assert counts["prints"] == 0
     for r in last.failures():
         before = counts["prints"]
