@@ -13,12 +13,16 @@ computed once, bit-sliced; a hit's model is read off the same routine run
 on that single code and re-verified by the condition checker and the
 evaluator before it is returned.
 
-Both searches take 2**16 model codes at a time, one code per bit of a
-Python int, and evaluate the sequent and the cheap necessary conditions on
-the whole block: the frame conditions that bits decide for relational
-models, every realization test for Routley models. Only the codes that
-survive are built, in ascending order, so the first model found is the one
-a code-by-code walk would find.
+Both searches take 2**16 model codes at a time from _slices, one code per
+bit of a Python int, and evaluate the sequent and the cheap necessary
+conditions on the whole block: the frame conditions that bits decide for
+relational models, every realization test for Routley models. Only the
+codes that survive are built, in ascending order, so the first model found
+is the one a code-by-code walk would find. A relational slice's slot ints
+are split by field by _SlotLayout.columns, which also packs
+iter_kripke_models' chunks of 2**8 codes; _SlotLayout.model reads a single
+code. Both searches walk the signature's universe in its sorted order and
+key their truth tables by formula.
 
 The search is exponential in the sequent's vocabulary and meant for the
 small bounds where countermodels are legible. It doubles as the independent
@@ -30,7 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from operator import lshift
+from operator import and_, lshift, or_
 
 from .kripke_models import (
     KripkeModel,
@@ -42,14 +46,15 @@ from .kripke_models import (
     _counterexamples,
     _link_sample,
     _lowest,
+    _query_part,
     _slice_patterns,
     _Sample,
 )
 from .routley_models import RoutleyModel, check_jrc_conditions
 from .syntax import (
-    And, Atom, Box, Constant, Counterfactual, Dialect, Formula, Just, MatImp,
-    Neg, RelCf, RelImp, Sum, Term, Variable, atoms, check_dialect_formula,
-    closure, subterms, term_key, _sorted_by_key,
+    And, Atom, Constant, Counterfactual, Dialect, Formula, Just, MatImp, Neg,
+    RelCf, RelImp, Sum, Term, Variable, atoms, check_dialect_formula, subterms,
+    term_key,
 )
 from .tableau import Closed, Exhausted, Open, ProofResult, prove, verify_result
 
@@ -84,17 +89,12 @@ class SearchSignature:
         seq = (*premises, goal)
         for f in seq:
             check_dialect_formula(f, dialect)
-        universe = tuple(_sorted_by_key(closure(seq)))
+        universe, _, terms = _query_part(frozenset(seq))
         names = tuple(sorted({a for f in seq for a in atoms(f)}))
-        term_set: set[Term] = set()
-        for f in universe:
-            if isinstance(f, Just):
-                term_set |= subterms(f.term)
         hook = RelCf if dialect is Dialect.JRC else Counterfactual
         antecedents = tuple(dict.fromkeys(
             f.left for f in universe if isinstance(f, hook)))
-        return cls(dialect, bound, names,
-                   tuple(sorted(term_set, key=term_key)), antecedents, universe)
+        return cls(dialect, bound, names, terms, antecedents, universe)
 
 
 # --- relational enumeration ----------------------------------------------
@@ -131,16 +131,15 @@ class _SlotLayout:
     Slots are ordered valuation, non-normal valuation, term relations,
     relation overrides, each block row-major over its index tuple; bit i of
     a model code is slot i, and ascending codes give the canonical order.
+    model and columns are the two readers of that order.
     """
 
     def __init__(self, sig: SearchSignature, k: int, n: int):
         self.sig, self.k, self.n = sig, k, n
         (self.states, self.normal, self.term_shifts, self.ov_shifts,
          self.pad) = _shape(k, n)
-        self.nn_at = len(sig.atoms) * n
-        self.term_at = self.nn_at + len(sig.universe) * (k - n)
-        self.ov_at = self.term_at + len(sig.terms) * k * k
-        self.size = self.ov_at + len(sig.antecedents) * n * n
+        self.size = (len(sig.atoms) * n + len(sig.universe) * (k - n)
+                     + len(sig.terms) * k * k + len(sig.antecedents) * n * n)
 
     def model(self, code: int) -> KripkeModel:
         """The model of one code, read field by field from the low bits up:
@@ -169,22 +168,39 @@ class _SlotLayout:
         return _model_from_masks(self.states, self.normal, atoms, members,
                                  term_rows, override_rows)
 
+    def columns(self, bits: list[int]):
+        """A slice's slot ints split by field, in slot order: per atom its
+        n normal states, per universe formula its k - n non-normal states,
+        per term k rows of k states and per antecedent n rows of n states,
+        each a list of slot ints."""
+        sig, k, n = self.sig, self.k, self.n
+        at = 0
+        atoms, members, terms, overrides = {}, {}, {}, {}
+        for a in sig.atoms:
+            atoms[a] = bits[at:at + n]
+            at += n
+        for f in sig.universe:
+            members[f] = bits[at:at + k - n]
+            at += k - n
+        for t in sig.terms:
+            terms[t] = [bits[i:i + k] for i in range(at, at + k * k, k)]
+            at += k * k
+        for f in sig.antecedents:
+            overrides[f] = [bits[i:i + n] for i in range(at, at + n * n, n)]
+            at += n * n
+        return atoms, members, terms, overrides
+
     def sample(self, bits: list[int], low: int) -> _Sample:
         """The models of a chunk of codes as one _Sample, read off the int
         per slot whose bit j * k is the slot in code j of the chunk, as model
         reads a code: bit j * k + i is state i of code j."""
-        sig, k, n = self.sig, self.k, self.n
-        slots = iter(bits)
-
-        def row(count: int, at: int = 0) -> int:
-            return sum(map(lshift, itertools.islice(slots, count), range(at, at + count)))
-
-        atoms = {a: row(n) for a in sig.atoms}
-        members = {f: row(k - n, n) for f in sig.universe} if k > n else {}
-        terms = {t: tuple([row(k) for _ in range(k)]) for t in sig.terms}
-        overrides = {f: tuple([row(n) for _ in range(n)]) + self.pad
-                     for f in sig.antecedents}
-        return _Sample(k, low, low * ((1 << n) - 1), atoms, members, terms, overrides)
+        k, n = self.k, self.n
+        atoms, members, terms, overrides = self.columns(bits)
+        return _Sample(
+            k, low, low * ((1 << n) - 1), {a: _pack(c) for a, c in atoms.items()},
+            {f: _pack(c) << n for f, c in members.items()} if k > n else {},
+            {t: tuple(map(_pack, rows)) for t, rows in terms.items()},
+            {f: tuple(map(_pack, rows)) + self.pad for f, rows in overrides.items()})
 
 
 def _layouts(sig: SearchSignature):
@@ -193,158 +209,112 @@ def _layouts(sig: SearchSignature):
             yield _SlotLayout(sig, k, n)
 
 
-def iter_kripke_models(sig: SearchSignature):
-    """Every relational model over the signature, unfiltered, smallest first.
+def _slices(size: int, bits: int = _SLICE_BITS, stride: int = 1):
+    """The codes below 2**size, 2**bits at a time: the slice's first code,
+    the int per slot whose bit j * stride is the slot in code first + j,
+    and the int with bit j * stride set for each code j of the slice
+    (all-ones when stride is 1)."""
+    width = min(size, bits)
+    low, pats = _slice_patterns(width, stride)
+    high = size - width
+    for hi in range(1 << high):
+        yield hi << width, [*pats, *(low if hi >> i & 1 else 0
+                                     for i in range(high))], low
 
-    Membership slots are ordered valuation, non-normal valuation, term
-    relations, relation overrides; ascending integers over those bits give
-    the canonical order. The codes are taken 2**_CHUNK_BITS at a time, and
-    each model is linked to the _Sample of its chunk, so valid_in_model
-    walks a formula once per chunk and check_conditions tests conditions 1
-    and 2 once per chunk.
+
+def iter_kripke_models(sig: SearchSignature):
+    """Every relational model over the signature, unfiltered, smallest first,
+    in the canonical order of _SlotLayout's codes.
+
+    The codes are taken 2**_CHUNK_BITS at a time, as _slices gives them
+    with a stride of k bits, and each model is linked to the _Sample of its
+    chunk, so valid_in_model walks a formula once per chunk and
+    check_conditions tests conditions 1 and 2 once per chunk.
     """
     profile_for(sig.dialect)  # reject dialects without a Kripke profile
     for lay in _layouts(sig):
-        width = min(lay.size, _CHUNK_BITS)
-        low, pats = _slice_patterns(width, lay.k)
-        for base in range(0, 1 << lay.size, 1 << width):
-            # the chunk's slots, as _slices gives them, with a stride of k bits
-            sample = lay.sample([*pats, *(low if base >> i & 1 else 0
-                                          for i in range(width, lay.size))], low)
-            for shift, code in zip(range(0, lay.k << width, lay.k),
-                                   range(base, base + (1 << width))):
+        k, count = lay.k, 1 << min(lay.size, _CHUNK_BITS)
+        for base, bits, low in _slices(lay.size, _CHUNK_BITS, k):
+            sample = lay.sample(bits, low)
+            for shift, code in zip(range(0, k * count, k), range(base, base + count)):
                 m = lay.model(code)
                 vars(m)["_sample"] = (sample, shift)
                 yield m
 
 
-def _slices(size: int):
-    """The codes below 2**size, a slice at a time: the slice's first code,
-    the int per slot whose bit j is the slot in code first + j, and the
-    slice's all-ones int."""
-    width = min(size, _SLICE_BITS)
-    full, pats = _slice_patterns(width)
-    high = size - width
-    for hi in range(1 << high):
-        yield hi << width, [*pats, *(full if hi >> i & 1 else 0
-                                     for i in range(high))], full
-
-
-class _KripkeFilter:
-    """Necessary conditions for a countermodel, evaluated bit-sliced.
+def _survivors(lay: _SlotLayout, premises, goal: Formula, conditions,
+               bits: list[int], full: int) -> int:
+    """Bit j set when model j of the slice may be a countermodel.
 
     Each slot, formula truth value and condition is one int carrying a bit
-    per model of a slice. A cleared bit marks a model that either has no
+    per model of the slice. A cleared bit marks a model that either has no
     witness state or fails condition 1, 2, 4 or 6, so the witness loop or
     check_conditions would reject it; set bits still get the full check.
     Only the signature's antecedents have relation overrides: every other
     formula follows TruthsetNormal, which passes conditions 1 and 2.
     """
-
-    def __init__(self, sig: SearchSignature, premises, goal: Formula,
-                 conditions):
-        index = {f: i for i, f in enumerate(sig.universe)}
-        atom_at = {a: i for i, a in enumerate(sig.atoms)}
-        ante_at = {f: i for i, f in enumerate(sig.antecedents)}
-        term_at = {t: i for i, t in enumerate(sig.terms)}
-        plan: list[tuple] = []
-        for f in sig.universe:
-            if isinstance(f, Atom):
-                plan.append(("atom", atom_at[f.name]))
-            elif isinstance(f, Neg):
-                plan.append(("neg", index[f.inner]))
-            elif isinstance(f, And):
-                plan.append(("and", index[f.left], index[f.right]))
-            elif isinstance(f, MatImp):
-                plan.append(("imp", index[f.left], index[f.right]))
-            elif isinstance(f, Counterfactual):
-                plan.append(("cf", ante_at[f.left], index[f.right]))
-            elif isinstance(f, Just):
-                plan.append(("just", term_at[f.term], index[f.inner]))
+    k, n = lay.k, lay.n
+    normal = range(n)
+    atoms, members, terms, overrides = lay.columns(bits)
+    # per universe formula, its truth per state: computed at the normal
+    # states, the slots' literal memberships at the others
+    truth: dict[Formula, list[int]] = {}
+    for f in lay.sig.universe:
+        cls = type(f)
+        if cls is Atom:
+            col = atoms[f.name]
+        elif cls is Neg:
+            inner = truth[f.inner]
+            col = [full ^ inner[w] for w in normal]
+        elif cls is And:
+            left, right = truth[f.left], truth[f.right]
+            col = [left[w] & right[w] for w in normal]
+        elif cls is MatImp:
+            left, right = truth[f.left], truth[f.right]
+            col = [(full ^ left[w]) | right[w] for w in normal]
+        elif cls is Counterfactual or cls is Just:
+            # true where the relation's row stays inside the body's truth
+            # set: override rows join normal states, term rows all states
+            if cls is Counterfactual:
+                rows, body = overrides[f.left], truth[f.right]
             else:
-                assert isinstance(f, Box)
-                plan.append(("box", index[f.inner]))
-        self.plan = plan
-        self.premises = [index[p] for p in premises]
-        self.goal = index[goal]
-        self.antecedents = [index[f] for f in sig.antecedents]
-        self.cond1 = "1" in conditions
-        self.cond2 = "2" in conditions
-        self.reflexive = range(len(sig.terms)) if "6" in conditions else ()
-        self.sums = [(term_at[t], term_at[t.left], term_at[t.right])
-                     for t in sig.terms
-                     if isinstance(t, Sum) and "4" in conditions]
-
-    def survivors(self, lay: _SlotLayout, bits: list[int], full: int) -> int:
-        """Bit j set when model j of the slice may be a countermodel."""
-        k, n = lay.k, lay.n
-        normal = range(n)
-        truth: list[list[int]] = []
-        for fi, ins in enumerate(self.plan):
-            op = ins[0]
-            if op == "atom":
-                at = ins[1] * n
-                col = bits[at:at + n]
-            elif op == "neg":
-                inner = truth[ins[1]]
-                col = [full ^ inner[w] for w in normal]
-            elif op == "and":
-                left, right = truth[ins[1]], truth[ins[2]]
-                col = [left[w] & right[w] for w in normal]
-            elif op == "imp":
-                left, right = truth[ins[1]], truth[ins[2]]
-                col = [(full ^ left[w]) | right[w] for w in normal]
-            elif op == "cf" or op == "just":
-                # true where the relation's row stays inside the body's
-                # truth set: override rows join normal states, term rows
-                # all states
-                body = truth[ins[2]]
-                width = n if op == "cf" else k
-                base = (lay.ov_at if op == "cf" else lay.term_at) \
-                    + ins[1] * width * width
-                col = []
-                for w in normal:
-                    bad = 0
-                    row = base + w * width
-                    for v, edge in enumerate(bits[row:row + width]):
-                        bad |= edge & (full ^ body[v])
-                    col.append(full ^ bad)
-            else:
-                inner = truth[ins[1]]
-                every = full
-                for v in normal:
-                    every &= inner[v]
-                col = [every] * n
-            at = lay.nn_at + fi * (k - n)
-            truth.append(col + bits[at:at + k - n])
-        live = 0
-        goal = truth[self.goal]
+                rows, body = terms[f.term], truth[f.inner]
+            outside = [full ^ x for x in body]
+            col = [full ^ functools.reduce(or_, map(and_, rows[w], outside), 0)
+                   for w in normal]
+        else:  # Box
+            col = [functools.reduce(and_, truth[f.inner][:n], full)] * n
+        truth[f] = col + members[f]
+    live = 0
+    refuted = truth[goal]
+    for w in normal:
+        hit = full ^ refuted[w]
+        for p in premises:
+            hit &= truth[p][w]
+        live |= hit
+    if not live:
+        return 0
+    cond1, cond2 = "1" in conditions, "2" in conditions
+    for f, rows in overrides.items():
+        outside = [full ^ x for x in truth[f][:n]]
         for w in normal:
-            hit = full ^ goal[w]
-            for p in self.premises:
-                hit &= truth[p][w]
-            live |= hit
-        if not live:
-            return 0
-        for ci, fi in enumerate(self.antecedents):
-            ante = truth[fi]
-            base = lay.ov_at + ci * n * n
+            row = rows[w]
+            if cond2:
+                live &= outside[w] | row[w]
+            if cond1:  # no row state outside the antecedent
+                live &= full ^ functools.reduce(or_, map(and_, row, outside), 0)
+    if "6" in conditions:
+        for rows in terms.values():
             for w in normal:
-                row = bits[base + w * n:base + w * n + n]
-                if self.cond2:
-                    live &= (full ^ ante[w]) | row[w]
-                if self.cond1:
-                    for v in normal:
-                        live &= (full ^ row[v]) | ante[v]
-        for ti in self.reflexive:
-            base = lay.term_at + ti * k * k
-            for w in normal:
-                live &= bits[base + w * k + w]
-        for ti, li, ri in self.sums:
-            s, left, right = (lay.term_at + i * k * k for i in (ti, li, ri))
-            for cell in range(n * k):
-                live &= (full ^ bits[s + cell]) | bits[left + cell] & bits[right + cell]
-        return live
+                live &= rows[w][w]
+    if "4" in conditions:
+        for t, rows in terms.items():
+            if type(t) is Sum:
+                left, right = terms[t.left], terms[t.right]
+                for w in normal:
+                    for cell, l_cell, r_cell in zip(rows[w], left[w], right[w]):
+                        live &= (full ^ cell) | l_cell & r_cell
+    return live
 
 
 def _find_kripke(premises, goal: Formula, dialect: Dialect,
@@ -352,10 +322,10 @@ def _find_kripke(premises, goal: Formula, dialect: Dialect,
     sig = SearchSignature.for_sequent(premises, goal, dialect, bound)
     profile = profile_for(dialect)
     seq = [*premises, goal]
-    sieve = _KripkeFilter(sig, premises, goal, profile.conditions)
     for lay in _layouts(sig):
         for base, bits, full in _slices(lay.size):
-            for j in _bits(sieve.survivors(lay, bits, full)):
+            for j in _bits(_survivors(lay, premises, goal, profile.conditions,
+                                      bits, full)):
                 model = lay.model(base | j)
                 refuted = _counterexamples(model, premises, goal)
                 if refuted and check_conditions(model, profile, seq).ok:
@@ -395,14 +365,11 @@ def _restrict(row: list[int], nodes, w: int, truth, full: int) -> list[int]:
     return row
 
 
-def _escapes(row: list[int], nodes, w: int, truth, full: int) -> int:
+def _escapes(row: list[int], nodes, w: int, truth, outside, full: int) -> int:
     # codes where each node false at w has a row state outside its body
     ok = full
     for nd, body in nodes:
-        esc, inside = truth[nd][w], truth[body]
-        for v, cell in enumerate(row):
-            esc |= cell ^ (cell & inside[v])
-        ok &= esc
+        ok &= functools.reduce(or_, map(and_, row, outside[body]), truth[nd][w])
     return ok
 
 
@@ -426,89 +393,71 @@ class _RoutleySearch:
 
     def __init__(self, sig: SearchSignature, premises, goal: Formula):
         self.sig, self.premises, self.goal = sig, premises, goal
-        index = {f: i for i, f in enumerate(sig.universe)}
         modal = [f for f in sig.universe if isinstance(f, (RelImp, RelCf, Just))]
-        group = {f: i for i, f in enumerate(modal)}
-        group.update((Atom(a), len(modal) + i) for i, a in enumerate(sig.atoms))
-        plan: list[tuple] = []
-        for f in sig.universe:
-            if isinstance(f, Neg):
-                plan.append(("neg", index[f.inner], 0))
-            elif isinstance(f, And):
-                plan.append(("and", index[f.left], index[f.right]))
-            else:
-                plan.append(("slot", group[f], 0))
-        self.plan = plan
-        self.groups = len(group)
-        self.atoms_at = len(modal)
-        self.premise_ix = [index[p] for p in premises]
-        self.goal_ix = index[goal]
-        self.cf_ix = [(index[a], [(index[f], index[f.right]) for f in modal
-                                  if isinstance(f, RelCf) and f.left is a])
-                      for a in sig.antecedents]
-        self.imp_ix = [(index[f], index[f.left], index[f.right])
-                       for f in modal if isinstance(f, RelImp)]
-        term_at = {t: i for i, t in enumerate(sig.terms)}
-        self.term_ix = [
-            ((term_at[t.left], term_at[t.right]) if isinstance(t, Sum) else None,
-             [(index[f], index[f.inner]) for f in modal
-              if isinstance(f, Just) and f.term is t])
+        # the group of each formula a code holds: its bits are g * k + w
+        self.group = {f: g for g, f in enumerate(
+            [*modal, *(Atom(a) for a in sig.atoms)])}
+        self.groups = len(self.group)
+        self.cf_nodes = [(a, [(f, f.right) for f in modal
+                              if isinstance(f, RelCf) and f.left is a])
+                         for a in sig.antecedents]
+        self.imps = [f for f in modal if isinstance(f, RelImp)]
+        self.term_nodes = [
+            (t, [(f, f.inner) for f in modal if isinstance(f, Just) and f.term is t])
             for t in sig.terms]
+        self.bodies = {body for _, nodes in (*self.cf_nodes, *self.term_nodes)
+                       for _, body in nodes}
 
     def run(self) -> tuple[RoutleyModel, str] | None:
         for k in range(1, self.sig.bound + 1):
             for sigma in _involutions(k):
                 for base, bits, full in _slices(self.groups * k):
-                    for j in _bits(self.survivors(k, sigma, bits, full)):
+                    for j in _bits(self.realize(k, sigma, bits, full)[0]):
                         found = self._verify(k, sigma, base | j)
                         if found is not None:
                             return found
         return None
 
-    def survivors(self, k: int, sigma, bits: list[int], full: int) -> int:
-        """Bit j set when code j of the slice makes the premises true and
-        the goal false at w0 and some model realizes it."""
-        return self.realize(k, sigma, bits, full)[0]
-
     def realize(self, k: int, sigma, bits: list[int], full: int):
         """The live codes of the slice and the maximal rows they realize.
 
         Returns (live, cf_rows, slices, term_rows): per antecedent and per
-        term one row per state, and per state x >= 1 the ternary (y, z)
-        cells, row-major, when the sequent has an implication. A row is a
-        list of cells, cell v the int of the codes whose row holds v. The
-        rows are cut short once no code is live.
+        term, keyed by it, one row per state, and per state x >= 1 the
+        ternary (y, z) cells, row-major, when the sequent has an
+        implication. A row is a list of cells, cell v the int of the codes
+        whose row holds v. The rows are cut short once no code is live.
         """
         # per universe formula and state, the int of the codes whose truth
         # values make the formula true there
-        truth: list[list[int]] = []
-        for op, a, b in self.plan:
-            if op == "slot":
-                col = bits[a * k:a * k + k]
-            elif op == "neg":
-                inner = truth[a]
-                col = [full ^ inner[img] for img in sigma]
+        truth: dict[Formula, list[int]] = {}
+        for f in self.sig.universe:
+            cls = type(f)
+            if cls is Neg:
+                inner = truth[f.inner]
+                truth[f] = [full ^ inner[img] for img in sigma]
+            elif cls is And:
+                truth[f] = [x & y for x, y in zip(truth[f.left], truth[f.right])]
             else:
-                left, right = truth[a], truth[b]
-                col = [x & y for x, y in zip(left, right)]
-            truth.append(col)
+                g = self.group[f]
+                truth[f] = bits[g * k:g * k + k]
+        # where each node body is false, for the escape tests
+        outside = {f: [full ^ x for x in truth[f]] for f in self.bodies}
         states = range(k)
-        live = full ^ truth[self.goal_ix][0]
-        for p in self.premise_ix:
+        live = full ^ truth[self.goal][0]
+        for p in self.premises:
             live &= truth[p][0]
-        cf_rows: list[list[list[int]]] = []
+        cf_rows: dict[Formula, list[list[int]]] = {}
         slices: list[list[int]] = []
-        term_rows: list[list[list[int]]] = []
+        term_rows: dict[Term, list[list[int]]] = {}
         # the ternary relation at w0 is its diagonal, so an implication
         # holds there when its consequent holds wherever its antecedent does
-        for f, left, right in self.imp_ix:
-            fails = 0
-            for v in states:
-                fails |= truth[left][v] & (full ^ truth[right][v])
+        for f in self.imps:
+            fails = functools.reduce(or_, [x & (full ^ y) for x, y in zip(
+                truth[f.left], truth[f.right])], 0)
             live &= fails ^ truth[f][0]
         # conditional rows: inside the antecedent at w0, inside the true
         # conditionals' consequents; self-support and escapes
-        for ante, nodes in self.cf_ix:
+        for ante, nodes in self.cf_nodes:
             if not live:
                 return 0, cf_rows, slices, term_rows
             at = truth[ante]
@@ -516,19 +465,19 @@ class _RoutleySearch:
             for w in states:
                 row = _restrict(at if w == 0 else [full] * k, nodes, w, truth, full)
                 live &= (full ^ (at[w] & (full ^ row[w]))) \
-                    & _escapes(row, nodes, w, truth, full)
+                    & _escapes(row, nodes, w, truth, outside, full)
                 per_state.append(row)
-            cf_rows.append(per_state)
+            cf_rows[ante] = per_state
         # ternary slices at x >= 1: the (y, z) cells no true implication
         # forbids, and a refuting cell for each false one
-        if self.imp_ix:
-            refute = [[truth[left][y] & (full ^ truth[right][z])
+        if self.imps:
+            refute = [[truth[f.left][y] & (full ^ truth[f.right][z])
                        for y in states for z in states]
-                      for _, left, right in self.imp_ix]
+                      for f in self.imps]
             for x in range(1, k):
                 if not live:
                     return 0, cf_rows, slices, term_rows
-                on = [truth[f][x] for f, _, _ in self.imp_ix]
+                on = [truth[f][x] for f in self.imps]
                 cells = [full] * (k * k)
                 for holds, bad in zip(on, refute):
                     cells = [c ^ (c & holds & b) for c, b in zip(cells, bad)]
@@ -540,20 +489,20 @@ class _RoutleySearch:
                 slices.append(cells)
         # term rows: a sum's row inside its parts', inside the true
         # justifications' bodies; escapes
-        for parts, nodes in self.term_ix:
+        for t, nodes in self.term_nodes:
             if not live:
                 return 0, cf_rows, slices, term_rows
             per_state = []
             for w in states:
-                if parts is None:
-                    row = [full] * k
+                if type(t) is Sum:
+                    row = [x & y for x, y in zip(term_rows[t.left][w],
+                                                 term_rows[t.right][w])]
                 else:
-                    row = [x & y for x, y in zip(term_rows[parts[0]][w],
-                                                 term_rows[parts[1]][w])]
+                    row = [full] * k
                 row = _restrict(row, nodes, w, truth, full)
-                live &= _escapes(row, nodes, w, truth, full)
+                live &= _escapes(row, nodes, w, truth, outside, full)
                 per_state.append(row)
-            term_rows.append(per_state)
+            term_rows[t] = per_state
         return live, cf_rows, slices, term_rows
 
     def _verify(self, k: int, sigma, code: int) -> tuple[RoutleyModel, str] | None:
@@ -567,12 +516,12 @@ class _RoutleySearch:
         tern = (tuple(1 << y for y in range(k)),
                 *(tuple(_pack(cells[y:y + k]) for y in range(0, k * k, k))
                   for cells in slices))
-        at, row = self.atoms_at * k, (1 << k) - 1
+        row = (1 << k) - 1
         model = _routley_from_masks(
             states, normal, sigma, tern + ((0,) * k,) * (k - len(tern)),
-            {a: code >> at + i * k & row for i, a in enumerate(self.sig.atoms)},
-            dict(zip(self.sig.terms, (tuple(map(_pack, rows)) for rows in term_rows))),
-            dict(zip(self.sig.antecedents, (tuple(map(_pack, rows)) for rows in cf_rows))))
+            {a: code >> self.group[Atom(a)] * k & row for a in self.sig.atoms},
+            {t: tuple(map(_pack, rows)) for t, rows in term_rows.items()},
+            {f: tuple(map(_pack, rows)) for f, rows in cf_rows.items()})
         # w0 is the model's only normal state
         if check_jrc_conditions(model, [*self.premises, self.goal]).ok \
                 and _counterexamples(model, self.premises, self.goal):
@@ -581,7 +530,8 @@ class _RoutleySearch:
 
 
 def _pack(cells) -> int:
-    """The mask of a row of 0/1 cells, cell v as bit v."""
+    """The row's cells, cell v shifted v bits, summed: the mask of a row of
+    0/1 cells, or a chunk's wide row from its per-state ints."""
     return sum(map(lshift, cells, itertools.count()))
 
 
@@ -684,7 +634,7 @@ def sample_models(dialect: Dialect, atom_names, terms, count: int, rng,
         check_dialect_formula(node, dialect)
     single_normal = dialect in (Dialect.LPCint, Dialect.LPCprime)
     all_terms = sorted({s for t in terms for s in subterms(t)}, key=term_key)
-    pool = _sorted_by_key(closure(universe))
+    pool = _query_part(frozenset(universe))[0]
     out: list[KripkeModel] = []
     for _ in range(count):
         k = rng.randint(1, size_bound)

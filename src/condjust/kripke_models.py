@@ -1108,7 +1108,7 @@ def load_model(doc: dict) -> tuple[KripkeModel | RoutleyModel, Dialect]:
     dialect = Dialect(doc.get("dialect", "lpcplus"))
     m = KripkeModel(**_load_fields(doc, dialect, "truthset_normal"), nonnormal_valuation={
         w: frozenset(parse_formula(s, dialect)
-                     for s in _array(entries, f"nonnormal_valuation[{w!r}]"))
+                     for s in _array(entries, f"nonnormal_valuation[{w!r}]", str))
         for w, entries in _object(doc, "nonnormal_valuation").items()})
     return m, dialect
 
@@ -1124,11 +1124,11 @@ def _load_fields(doc: dict, dialect: Dialect, scheme: str) -> dict:
                       for w, v in _object(doc, "valuation").items()},
         "term_rels": {
             parse_term(t, dialect): frozenset(
-                (a, b) for a, b in _array(pairs, f"term_rels[{t!r}]", nested=True))
+                (a, b) for a, b in _array(pairs, f"term_rels[{t!r}]", 2))
             for t, pairs in _object(doc, "term_rels").items()},
         "formula_rel_overrides": {
             parse_formula(s, dialect): frozenset(
-                (a, b) for a, b in _array(pairs, f"formula_rels[{s!r}]", nested=True))
+                (a, b) for a, b in _array(pairs, f"formula_rels[{s!r}]", 2))
             for s, pairs in _object(doc, "formula_rels").items()},
         "formula_rel_default": RelScheme(doc.get("formula_rel_default", scheme)),
     }
@@ -1147,11 +1147,18 @@ def _object(doc: dict, key: str) -> dict:
     return value
 
 
-def _array(value, key: str, nested: bool = False) -> list:
-    """A model document's value named key: an array, of arrays if nested."""
-    if not isinstance(value, list) or nested and not all(isinstance(x, list) for x in value):
-        raise TypeError(f"{key} must be a JSON array{' of arrays' * nested}")
-    return value
+_SHAPES = {str: "strings", 2: "[state, state] pairs", 3: "[state, state, state] triples"}
+
+
+def _array(value, key: str, item=None) -> list:
+    """A model document's value named key: an array, of strings when item
+    is str, of arrays of that many entries when item is 2 or 3."""
+    if isinstance(value, list) and (item is None or all(
+            isinstance(x, str) if item is str else isinstance(x, list) and len(x) == item
+            for x in value)):
+        return value
+    shape = f" of {_SHAPES[item]}" if item else ""
+    raise TypeError(f"{key} must be a JSON array{shape}")
 
 
 def model_to_json(m, dialect: Dialect) -> dict:

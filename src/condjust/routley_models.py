@@ -203,7 +203,7 @@ def load_routley_model(doc: dict) -> RoutleyModel:
     return RoutleyModel(
         **fields, star={w: star_doc.get(w, w) for w in states},
         ternary=frozenset(
-            (a, b, c) for a, b, c in _array(doc.get("ternary", []), "ternary", nested=True)))
+            (a, b, c) for a, b, c in _array(doc.get("ternary", []), "ternary", 3)))
 
 
 def routley_model_to_json(m: RoutleyModel) -> dict:

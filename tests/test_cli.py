@@ -166,29 +166,43 @@ class TestEvalCommand:
         assert code == 2
         assert err.startswith("error: bad model file") and "JSON object" in err
 
-    @pytest.mark.parametrize("doc,key", [
-        ({"states": ["w0"], "valuation": {"w0": "pq"}}, "valuation['w0']"),
-        ({"states": "ab"}, "states"),
-        ({"states": ["a", "b"], "normal": "a"}, "normal"),
-        ({"states": ["a", "b"], "term_rels": {"x": ["ab"]}}, "term_rels['x']"),
-        ({"states": ["a", "b"], "formula_rels": {"p": "ab"}}, "formula_rels['p']"),
+    @pytest.mark.parametrize("doc,message", [
+        ({"states": ["w0"], "valuation": {"w0": "pq"}},
+         "valuation['w0'] must be a JSON array"),
+        ({"states": "ab"}, "states must be a JSON array"),
+        ({"states": ["a", "b"], "normal": "a"}, "normal must be a JSON array"),
+        ({"states": ["a", "b"], "term_rels": {"x": ["ab"]}},
+         "term_rels['x'] must be a JSON array of [state, state] pairs"),
+        ({"states": ["a", "b"], "formula_rels": {"p": "ab"}},
+         "formula_rels['p'] must be a JSON array of [state, state] pairs"),
         ({"dialect": "jrc", "states": ["a", "b"], "ternary": ["aaa", "abb", "bbb"]},
-         "ternary"),
+         "ternary must be a JSON array of [state, state, state] triples"),
         ({"states": ["a", "b"], "normal": ["a"], "nonnormal_valuation": {"b": "p"}},
-         "nonnormal_valuation['b']"),
+         "nonnormal_valuation['b'] must be a JSON array of strings"),
+        # arrays of the wrong shape, which would otherwise fail on unpacking
+        ({"states": ["a", "b"], "term_rels": {"x": [["a"]]}},
+         "term_rels['x'] must be a JSON array of [state, state] pairs"),
+        ({"states": ["a", "b"], "formula_rels": {"p": [["a", "b", "a"]]}},
+         "formula_rels['p'] must be a JSON array of [state, state] pairs"),
+        ({"dialect": "jrc", "states": ["a", "b"], "term_rels": {"x": [["a"]]}},
+         "term_rels['x'] must be a JSON array of [state, state] pairs"),
+        ({"dialect": "jrc", "states": ["a", "b"], "ternary": [["a", "a"]]},
+         "ternary must be a JSON array of [state, state, state] triples"),
+        ({"states": ["a", "b"], "normal": ["a"], "nonnormal_valuation": {"b": ["p", 1]}},
+         "nonnormal_valuation['b'] must be a JSON array of strings"),
     ], ids=["valuation", "states", "normal", "term_rels", "formula_rels",
-            "ternary", "nonnormal_valuation"])
+            "ternary", "nonnormal_valuation", "short_pair", "long_pair",
+            "short_jrc_pair", "short_triple", "nonstring_entry"])
     @pytest.mark.parametrize("command", ["eval", "check-model"])
     def test_string_where_an_array_belongs_exits_2(self, capsys, tmp_path, doc,
-                                                   key, command):
+                                                   message, command):
         # a string would otherwise be read one character at a time
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         args = ["--state", doc["states"][0], "p"] if command == "eval" else []
         code, _, err = run(capsys, command, "--model", str(path), *args)
         assert code == 2
-        assert err.startswith("error: bad model file")
-        assert f"{key} must be a JSON array" in err
+        assert err == f"error: bad model file {path}: {message}\n"
 
     @pytest.mark.parametrize("star, error", [
         ({"w9": "w0", "w0": "w1", "w1": "w0"}, "star entry 'w9': 'w0' names a state not in states"),

@@ -53,6 +53,9 @@ from condjust.syntax import (
     formula_key,
     parse_formula,
     parse_term,
+    subterms,
+    term_key,
+    _sorted_by_key,
 )
 from condjust.tableau import Budget, Closed, Exhausted, Open, Signed
 from util_gen import ast_strategies
@@ -71,12 +74,31 @@ class TestSearchSignature:
             SearchSignature.for_sequent([], pf("p"), J, 0)
 
     def test_derived_fields(self):
-        sig = SearchSignature.for_sequent(
-            [pf("q", L)], pf("s:p > (s+t):p", L), L, 2)
+        seq = [pf("q", L), pf("s:p > (s+t):p", L)]
+        sig = SearchSignature.for_sequent(seq[:1], seq[1], L, 2)
         assert sig.atoms == ("p", "q")
         assert sig.antecedents == (pf("s:p", L),)
-        assert set(sig.terms) == {parse_term("s", L), parse_term("t", L),
-                                  parse_term("s+t", L)}
+        assert sig.universe == tuple(_sorted_by_key(closure(seq)))
+        assert sig.terms == (parse_term("s", L), parse_term("t", L),
+                             parse_term("s+t", L))
+
+    @pytest.mark.parametrize("dialect,text", [
+        (L, "s:p > (s+t):p"),
+        (Dialect.LPCint, "<x, y:p>:q"),
+        (Dialect.LPCint, "<x, y:p>:q > (x.y):<y, q>:p"),
+    ])
+    def test_terms_are_those_of_the_justified_subformulas(self, dialect, text):
+        # the terms _query_part collects equal the subterms of each t:
+        # subformula's term, which descend into pair antecedents
+        goal = pf(text, dialect)
+        sig = SearchSignature.for_sequent([], goal, dialect, 2)
+        walked = set()
+        for f in closure([goal]):
+            if isinstance(f, Just):
+                walked |= subterms(f.term)
+        assert sig.terms == tuple(sorted(walked, key=term_key))
+        if dialect is Dialect.LPCint:
+            assert parse_term("y", dialect) in sig.terms
 
     def test_jrc_antecedents_use_relevant_conditional(self):
         sig = SearchSignature.for_sequent([], pf("(p & ~p) ~> q"), J, 3)
@@ -220,11 +242,11 @@ class TestKripkePruning:
             return
         sig, premises, goal = drawn
         profile = profile_for(sig.dialect)
-        sieve = falsifier._KripkeFilter(sig, premises, goal, profile.conditions)
         models = iter_kripke_models(sig)
         for lay in falsifier._layouts(sig):
             full, pats = falsifier._slice_patterns(lay.size)
-            live = sieve.survivors(lay, list(pats), full)
+            live = falsifier._survivors(lay, premises, goal, profile.conditions,
+                                        list(pats), full)
             for code in range(1 << lay.size):
                 m = next(models)
                 if first_witness(m, premises, goal) is None:
@@ -402,7 +424,7 @@ def assert_filter_exact(sig, premises, goal):
     for k in range(1, sig.bound + 1):
         full, pats = falsifier._slice_patterns(search.groups * k)
         for sigma in falsifier._involutions(k):
-            live = search.survivors(k, sigma, list(pats), full)
+            live = search.realize(k, sigma, list(pats), full)[0]
             assert live == realized.get((k, sigma), 0)
 
 
@@ -478,7 +500,7 @@ def assert_kept_codes_realized(sig, premises, goal):
     for k in range(1, sig.bound + 1):
         full, pats = falsifier._slice_patterns(search.groups * k)
         for sigma in falsifier._involutions(k):
-            for code in _bits(search.survivors(k, sigma, list(pats), full)):
+            for code in _bits(search.realize(k, sigma, list(pats), full)[0]):
                 found = search._verify(k, sigma, code)
                 assert found is not None and found[1] == "w0"
                 for f, mask in code_masks(sig, k, sigma, code).items():
@@ -731,10 +753,30 @@ MASK_ATTRS = ("_index", "_normal_mask", "_normal_idx", "_atoms", "_members",
 VIEWS = ("valuation", "nonnormal_valuation", "term_rels", "formula_rel_overrides")
 
 
+def pack(cells):
+    return sum(cell << i for i, cell in enumerate(cells))
+
+
+def packed_columns(lay, code):
+    """The bitset fields of one code, read off lay.columns of the slice that
+    holds that code alone, in _from_masks' form: empty valuations and
+    memberships left out, override rows padded to every state."""
+    atoms, members, terms, overrides = lay.columns(
+        [code >> i & 1 for i in range(lay.size)])
+    return {
+        "_atoms": {a: pack(c) for a, c in atoms.items() if pack(c)},
+        "_members": {f: pack(c) << lay.n for f, c in members.items() if pack(c)},
+        "_term_rows": {t: tuple(map(pack, rows)) for t, rows in terms.items()},
+        "_override_rows": {f: tuple(map(pack, rows)) + (0,) * (lay.k - lay.n)
+                           for f, rows in overrides.items()},
+    }
+
+
 def assert_same_models(sig, goal, max_bits=None):
     """Every code of every layout (of at most `max_bits` slots) decodes to
     the model the pair decoder builds: same JSON, bitset form, views and
-    condition reports."""
+    condition reports; the slice decoder columns splits the code into the
+    same bitset fields."""
     profile = profile_for(sig.dialect)
     for lay in falsifier._layouts(sig):
         if max_bits is not None and lay.size > max_bits:
@@ -744,6 +786,8 @@ def assert_same_models(sig, goal, max_bits=None):
             assert model_to_json(got, sig.dialect) == model_to_json(want, sig.dialect)
             for name in MASK_ATTRS:
                 assert vars(got)[name] == vars(want)[name], name
+            for name, fields in packed_columns(lay, code).items():
+                assert fields == vars(want)[name], name
             assert check_conditions(got, profile, [goal]) == \
                 check_conditions(want, profile, [goal])
             for name in VIEWS:
