@@ -19,10 +19,10 @@ conditions on the whole block: the frame conditions that bits decide for
 relational models, every realization test for Routley models. Only the
 codes that survive are built, in ascending order, so the first model found
 is the one a code-by-code walk would find. A relational slice's slot ints
-are split by field by _SlotLayout.columns, which also packs
+are split by field by _SlotLayout.columns, which also gives
 iter_kripke_models' chunks of 2**8 codes; _SlotLayout.model reads a single
-code. Both searches walk the signature's universe in its sorted order and
-key their truth tables by formula.
+code. Both searches store masks valid by construction unchecked, walk the
+signature's universe in its sorted order and key their truth tables by formula.
 
 The search is exponential in the sequent's vocabulary and meant for the
 small bounds where countermodels are legible. It doubles as the independent
@@ -108,21 +108,20 @@ _SLICE_BITS = 16
 _CHUNK_BITS = 8
 
 
-# Bound once: perfbench's tracer replaces the names KripkeModel and
-# RoutleyModel in this module with counting functions, on which _from_masks
-# cannot be called.
-_model_from_masks = KripkeModel._from_masks
-_routley_from_masks = RoutleyModel._from_masks
+# Bound at import, for object.__new__: perfbench's tracer replaces the names.
+_KRIPKE, _ROUTLEY = KripkeModel, RoutleyModel
 
 
 @functools.cache
 def _shape(k: int, n: int):
-    """What every layout of k states, the first n normal, shares: the states,
-    the normal set, the shift of each term row and of each override row,
-    and the zero override rows of the non-normal states."""
-    states = tuple([f"w{i}" for i in range(k)])
-    return (states, frozenset(states[:n]), tuple(range(0, k * k, k)),
-            tuple(range(0, n * n, n)), (0,) * (k - n))
+    """What every layout of k states, the first n normal, shares: the fields
+    of its empty relational and Routley models (read only), the shift of
+    each term row and of each override row, and the non-normal states' rows."""
+    states, zero = tuple([f"w{i}" for i in range(k)]), ((0,) * k,) * k
+    return (vars(_KRIPKE._from_masks(states, frozenset(states[:n]), {}, {}, {}, {})),
+            vars(_ROUTLEY._from_masks(states, frozenset(states[:n]), tuple(range(k)), zero,
+                                      {}, {}, {})),
+            tuple(range(0, k * k, k)), tuple(range(0, n * n, n)), (0,) * (k - n))
 
 
 class _SlotLayout:
@@ -131,15 +130,35 @@ class _SlotLayout:
     Slots are ordered valuation, non-normal valuation, term relations,
     relation overrides, each block row-major over its index tuple; bit i of
     a model code is slot i, and ascending codes give the canonical order.
-    model and columns are the two readers of that order.
+    model and columns are the two readers of that order. As no slot lies
+    outside the frame, model stores a code's masks unchecked.
     """
 
-    def __init__(self, sig: SearchSignature, k: int, n: int):
+    def __init__(self, sig: SearchSignature, k: int, n: int, packed: bool = False):
         self.sig, self.k, self.n = sig, k, n
-        (self.states, self.normal, self.term_shifts, self.ov_shifts,
-         self.pad) = _shape(k, n)
+        self.record, _, self.term_shifts, self.ov_shifts, self.pad = _shape(k, n)
+        self.bits, self.stride = (_CHUNK_BITS, k) if packed else (_SLICE_BITS, 1)
         self.size = (len(sig.atoms) * n + len(sig.universe) * (k - n)
                      + len(sig.terms) * k * k + len(sig.antecedents) * n * n)
+        # The low slots are the same ints in every slice, split once, here;
+        # high holds the fields with high slots, reach[t] those up to slot t.
+        self.width = width = min(self.size, self.bits)
+        slots = [*_slice_patterns(width, self.stride)[1], *[0] * (self.size - width)]
+        # in slot order, where lists of slot ints go, under which keys, of what length
+        atoms, members, terms, overrides = self.fields = {}, {}, {}, {}
+        runs = [(atoms, sig.atoms, n), (members, sig.universe, k - n)]
+        for block, keys, count in ((terms, sig.terms, k), (overrides, sig.antecedents, n)):
+            for key in keys:
+                block[key] = rows = [None] * count
+                runs.append((rows, range(count), count))
+        self.high, at = [], 0
+        for where, places, count in runs:
+            for place in places:
+                where[place] = slots[at:at + count]
+                if count and at + count > width:
+                    self.high.append((where, place, at, at + count))
+                at += count
+        self.reach = [sum(f[2] <= t for f in self.high) for t in range(width, self.size)]
 
     def model(self, code: int) -> KripkeModel:
         """The model of one code, read field by field from the low bits up:
@@ -165,37 +184,29 @@ class _SlotLayout:
         for f in sig.antecedents:
             override_rows[f] = tuple([code >> s & n_ones for s in self.ov_shifts]) + self.pad
             code >>= n * n
-        return _model_from_masks(self.states, self.normal, atoms, members,
-                                 term_rows, override_rows)
+        m = object.__new__(_KRIPKE)
+        vars(m).update(self.record, _atoms=atoms, _members=members,
+                       _term_rows=term_rows, _override_rows=override_rows)
+        return m
 
-    def columns(self, bits: list[int]):
-        """A slice's slot ints split by field, in slot order: per atom its
-        n normal states, per universe formula its k - n non-normal states,
-        per term k rows of k states and per antecedent n rows of n states,
-        each a list of slot ints."""
-        sig, k, n = self.sig, self.k, self.n
-        at = 0
-        atoms, members, terms, overrides = {}, {}, {}, {}
-        for a in sig.atoms:
-            atoms[a] = bits[at:at + n]
-            at += n
-        for f in sig.universe:
-            members[f] = bits[at:at + k - n]
-            at += k - n
-        for t in sig.terms:
-            terms[t] = [bits[i:i + k] for i in range(at, at + k * k, k)]
-            at += k * k
-        for f in sig.antecedents:
-            overrides[f] = [bits[i:i + n] for i in range(at, at + n * n, n)]
-            at += n * n
-        return atoms, members, terms, overrides
+    def columns(self):
+        """Per slice of _slices, its first code, its slot ints split by field
+        (per atom its n normal states, per universe formula its k - n others,
+        per term k rows of k states, per antecedent n rows of n) and its
+        full int. The dicts are the same each slice: read before the next."""
+        fields, high, reach, width = self.fields, self.high, self.reach, self.width
+        for first, bits, full in _slices(self.size, self.bits, self.stride):
+            hi = first >> width  # counting up, the slots to hi's lowest set bit change
+            for to, key, i, j in high[:reach[(hi & -hi).bit_length() - 1]] if hi else high:
+                to[key] = bits[i:j]
+            yield first, fields, full
 
-    def sample(self, bits: list[int], low: int) -> _Sample:
-        """The models of a chunk of codes as one _Sample, read off the int
-        per slot whose bit j * k is the slot in code j of the chunk, as model
-        reads a code: bit j * k + i is state i of code j."""
+    def sample(self, fields, low: int) -> _Sample:
+        """The models of a packed slice as one _Sample, read off its fields,
+        whose slot ints have bit j * k set when the slot is in code j of the
+        slice, as model reads a code: bit j * k + i is state i of code j."""
         k, n = self.k, self.n
-        atoms, members, terms, overrides = self.columns(bits)
+        atoms, members, terms, overrides = fields
         return _Sample(
             k, low, low * ((1 << n) - 1), {a: _pack(c) for a, c in atoms.items()},
             {f: _pack(c) << n for f, c in members.items()} if k > n else {},
@@ -203,39 +214,42 @@ class _SlotLayout:
             {f: tuple(map(_pack, rows)) + self.pad for f, rows in overrides.items()})
 
 
-def _layouts(sig: SearchSignature):
+def _layouts(sig: SearchSignature, packed: bool = False):
     for k in range(1, sig.bound + 1):
         for n in range(1, k + 1):
-            yield _SlotLayout(sig, k, n)
+            yield _SlotLayout(sig, k, n, packed)
 
 
 def _slices(size: int, bits: int = _SLICE_BITS, stride: int = 1):
     """The codes below 2**size, 2**bits at a time: the slice's first code,
     the int per slot whose bit j * stride is the slot in code first + j,
     and the int with bit j * stride set for each code j of the slice
-    (all-ones when stride is 1)."""
+    (all-ones when stride is 1). One list, whose high slots, each 0 or that
+    int, each slice sets in place: read a slice's slots before the next."""
     width = min(size, bits)
     low, pats = _slice_patterns(width, stride)
-    high = size - width
-    for hi in range(1 << high):
-        yield hi << width, [*pats, *(low if hi >> i & 1 else 0
-                                     for i in range(high))], low
+    slots = [*pats, *[0] * (size - width)]
+    for hi in range(1 << size - width):
+        if hi:  # counting up, hi's lowest set bit turns on, those below it off
+            top = width + (hi & -hi).bit_length() - 1
+            slots[width:top + 1] = [0] * (top - width) + [low]
+        yield hi << width, slots, low
 
 
 def iter_kripke_models(sig: SearchSignature):
     """Every relational model over the signature, unfiltered, smallest first,
     in the canonical order of _SlotLayout's codes.
 
-    The codes are taken 2**_CHUNK_BITS at a time, as _slices gives them
-    with a stride of k bits, and each model is linked to the _Sample of its
+    The codes are taken 2**_CHUNK_BITS at a time, as a packed layout's
+    columns gives them, and each model is linked to the _Sample of its
     chunk, so valid_in_model walks a formula once per chunk and
     check_conditions tests conditions 1 and 2 once per chunk.
     """
     profile_for(sig.dialect)  # reject dialects without a Kripke profile
-    for lay in _layouts(sig):
+    for lay in _layouts(sig, packed=True):
         k, count = lay.k, 1 << min(lay.size, _CHUNK_BITS)
-        for base, bits, low in _slices(lay.size, _CHUNK_BITS, k):
-            sample = lay.sample(bits, low)
+        for base, fields, low in lay.columns():
+            sample = lay.sample(fields, low)
             for shift, code in zip(range(0, k * count, k), range(base, base + count)):
                 m = lay.model(code)
                 vars(m)["_sample"] = (sample, shift)
@@ -243,7 +257,7 @@ def iter_kripke_models(sig: SearchSignature):
 
 
 def _survivors(lay: _SlotLayout, premises, goal: Formula, conditions,
-               bits: list[int], full: int) -> int:
+               fields, full: int) -> int:
     """Bit j set when model j of the slice may be a countermodel.
 
     Each slot, formula truth value and condition is one int carrying a bit
@@ -253,9 +267,9 @@ def _survivors(lay: _SlotLayout, premises, goal: Formula, conditions,
     Only the signature's antecedents have relation overrides: every other
     formula follows TruthsetNormal, which passes conditions 1 and 2.
     """
-    k, n = lay.k, lay.n
+    n = lay.n
     normal = range(n)
-    atoms, members, terms, overrides = lay.columns(bits)
+    atoms, members, terms, overrides = fields
     # per universe formula, its truth per state: computed at the normal
     # states, the slots' literal memberships at the others
     truth: dict[Formula, list[int]] = {}
@@ -323,9 +337,9 @@ def _find_kripke(premises, goal: Formula, dialect: Dialect,
     profile = profile_for(dialect)
     seq = [*premises, goal]
     for lay in _layouts(sig):
-        for base, bits, full in _slices(lay.size):
+        for base, fields, full in lay.columns():
             for j in _bits(_survivors(lay, premises, goal, profile.conditions,
-                                      bits, full)):
+                                      fields, full)):
                 model = lay.model(base | j)
                 refuted = _counterexamples(model, premises, goal)
                 if refuted and check_conditions(model, profile, seq).ok:
@@ -507,21 +521,21 @@ class _RoutleySearch:
 
     def _verify(self, k: int, sigma, code: int) -> tuple[RoutleyModel, str] | None:
         """Build the model of one code the filter kept, with the rows
-        realize builds for that code alone, and check it."""
+        realize builds for that code alone, stored unchecked, and check it."""
         bits = [code >> i & 1 for i in range(self.groups * k)]
         _, cf_rows, slices, term_rows = self.realize(k, sigma, bits, 1)
-        states, normal = _shape(k, 1)[:2]
         # w0's ternary rows are its diagonal; cell y * k + z of the slice of
         # state x is bit z of x's row y
         tern = (tuple(1 << y for y in range(k)),
                 *(tuple(_pack(cells[y:y + k]) for y in range(0, k * k, k))
                   for cells in slices))
         row = (1 << k) - 1
-        model = _routley_from_masks(
-            states, normal, sigma, tern + ((0,) * k,) * (k - len(tern)),
-            {a: code >> self.group[Atom(a)] * k & row for a in self.sig.atoms},
-            {t: tuple(map(_pack, rows)) for t, rows in term_rows.items()},
-            {f: tuple(map(_pack, rows)) for f, rows in cf_rows.items()})
+        model = object.__new__(_ROUTLEY)
+        vars(model).update(
+            _shape(k, 1)[1], _star=sigma, _tern=tern + ((0,) * k,) * (k - len(tern)),
+            _atoms={a: code >> self.group[Atom(a)] * k & row for a in self.sig.atoms},
+            _term_rows={t: tuple(map(_pack, rows)) for t, rows in term_rows.items()},
+            _override_rows={f: tuple(map(_pack, rows)) for f, rows in cf_rows.items()})
         # w0 is the model's only normal state
         if check_jrc_conditions(model, [*self.premises, self.goal]).ok \
                 and _counterexamples(model, self.premises, self.goal):

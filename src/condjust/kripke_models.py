@@ -77,7 +77,7 @@ class KripkeModel:
             w: frozenset(v) for w, v in self.nonnormal_valuation.items()})
         frame = _frame(self.states, self.normal)
         index, n = frame.index, len(self.states)
-        # The checks below also build the bitset form the evaluator reads:
+        # Building and _check check the bitset form the evaluator reads:
         # state i is bit i, a set of states is an int, a relation is a tuple
         # holding one such int (the row) per state.
         _fill(self, self.states, self.normal, self.formula_rel_default, frame, frame,
@@ -89,6 +89,7 @@ class KripkeModel:
               # Formula relations live on the normal states.
               {f: _rows(rel, frame.normal_index, n, _ABNORMAL_PAIR)
                for f, rel in self.formula_rel_overrides.items()})
+        _check(self, frame, frame)
 
     @classmethod
     def _from_masks(cls, states: tuple[str, ...], normal: frozenset[str],
@@ -103,6 +104,7 @@ class KripkeModel:
         m = object.__new__(cls)
         _fill(m, states, normal, RelScheme.TruthsetNormal, frame, frame, atoms, members,
               term_rows, override_rows)
+        _check(m, frame, frame)
         return m
 
     def state_index(self, w: str) -> int:
@@ -139,14 +141,25 @@ def _fill(m, states: tuple[str, ...], normal: frozenset[str], default: RelScheme
           frame: "_Frame", scope: "_Frame", atoms: dict[str, int],
           members: dict[Formula, int], term_rows: dict[Term, tuple[int, ...]],
           override_rows: dict[Formula, tuple[int, ...]], star=None, tern=None) -> None:
-    """Check a model's bitset form and store it on m with the states, the
-    normal states and the default scheme: the body every constructor of
-    both families ends in. The clauses hold at scope's normal states (all
-    states on a Routley model, which also has a star and ternary rows):
-    valuations and override rows live on them."""
+    """Store a model's bitset form, states, normal states and default scheme
+    on m, unchecked: the body of every constructor, which then runs _check."""
+    vars(m).update(states=states, normal=normal, formula_rel_default=default,
+                   _index=frame.index, _normal_mask=frame.normal_mask,
+                   _normal_idx=frame.normal_idx, _checked=scope.normal_mask,
+                   _checked_idx=scope.normal_idx, _atoms=atoms, _members=members,
+                   _term_rows=term_rows, _override_rows=override_rows, _star=star, _tern=tern,
+                   # the states a default scheme's row R_f(w), the truth set
+                   # of f, is cut to
+                   _scope=frame.normal_mask if default is RelScheme.TruthsetNormal
+                   else 0 if default is RelScheme.Empty else -1)
+
+
+def _check(m, frame: "_Frame", scope: "_Frame") -> None:
+    """Raise ValueError unless the bitset form _fill stored on m lies in its
+    frame; valuations and override rows live on scope's normal states."""
     # Each test ORs or ANDs the masks together in C; the loops that name
     # the offender run only once a test has failed.
-    n = len(frame.index)
+    n, atoms, members, star, tern = len(frame.index), m._atoms, m._members, m._star, m._tern
     if star is not None:
         if len(star) != n or min(star) < 0 or max(star) >= n:
             raise ValueError("star must map every state to a state")
@@ -160,21 +173,12 @@ def _fill(m, states: tuple[str, ...], normal: frozenset[str], default: RelScheme
         f = next(f for f, mask in members.items() if mask & ~scope.nonnormal_mask)
         raise ValueError(f"nonnormal_valuation of {print_formula(f)} holds "
                          "outside the non-normal states")
-    for t, rows in term_rows.items():
+    for t, rows in m._term_rows.items():
         if len(rows) != n or any(map(and_, rows, frame.off_rows)):
             raise ValueError(f"relation of {print_term(t)} mentions unknown states")
-    for f, rows in override_rows.items():
+    for f, rows in m._override_rows.items():
         if len(rows) != n or any(map(and_, rows, scope.off_normal_rows)):
             raise ValueError(f"formula relation of {print_formula(f)} must join {m._covered}")
-    vars(m).update(states=states, normal=normal, formula_rel_default=default,
-                   _index=frame.index, _normal_mask=frame.normal_mask,
-                   _normal_idx=frame.normal_idx, _checked=scope.normal_mask,
-                   _checked_idx=scope.normal_idx, _atoms=atoms, _members=members,
-                   _term_rows=term_rows, _override_rows=override_rows, _star=star, _tern=tern,
-                   # the states a default scheme's row R_f(w), the truth set
-                   # of f, is cut to
-                   _scope=frame.normal_mask if default is RelScheme.TruthsetNormal
-                   else 0 if default is RelScheme.Empty else -1)
 
 
 class _Frame(NamedTuple):
@@ -246,7 +250,7 @@ def _holding(masks: dict, i: int) -> frozenset:
 
 class _View:
     """A field made from an object's other fields on first read, then kept
-    on the object: the pair fields of a model built by _from_masks, a
+    on the object: the pair fields of a model built from its masks, a
     Routley model's clauses, the text of a failed condition, a report's
     verdict. A constructed object holds its own fields, which hide this
     descriptor. (A __getattr__ would slow every attribute load.)"""
@@ -276,7 +280,7 @@ KripkeModel.formula_rel_overrides = _View("formula_rel_overrides", lambda m: {
 # rows that ~ and the implication read, None for complement and material.
 KripkeModel._clauses = (Counterfactual, MatImp, None, None)
 KripkeModel._foreign = "{} has no clause on relational models; use a Routley model"
-KripkeModel._covered = "normal states"  # where the clauses hold, in _fill's messages
+KripkeModel._covered = "normal states"  # where the clauses hold, in _check's messages
 
 
 # --- constant specifications -------------------------------------------
@@ -1116,11 +1120,11 @@ def load_model(doc: dict) -> tuple[KripkeModel | RoutleyModel, Dialect]:
 def _load_fields(doc: dict, dialect: Dialect, scheme: str) -> dict:
     """The fields of a model document that both families share, as keyword
     arguments; scheme is the family's default relation scheme."""
-    states = tuple(_array(doc["states"], "states"))
+    states = tuple(_array(doc["states"], "states", str))
     return {
         "states": states,
-        "normal": frozenset(_array(doc.get("normal", doc["states"]), "normal")),
-        "valuation": {w: frozenset(_array(v, f"valuation[{w!r}]"))
+        "normal": frozenset(_array(doc.get("normal", doc["states"]), "normal", str)),
+        "valuation": {w: frozenset(_array(v, f"valuation[{w!r}]", str))
                       for w, v in _object(doc, "valuation").items()},
         "term_rels": {
             parse_term(t, dialect): frozenset(

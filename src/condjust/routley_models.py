@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from condjust.kripke_models import (
     ConditionReport, KripkeModel, Pairs, RelScheme, _UNKNOWN_PAIR, _Frame,
     _View, _array, _bits, _check_document, _cond_antecedent_truth,
-    _cond_sum, _cond_weak_centering, _diagonal, _fill, _frame, _freeze, _holding,
+    _check, _cond_sum, _cond_weak_centering, _diagonal, _fill, _frame, _freeze, _holding,
     _load_fields, _lowest, _object, _report, _rows, _state_masks,
     consequence, eval as _eval, model_to_json, truthset, valid_in_model,
 )
@@ -71,6 +71,7 @@ class RoutleyModel:
               {f: _rows(rel, index, n, _UNKNOWN_PAIR)
                for f, rel in self.formula_rel_overrides.items()},
               tuple(index[self.star[w]] for w in self.states), tuple(map(tuple, tern)))
+        _check(self, *frames)
 
     @classmethod
     def _from_masks(cls, states: tuple[str, ...], normal: frozenset[str],
@@ -80,9 +81,10 @@ class RoutleyModel:
         """As KripkeModel._from_masks; star[i] is the index of the star of
         state i, and row y of tern[x] holds the states z of the triples
         (x, y, z)."""
-        m = object.__new__(cls)
-        _fill(m, states, normal, RelScheme.TruthsetAll, *_frames(states, normal), atoms,
-              _NO_MEMBERS, term_rows, override_rows, star, tern)
+        m, frames = object.__new__(cls), _frames(states, normal)
+        _fill(m, states, normal, RelScheme.TruthsetAll, *frames, atoms, _NO_MEMBERS,
+              term_rows, override_rows, star, tern)
+        _check(m, *frames)
         return m
 
     state_index = KripkeModel.state_index

@@ -168,9 +168,9 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("doc,message", [
         ({"states": ["w0"], "valuation": {"w0": "pq"}},
-         "valuation['w0'] must be a JSON array"),
-        ({"states": "ab"}, "states must be a JSON array"),
-        ({"states": ["a", "b"], "normal": "a"}, "normal must be a JSON array"),
+         "valuation['w0'] must be a JSON array of strings"),
+        ({"states": "ab"}, "states must be a JSON array of strings"),
+        ({"states": ["a", "b"], "normal": "a"}, "normal must be a JSON array of strings"),
         ({"states": ["a", "b"], "term_rels": {"x": ["ab"]}},
          "term_rels['x'] must be a JSON array of [state, state] pairs"),
         ({"states": ["a", "b"], "formula_rels": {"p": "ab"}},
@@ -190,9 +190,18 @@ class TestEvalCommand:
          "ternary must be a JSON array of [state, state, state] triples"),
         ({"states": ["a", "b"], "normal": ["a"], "nonnormal_valuation": {"b": ["p", 1]}},
          "nonnormal_valuation['b'] must be a JSON array of strings"),
+        # entries that are not strings, which would otherwise name states
+        # and atoms by numbers
+        ({"dialect": "lpcplus", "states": ["a", 1], "normal": ["a"]},
+         "states must be a JSON array of strings"),
+        ({"states": ["a", "b"], "normal": ["a", 1]},
+         "normal must be a JSON array of strings"),
+        ({"states": ["a"], "valuation": {"a": [1]}},
+         "valuation['a'] must be a JSON array of strings"),
     ], ids=["valuation", "states", "normal", "term_rels", "formula_rels",
             "ternary", "nonnormal_valuation", "short_pair", "long_pair",
-            "short_jrc_pair", "short_triple", "nonstring_entry"])
+            "short_jrc_pair", "short_triple", "nonstring_entry",
+            "nonstring_state", "nonstring_normal", "nonstring_atom"])
     @pytest.mark.parametrize("command", ["eval", "check-model"])
     def test_string_where_an_array_belongs_exits_2(self, capsys, tmp_path, doc,
                                                    message, command):

@@ -244,15 +244,15 @@ class TestKripkePruning:
         profile = profile_for(sig.dialect)
         models = iter_kripke_models(sig)
         for lay in falsifier._layouts(sig):
-            full, pats = falsifier._slice_patterns(lay.size)
-            live = falsifier._survivors(lay, premises, goal, profile.conditions,
-                                        list(pats), full)
-            for code in range(1 << lay.size):
-                m = next(models)
-                if first_witness(m, premises, goal) is None:
-                    continue
-                if check_conditions(m, profile, [*premises, goal]).ok:
-                    assert live >> code & 1
+            for _, fields, full in lay.columns():
+                live = falsifier._survivors(lay, premises, goal, profile.conditions,
+                                            fields, full)
+                for j in range(full.bit_length()):
+                    m = next(models)
+                    if first_witness(m, premises, goal) is None:
+                        continue
+                    if check_conditions(m, profile, [*premises, goal]).ok:
+                        assert live >> j & 1
 
     def test_factivity_holds_at_bound_three_with_introspection(self):
         d = Dialect.LPCint
@@ -757,17 +757,21 @@ def pack(cells):
     return sum(cell << i for i, cell in enumerate(cells))
 
 
-def packed_columns(lay, code):
-    """The bitset fields of one code, read off lay.columns of the slice that
-    holds that code alone, in _from_masks' form: empty valuations and
-    memberships left out, override rows padded to every state."""
-    atoms, members, terms, overrides = lay.columns(
-        [code >> i & 1 for i in range(lay.size)])
+def packed_columns(lay, fields, j):
+    """The bitset fields of code j of a slice, read off the slot ints
+    lay.columns split for that slice, in _from_masks' form: empty
+    valuations and memberships left out, override rows padded to every
+    state."""
+    atoms, members, terms, overrides = fields
+
+    def mask(slots):
+        return pack([x >> j & 1 for x in slots])
+
     return {
-        "_atoms": {a: pack(c) for a, c in atoms.items() if pack(c)},
-        "_members": {f: pack(c) << lay.n for f, c in members.items() if pack(c)},
-        "_term_rows": {t: tuple(map(pack, rows)) for t, rows in terms.items()},
-        "_override_rows": {f: tuple(map(pack, rows)) + (0,) * (lay.k - lay.n)
+        "_atoms": {a: mask(c) for a, c in atoms.items() if mask(c)},
+        "_members": {f: mask(c) << lay.n for f, c in members.items() if mask(c)},
+        "_term_rows": {t: tuple(map(mask, rows)) for t, rows in terms.items()},
+        "_override_rows": {f: tuple(map(mask, rows)) + (0,) * (lay.k - lay.n)
                            for f, rows in overrides.items()},
     }
 
@@ -781,17 +785,19 @@ def assert_same_models(sig, goal, max_bits=None):
     for lay in falsifier._layouts(sig):
         if max_bits is not None and lay.size > max_bits:
             continue
-        for code in range(1 << lay.size):
-            got, want = lay.model(code), pair_decode(sig, lay.k, lay.n, code)
-            assert model_to_json(got, sig.dialect) == model_to_json(want, sig.dialect)
-            for name in MASK_ATTRS:
-                assert vars(got)[name] == vars(want)[name], name
-            for name, fields in packed_columns(lay, code).items():
-                assert fields == vars(want)[name], name
-            assert check_conditions(got, profile, [goal]) == \
-                check_conditions(want, profile, [goal])
-            for name in VIEWS:
-                assert getattr(got, name) == getattr(want, name), name
+        for first, fields, full in lay.columns():
+            for j in range(full.bit_length()):
+                code = first + j
+                got, want = lay.model(code), pair_decode(sig, lay.k, lay.n, code)
+                assert model_to_json(got, sig.dialect) == model_to_json(want, sig.dialect)
+                for name in MASK_ATTRS:
+                    assert vars(got)[name] == vars(want)[name], name
+                for name, masks in packed_columns(lay, fields, j).items():
+                    assert masks == vars(want)[name], name
+                assert check_conditions(got, profile, [goal]) == \
+                    check_conditions(want, profile, [goal])
+                for name in VIEWS:
+                    assert getattr(got, name) == getattr(want, name), name
 
 
 # Goals whose every layout at bound 2 has at most 12 slots, between them
