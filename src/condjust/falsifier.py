@@ -20,7 +20,7 @@ relational models, every realization test for Routley models. Only the
 codes that survive are built, in ascending order, so the first model found
 is the one a code-by-code walk would find. A relational slice's slot ints
 are split by field by _SlotLayout.columns, which also gives
-iter_kripke_models' chunks of 2**8 codes; _SlotLayout.model reads a single
+iter_kripke_models' chunks of 2**8 codes; _SlotLayout.masks reads a single
 code. Both searches store masks valid by construction unchecked, walk the
 signature's universe in its sorted order and key their truth tables by formula.
 
@@ -31,6 +31,7 @@ oracle the tableau prover is cross-checked against.
 
 from __future__ import annotations
 
+import copyreg
 import functools
 import itertools
 from dataclasses import dataclass
@@ -49,6 +50,7 @@ from .kripke_models import (
     _query_part,
     _slice_patterns,
     _Sample,
+    _View,
 )
 from .routley_models import RoutleyModel, check_jrc_conditions
 from .syntax import (
@@ -110,15 +112,17 @@ _CHUNK_BITS = 8
 
 # Bound at import, for object.__new__: perfbench's tracer replaces the names.
 _KRIPKE, _ROUTLEY = KripkeModel, RoutleyModel
+_MASKS = ("_atoms", "_members", "_term_rows", "_override_rows")
 
 
 @functools.cache
 def _shape(k: int, n: int):
     """What every layout of k states, the first n normal, shares: the fields
-    of its empty relational and Routley models (read only), the shift of
-    each term row and of each override row, and the non-normal states' rows."""
+    of its empty relational model but _MASKS and of its empty Routley model
+    (read only), the shifts of term and override rows, the non-normal rows."""
     states, zero = tuple([f"w{i}" for i in range(k)]), ((0,) * k,) * k
-    return (vars(_KRIPKE._from_masks(states, frozenset(states[:n]), {}, {}, {}, {})),
+    empty = vars(_KRIPKE._from_masks(states, frozenset(states[:n]), {}, {}, {}, {}))
+    return ({key: value for key, value in empty.items() if key not in _MASKS},
             vars(_ROUTLEY._from_masks(states, frozenset(states[:n]), tuple(range(k)), zero,
                                       {}, {}, {})),
             tuple(range(0, k * k, k)), tuple(range(0, n * n, n)), (0,) * (k - n))
@@ -130,13 +134,13 @@ class _SlotLayout:
     Slots are ordered valuation, non-normal valuation, term relations,
     relation overrides, each block row-major over its index tuple; bit i of
     a model code is slot i, and ascending codes give the canonical order.
-    model and columns are the two readers of that order. As no slot lies
+    masks and columns are the two readers of that order. As no slot lies
     outside the frame, model stores a code's masks unchecked.
     """
 
     def __init__(self, sig: SearchSignature, k: int, n: int, packed: bool = False):
         self.sig, self.k, self.n = sig, k, n
-        self.record, _, self.term_shifts, self.ov_shifts, self.pad = _shape(k, n)
+        self.frame, _, self.term_shifts, self.ov_shifts, self.pad = _shape(k, n)
         self.bits, self.stride = (_CHUNK_BITS, k) if packed else (_SLICE_BITS, 1)
         self.size = (len(sig.atoms) * n + len(sig.universe) * (k - n)
                      + len(sig.terms) * k * k + len(sig.antecedents) * n * n)
@@ -161,8 +165,15 @@ class _SlotLayout:
         self.reach = [sum(f[2] <= t for f in self.high) for t in range(width, self.size)]
 
     def model(self, code: int) -> KripkeModel:
-        """The model of one code, read field by field from the low bits up:
-        the code is already the model's bitset form."""
+        """The model of one code."""
+        atoms, members, term_rows, override_rows = self.masks(code)
+        m = object.__new__(_KRIPKE)
+        vars(m).update(self.frame, _atoms=atoms, _members=members,
+                       _term_rows=term_rows, _override_rows=override_rows)
+        return m
+
+    def masks(self, code: int):
+        """The code's masks in _MASKS order, read field by field from the low bits up."""
         sig, k, n = self.sig, self.k, self.n
         n_ones, nn_ones, k_ones = (1 << n) - 1, (1 << k - n) - 1, (1 << k) - 1
         atoms: dict[str, int] = {}
@@ -184,10 +195,7 @@ class _SlotLayout:
         for f in sig.antecedents:
             override_rows[f] = tuple([code >> s & n_ones for s in self.ov_shifts]) + self.pad
             code >>= n * n
-        m = object.__new__(_KRIPKE)
-        vars(m).update(self.record, _atoms=atoms, _members=members,
-                       _term_rows=term_rows, _override_rows=override_rows)
-        return m
+        return atoms, members, term_rows, override_rows
 
     def columns(self):
         """Per slice of _slices, its first code, its slot ints split by field
@@ -243,17 +251,43 @@ def iter_kripke_models(sig: SearchSignature):
     The codes are taken 2**_CHUNK_BITS at a time, as a packed layout's
     columns gives them, and each model is linked to the _Sample of its
     chunk, so valid_in_model walks a formula once per chunk and
-    check_conditions tests conditions 1 and 2 once per chunk.
+    check_conditions tests conditions 1 and 2 once per chunk. A model's
+    masks are decoded when first read (_WalkModel).
     """
     profile_for(sig.dialect)  # reject dialects without a Kripke profile
     for lay in _layouts(sig, packed=True):
-        k, count = lay.k, 1 << min(lay.size, _CHUNK_BITS)
+        k, count, frame = lay.k, 1 << min(lay.size, _CHUNK_BITS), lay.frame
         for base, fields, low in lay.columns():
             sample = lay.sample(fields, low)
-            for shift, code in zip(range(0, k * count, k), range(base, base + count)):
-                m = lay.model(code)
-                vars(m)["_sample"] = (sample, shift)
+            sample._walk = lay, base  # code base + shift // k is the model at shift
+            for shift in range(0, k * count, k):
+                m = object.__new__(_WalkModel)
+                vars(m).update(frame, _sample=(sample, shift))
                 yield m
+
+
+class _WalkModel(KripkeModel):
+    """A model of iter_kripke_models: its layout's frame record and chunk
+    link until a mask is read, then the plain model(code). See _View for
+    why the views sit here; repr, copies and pickles decode first."""
+
+    _atoms = _View("_atoms", lambda m: m._decode()._atoms)
+    _members = _View("_members", lambda m: m._decode()._members)
+    _term_rows = _View("_term_rows", lambda m: m._decode()._term_rows)
+    _override_rows = _View("_override_rows", lambda m: m._decode()._override_rows)
+
+    def _decode(self) -> KripkeModel:
+        sample, shift = self._sample
+        lay, base = sample._walk
+        vars(self).update(zip(_MASKS, lay.masks(base + shift // lay.k)))
+        object.__setattr__(self, "__class__", _KRIPKE)
+        return self
+
+    def __repr__(self):
+        return repr(self._decode())
+
+    def __reduce_ex__(self, protocol):  # __getstate__ decodes: self is then a _KRIPKE
+        return copyreg.__newobj__, (_KRIPKE,), self.__getstate__()
 
 
 def _survivors(lay: _SlotLayout, premises, goal: Formula, conditions,
@@ -318,9 +352,11 @@ def _survivors(lay: _SlotLayout, premises, goal: Formula, conditions,
             if cond1:  # no row state outside the antecedent
                 live &= full ^ functools.reduce(or_, map(and_, row, outside), 0)
     if "6" in conditions:
-        for rows in terms.values():
+        for rows in reversed(terms.values()):  # the high slots, 0 in most slices, first
             for w in normal:
                 live &= rows[w][w]
+            if not live:
+                return 0
     if "4" in conditions:
         for t, rows in terms.items():
             if type(t) is Sum:

@@ -131,6 +131,43 @@ def test_criterion_6_enumeration_builds_one_evaluator_per_chunk(counts, monkeypa
         assert counts["prints"] - before <= 1
 
 
+def test_criterion_6_enumeration_decodes_only_fully_checked_models(monkeypatch):
+    """The loop of acceptance criterion 6 reads the masks of no model but
+    those whose full condition report is built: validity comes from the
+    chunk's wide model and a refuting model's report from its block test.
+    Each such model is decoded once; the others stay walk models."""
+    decoded, full = [], {}
+    masks_of, report_of = falsifier._SlotLayout.masks, km._report
+
+    def counted_masks(lay, code):
+        decoded.append((lay.k, lay.n, code))
+        return masks_of(lay, code)
+
+    def counted_report(*args):
+        full[id(args[3])] = args[3]
+        return report_of(*args)
+
+    monkeypatch.setattr(falsifier._SlotLayout, "masks", counted_masks)
+    monkeypatch.setattr(km, "_report", counted_report)
+    f = parse_formula("false > p", LPC)
+    profile = profile_for(LPC)
+    sig = SearchSignature.for_sequent([], f, LPC, 3)
+    models = undecoded = 0
+    passing_validator_seen = False
+    for m in iter_kripke_models(sig):
+        if valid_in_model(m, f):
+            if not passing_validator_seen and check_conditions(m, profile, [f]).ok:
+                passing_validator_seen = True
+        else:
+            assert not check_conditions(m, profile, [f]).ok
+        models += 1
+        undecoded += type(m) is falsifier._WalkModel
+    assert models == 49_672 and passing_validator_seen
+    assert full and len(decoded) == len(set(decoded)) == len(full)
+    assert all(type(m) is KripkeModel for m in full.values())
+    assert undecoded == models - len(full)
+
+
 def test_verify_result_on_open_builds_one_evaluator(counts, monkeypatch):
     goal = parse_formula("p -> (q -> p)", JRC)
     r = prove([], goal, Budget(6, 500))

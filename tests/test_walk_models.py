@@ -11,19 +11,28 @@ _SlotLayout.columns splits the low slots of a slice by field once per layout
 and patches in only the high ones. Its fields are compared, slice by slice,
 with a split written here from the slot order _SlotLayout's docstring gives,
 of slot ints computed here from the codes.
+
+iter_kripke_models decodes a model's masks from its code when something
+first reads them. Whatever is asked first of a model not read yet, the
+answer is that of the eager model _SlotLayout.model gives for the code.
 """
 
+import copy
+import dataclasses
 import functools
+import pickle
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import condjust.falsifier as falsifier
-from condjust.falsifier import SearchSignature
+from condjust.falsifier import SearchSignature, iter_kripke_models
 from condjust.kripke_models import KripkeModel, _bits, _check, _frame, model_to_json
 from condjust.routley_models import RoutleyModel, _NO_MEMBERS, _frames
 from condjust.syntax import Dialect, parse_formula
-from test_falsifier import KRIPKE_DIALECTS, MASK_GOALS, draw_small_routley_search
+from test_falsifier import (
+    KRIPKE_DIALECTS, MASK_GOALS, draw_small_routley_search, draw_small_search,
+)
 
 J, L = Dialect.JRC, Dialect.LPCplus
 
@@ -182,3 +191,89 @@ def test_slices_give_each_codes_slot_ints(size, bits, stride):
         assert full == sum(1 << j * stride for j in range(1 << width))
         seen.append(first)
     assert seen == list(range(0, 1 << size, 1 << width))
+
+
+# --- models of iter_kripke_models, decoded on first read ------------------------
+
+MASKS = falsifier._MASKS
+PAIR_FIELDS = ("valuation", "nonnormal_valuation", "term_rels", "formula_rel_overrides")
+
+
+def stored(m) -> dict:
+    """The model's attributes but its chunk link."""
+    return {key: value for key, value in vars(m).items() if key != "_sample"}
+
+
+def plain_copy(got, eager: KripkeModel) -> bool:
+    return type(got) is KripkeModel and vars(got) == vars(eager)
+
+
+def read_first(name):
+    """Read the mask name first: the model then holds what the eager one
+    holds, and is a plain KripkeModel."""
+    return lambda m, eager, d: (getattr(m, name) == vars(eager)[name]
+                                and type(m) is KripkeModel and stored(m) == vars(eager))
+
+
+# The first question asked of a walk model nothing has read yet, and the
+# eager model of the same code, not read yet either: the answers agree.
+FIRST_ASKS = {
+    "model_to_json": lambda m, eager, d: model_to_json(m, d) == model_to_json(eager, d),
+    "repr": lambda m, eager, d: repr(m) == repr(eager),
+    **{name: lambda m, eager, d, name=name: getattr(m, name) == getattr(eager, name)
+       for name in PAIR_FIELDS},
+    "pickle": lambda m, eager, d: plain_copy(pickle.loads(pickle.dumps(m)), eager),
+    "copy": lambda m, eager, d: plain_copy(copy.copy(m), eager),
+    "deepcopy": lambda m, eager, d: plain_copy(copy.deepcopy(m), eager),
+    "replace": lambda m, eager, d: plain_copy(dataclasses.replace(m),
+                                              dataclasses.replace(eager)),
+    **{name: read_first(name) for name in MASKS},
+}
+
+
+def codes(sig: SearchSignature):
+    """Every layout and code, in the walk's order."""
+    for lay in falsifier._layouts(sig):
+        for code in range(1 << lay.size):
+            yield lay, code
+
+
+def assert_walk_models_are_eager(sig: SearchSignature, every: bool = True) -> int:
+    """Ask each first question of a model of a walk of its own, in step with
+    the codes, or, not every, one question per model in turn from one walk;
+    returns the number of models."""
+    asks = list(FIRST_ASKS.items())
+    walks = [iter_kripke_models(sig) for _ in (asks if every else asks[:1])]
+    count = 0
+    for (lay, code), models in zip(codes(sig), zip(*walks), strict=True):
+        for (what, ask), m in zip(asks if every else [asks[count % len(asks)]], models):
+            assert type(m) is falsifier._WalkModel and vars(m).keys().isdisjoint(MASKS)
+            assert ask(m, lay.model(code), sig.dialect), (what, code, stored(m))
+            assert m._sample is not None  # the chunk link stays
+        count += 1
+    return count
+
+
+def test_criterion_6_walk_models_are_eager():
+    """Every model of criterion 6, each asked one first question: each
+    question is asked of some 3,300 models, spread over every layout."""
+    f = parse_formula("false > p", L)
+    sig = SearchSignature.for_sequent([], f, L, 3)
+    assert assert_walk_models_are_eager(sig, every=False) == 49_672
+
+
+@pytest.mark.parametrize("dialect", KRIPKE_DIALECTS, ids=lambda d: d.value)
+def test_walk_models_are_eager_in_every_dialect(dialect):
+    """Every question of every model at bound 1, one of each at bound 2."""
+    goal = parse_formula(MASK_GOALS[dialect], dialect)
+    for bound, every in ((1, True), (2, False)):
+        sig = SearchSignature.for_sequent([], goal, dialect, bound)
+        assert assert_walk_models_are_eager(sig, every)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_drawn_walk_models_are_eager(data):
+    drawn = draw_small_search(data)
+    if drawn is not None:
+        assert assert_walk_models_are_eager(drawn[0])
