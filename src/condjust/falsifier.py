@@ -23,6 +23,9 @@ are split by field by _SlotLayout.columns, which also gives
 iter_kripke_models' chunks of 2**8 codes; _SlotLayout.masks reads a single
 code. Both searches store masks valid by construction unchecked, walk the
 signature's universe in its sorted order and key their truth tables by formula.
+A model of iter_kripke_models stores only its chunk link: the frame record
+its layout shares sits on a class per state and normal count (_walk_class),
+and its masks are decoded from its code when first read.
 
 The search is exponential in the sequent's vocabulary and meant for the
 small bounds where countermodels are legible. It doubles as the independent
@@ -126,6 +129,15 @@ def _shape(k: int, n: int):
             vars(_ROUTLEY._from_masks(states, frozenset(states[:n]), tuple(range(k)), zero,
                                       {}, {}, {})),
             tuple(range(0, k * k, k)), tuple(range(0, n * n, n)), (0,) * (k - n))
+
+
+@functools.cache
+def _walk_class(k: int, n: int) -> type:
+    """The _WalkModel subclass of the layouts of k states, the first n
+    normal, whose class attributes are their frame record (_shape's): one
+    class per layout shape, shared by every walk, so a model stores only
+    its chunk link."""
+    return type(f"_WalkModel{k}_{n}", (_WalkModel,), dict(_shape(k, n)[0]))
 
 
 class _SlotLayout:
@@ -251,25 +263,28 @@ def iter_kripke_models(sig: SearchSignature):
     The codes are taken 2**_CHUNK_BITS at a time, as a packed layout's
     columns gives them, and each model is linked to the _Sample of its
     chunk, so valid_in_model walks a formula once per chunk and
-    check_conditions tests conditions 1 and 2 once per chunk. A model's
+    check_conditions tests conditions 1 and 2 once per chunk. A model holds
+    that link alone: its layout's frame record sits on its class, and its
     masks are decoded when first read (_WalkModel).
     """
     profile_for(sig.dialect)  # reject dialects without a Kripke profile
+    new = object.__new__
     for lay in _layouts(sig, packed=True):
-        k, count, frame = lay.k, 1 << min(lay.size, _CHUNK_BITS), lay.frame
+        k, count, cls = lay.k, 1 << min(lay.size, _CHUNK_BITS), _walk_class(lay.k, lay.n)
         for base, fields, low in lay.columns():
             sample = lay.sample(fields, low)
             sample._walk = lay, base  # code base + shift // k is the model at shift
             for shift in range(0, k * count, k):
-                m = object.__new__(_WalkModel)
-                vars(m).update(frame, _sample=(sample, shift))
+                m = new(cls)
+                m.__dict__["_sample"] = sample, shift
                 yield m
 
 
 class _WalkModel(KripkeModel):
-    """A model of iter_kripke_models: its layout's frame record and chunk
-    link until a mask is read, then the plain model(code). See _View for
-    why the views sit here; repr, copies and pickles decode first."""
+    """A model of iter_kripke_models: its chunk link alone, its layout's
+    frame record on the class _walk_class gives, until a mask is read; then
+    the plain model(code), which holds its frame record itself. See _View
+    for why the views sit here; repr, copies and pickles decode first."""
 
     _atoms = _View("_atoms", lambda m: m._decode()._atoms)
     _members = _View("_members", lambda m: m._decode()._members)
@@ -279,7 +294,9 @@ class _WalkModel(KripkeModel):
     def _decode(self) -> KripkeModel:
         sample, shift = self._sample
         lay, base = sample._walk
-        vars(self).update(zip(_MASKS, lay.masks(base + shift // lay.k)))
+        state = vars(self)
+        state.update(lay.frame)
+        state.update(zip(_MASKS, lay.masks(base + shift // lay.k)))
         object.__setattr__(self, "__class__", _KRIPKE)
         return self
 

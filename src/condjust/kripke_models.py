@@ -548,6 +548,7 @@ class _Sample:
         self._checked_idx = tuple(i for i in range(width) if normal >> i & low)
         self._low, self._ones, self._shifts = low, (1 << width) - 1, range(1, width)
         self._fails: dict = {}  # _block_failures per (conditions, universe)
+        self._last = None, None, 0  # the last of them asked: conditions, universe, answer
 
     def _none(self, x: int) -> int:
         """The lowest bit of each block where x has no bit: a shift by less
@@ -794,23 +795,31 @@ def check_conditions(m: KripkeModel, profile: VariantProfile, universe,
         raise TypeError(f"check_conditions needs a KripkeModel, not {type(m).__name__}")
     universe = frozenset(universe)
     link = m._sample
-    if link is not None and link[0]._override_rows:
+    if link is not None:
         sample, shift = link
-        if _block_failures(sample, profile.conditions, universe) >> shift & sample._ones:
-            if isinstance(cs, AxiomaticallyAppropriate):  # its entries as they are now
-                cs = Explicit(cs_entries(cs))
-            report = object.__new__(ConditionReport)
-            vars(report).update(profile=profile.name, approximation_note=APPROXIMATION_NOTE,
-                                ok=False, _args=(profile.name, profile.conditions, _CHECKS,
-                                                 m, universe, cs))
-            return report
+        if sample._override_rows:
+            # a chunk's models are asked in a row: its last answer first
+            conditions, last = profile.conditions, sample._last
+            fails = last[2] if last[0] is conditions and last[1] == universe \
+                else _block_failures(sample, conditions, universe)
+            if fails >> shift & sample._ones:
+                if cs is not None and isinstance(cs, AxiomaticallyAppropriate):
+                    cs = Explicit(cs_entries(cs))  # its entries as they are now
+                # profile, ok and the arguments of the _report that makes the
+                # results; approximation_note is the class's default
+                report = object.__new__(ConditionReport)
+                state = report.__dict__
+                state["profile"], state["ok"] = profile.name, False
+                state["_args"] = profile.name, conditions, _CHECKS, m, universe, cs
+                return report
     return _report(profile.name, profile.conditions, _CHECKS, m, universe, cs)
 
 
 def _block_failures(sample: _Sample, conditions, universe: frozenset) -> int:
     """The states, over every block of the sample, at which condition 1 or
     2 (those of the conditions) fails for a formula of the universe's
-    closure, cached on the sample. Only an override row can fail them."""
+    closure, cached on the sample per (conditions, universe), and kept as
+    the sample's last answer. Only an override row can fail them."""
     key = conditions, universe
     fails = sample._fails.get(key)
     if fails is None:
@@ -824,6 +833,7 @@ def _block_failures(sample: _Sample, conditions, universe: frozenset) -> int:
                 if "2" in conditions:
                     fails |= ts & normal & ~_diagonal(rows, sample._low)
         sample._fails[key] = fails
+    sample._last = conditions, universe, fails
     return fails
 
 

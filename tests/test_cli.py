@@ -776,3 +776,17 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "p & q"
+
+
+def test_package_runs_as_a_module():
+    """python -m condjust replays the corpus as the console script does,
+    byte for byte, and exits with the command line's code."""
+    golden = os.path.join(os.path.dirname(__file__), "golden", "corpus.txt")
+    proc = subprocess.run([sys.executable, "-m", "condjust", "corpus"], capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    with open(golden, "rb") as fh:
+        assert proc.stdout == fh.read()
+    proc = subprocess.run([sys.executable, "-m", "condjust", "parse", "--dialect", "l", "p &"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ")

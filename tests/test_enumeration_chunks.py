@@ -164,6 +164,41 @@ def test_a_generator_universe_is_read_once_on_both_paths():
     assert not answered_by_block(eager) and eager == lazy
 
 
+def test_block_reports_follow_each_call_on_one_chunk():
+    """The models of one chunk, asked in turn under alternating universes
+    and profiles, some through a list universe changed after the call: each
+    report, its results made only after every call, equals the report of
+    the model's unlinked copy. No answer a chunk keeps for its last call
+    carries over to a call it does not fit."""
+    f = parse_formula("q > p", LPC)  # q may hold, so condition 2 may fail alone
+    sig = SearchSignature.for_sequent([], f, LPC, 2)
+    chunk = [m for m in iter_kripke_models(sig) if len(m.states) == len(m.normal) == 2]
+    assert len({id(m._sample[0]) for m in chunk}) == 1 and len(chunk) > 8
+    lpc, only_2 = profile_for(LPC), VariantProfile("2 alone", ("2",))
+    # each case, asked of two models in a row, differs from the one before
+    # in its profile or its universe
+    cases = [(lpc, (f,)), (only_2, (f,)), (only_2, (f, p)), (lpc, (f, p))]
+    asked, block = [], set()
+    for i, m in enumerate(chunk):
+        profile, universe = cases[i // 2 % len(cases)]
+        listed = list(universe)
+        got = check_conditions(m, profile, listed)
+        if answered_by_block(got):
+            block.add(i // 2 % len(cases))
+        asked.append((m, profile, universe, got))
+        listed[:] = [p]  # an atom alone: no override to fail condition 1 or 2
+        if i % 3 == 2:
+            again = check_conditions(m, profile, listed)
+            assert not answered_by_block(again)
+            asked.append((m, profile, (p,), again))
+    assert block == set(range(len(cases)))
+    for m, profile, universe, got in asked:
+        want = check_conditions(pickle.loads(pickle.dumps(m)), profile, universe)
+        assert answered_by_block(got) == any(r.condition in ("1", "2")
+                                             for r in want.failures())
+        assert got.ok == want.ok and got == want
+
+
 def test_block_report_honours_the_constant_specification():
     """Condition 3 reads the specification's entries as they were at the
     call, whenever the results are made."""

@@ -247,7 +247,7 @@ def assert_walk_models_are_eager(sig: SearchSignature, every: bool = True) -> in
     count = 0
     for (lay, code), models in zip(codes(sig), zip(*walks), strict=True):
         for (what, ask), m in zip(asks if every else [asks[count % len(asks)]], models):
-            assert type(m) is falsifier._WalkModel and vars(m).keys().isdisjoint(MASKS)
+            assert isinstance(m, falsifier._WalkModel) and vars(m).keys().isdisjoint(MASKS)
             assert ask(m, lay.model(code), sig.dialect), (what, code, stored(m))
             assert m._sample is not None  # the chunk link stays
         count += 1
@@ -277,3 +277,22 @@ def test_drawn_walk_models_are_eager(data):
     drawn = draw_small_search(data)
     if drawn is not None:
         assert assert_walk_models_are_eager(drawn[0])
+
+
+def test_undecoded_walk_models_hold_only_their_link():
+    """A model nothing has read yet stores its chunk link alone. Its frame
+    record sits on the class of its (k, n), made once and shared by every
+    walk, whatever the signature: no class is made per call."""
+    sig = SearchSignature.for_sequent([], parse_formula("false > p", L), L, 2)
+    walks = [list(iter_kripke_models(sig)) for _ in range(2)]
+    for a, b in zip(*walks, strict=True):
+        assert vars(a).keys() == vars(b).keys() == {"_sample"}
+        assert type(a) is type(b) and isinstance(a, falsifier._WalkModel)
+    layouts = list(falsifier._layouts(sig))
+    assert {type(m) for m in walks[0]} == {falsifier._walk_class(lay.k, lay.n)
+                                           for lay in layouts}
+    for lay in layouts:
+        cls = falsifier._walk_class(lay.k, lay.n)
+        assert {key: getattr(cls, key) for key in lay.frame} == lay.frame
+    other = SearchSignature.for_sequent([], parse_formula("x:q", L), L, 2)
+    assert {type(m) for m in iter_kripke_models(other)} == {type(m) for m in walks[0]}
