@@ -24,7 +24,7 @@ iter_kripke_models' chunks of 2**8 codes; _SlotLayout.masks reads a single
 code. Both searches store masks valid by construction unchecked, walk the
 signature's universe in its sorted order and key their truth tables by formula.
 A model of iter_kripke_models stores only its chunk link: the frame record
-its layout shares sits on a class per state and normal count (_walk_class),
+its layout shares sits on a class per state and normal count (_shape's),
 and its masks are decoded from its code when first read.
 
 The search is exponential in the sequent's vocabulary and meant for the
@@ -122,22 +122,18 @@ _MASKS = ("_atoms", "_members", "_term_rows", "_override_rows")
 def _shape(k: int, n: int):
     """What every layout of k states, the first n normal, shares: the fields
     of its empty relational model but _MASKS and of its empty Routley model
-    (read only), the shifts of term and override rows, the non-normal rows."""
+    (read only), the shifts of term and override rows, the non-normal rows,
+    and the _WalkModel subclass whose class attributes are that relational
+    frame record: one class per layout shape, shared by every walk, so a
+    model of iter_kripke_models stores only its chunk link."""
     states, zero = tuple([f"w{i}" for i in range(k)]), ((0,) * k,) * k
     empty = vars(_KRIPKE._from_masks(states, frozenset(states[:n]), {}, {}, {}, {}))
-    return ({key: value for key, value in empty.items() if key not in _MASKS},
+    frame = {key: value for key, value in empty.items() if key not in _MASKS}
+    return (frame,
             vars(_ROUTLEY._from_masks(states, frozenset(states[:n]), tuple(range(k)), zero,
                                       {}, {}, {})),
-            tuple(range(0, k * k, k)), tuple(range(0, n * n, n)), (0,) * (k - n))
-
-
-@functools.cache
-def _walk_class(k: int, n: int) -> type:
-    """The _WalkModel subclass of the layouts of k states, the first n
-    normal, whose class attributes are their frame record (_shape's): one
-    class per layout shape, shared by every walk, so a model stores only
-    its chunk link."""
-    return type(f"_WalkModel{k}_{n}", (_WalkModel,), dict(_shape(k, n)[0]))
+            tuple(range(0, k * k, k)), tuple(range(0, n * n, n)), (0,) * (k - n),
+            type(f"_WalkModel{k}_{n}", (_WalkModel,), dict(frame)))
 
 
 class _SlotLayout:
@@ -152,7 +148,8 @@ class _SlotLayout:
 
     def __init__(self, sig: SearchSignature, k: int, n: int, packed: bool = False):
         self.sig, self.k, self.n = sig, k, n
-        self.frame, _, self.term_shifts, self.ov_shifts, self.pad = _shape(k, n)
+        self.frame, _, self.term_shifts, self.ov_shifts, self.pad, self.walk_class = \
+            _shape(k, n)
         self.bits, self.stride = (_CHUNK_BITS, k) if packed else (_SLICE_BITS, 1)
         self.size = (len(sig.atoms) * n + len(sig.universe) * (k - n)
                      + len(sig.terms) * k * k + len(sig.antecedents) * n * n)
@@ -263,14 +260,15 @@ def iter_kripke_models(sig: SearchSignature):
     The codes are taken 2**_CHUNK_BITS at a time, as a packed layout's
     columns gives them, and each model is linked to the _Sample of its
     chunk, so valid_in_model walks a formula once per chunk and
-    check_conditions tests conditions 1 and 2 once per chunk. A model holds
+    check_conditions tests conditions 1 and 2 once per chunk asked in a row
+    under one profile and universe. A model holds
     that link alone: its layout's frame record sits on its class, and its
     masks are decoded when first read (_WalkModel).
     """
     profile_for(sig.dialect)  # reject dialects without a Kripke profile
     new = object.__new__
     for lay in _layouts(sig, packed=True):
-        k, count, cls = lay.k, 1 << min(lay.size, _CHUNK_BITS), _walk_class(lay.k, lay.n)
+        k, count, cls = lay.k, 1 << min(lay.size, _CHUNK_BITS), lay.walk_class
         for base, fields, low in lay.columns():
             sample = lay.sample(fields, low)
             sample._walk = lay, base  # code base + shift // k is the model at shift
@@ -282,9 +280,10 @@ def iter_kripke_models(sig: SearchSignature):
 
 class _WalkModel(KripkeModel):
     """A model of iter_kripke_models: its chunk link alone, its layout's
-    frame record on the class _walk_class gives, until a mask is read; then
-    the plain model(code), which holds its frame record itself. See _View
-    for why the views sit here; repr, copies and pickles decode first."""
+    frame record on its class (_SlotLayout.walk_class), until a mask is
+    read; then the plain model(code), which holds its frame record itself.
+    See _View for why the views sit here; repr, copies and pickles decode
+    first."""
 
     _atoms = _View("_atoms", lambda m: m._decode()._atoms)
     _members = _View("_members", lambda m: m._decode()._members)

@@ -547,8 +547,8 @@ class _Sample:
         # the positions some model checks: a row test skips the others
         self._checked_idx = tuple(i for i in range(width) if normal >> i & low)
         self._low, self._ones, self._shifts = low, (1 << width) - 1, range(1, width)
-        self._fails: dict = {}  # _block_failures per (conditions, universe)
-        self._last = None, None, 0  # the last of them asked: conditions, universe, answer
+        # check_conditions' last block answer: conditions, universe, answer
+        self._last = None, None, 0
 
     def _none(self, x: int) -> int:
         """The lowest bit of each block where x has no bit: a shift by less
@@ -798,10 +798,13 @@ def check_conditions(m: KripkeModel, profile: VariantProfile, universe,
     if link is not None:
         sample, shift = link
         if sample._override_rows:
-            # a chunk's models are asked in a row: its last answer first
+            # a chunk's models are asked in a row: one answer kept, the last
             conditions, last = profile.conditions, sample._last
-            fails = last[2] if last[0] is conditions and last[1] == universe \
-                else _block_failures(sample, conditions, universe)
+            if last[0] is conditions and last[1] == universe:
+                fails = last[2]
+            else:
+                fails = _block_failures(sample, conditions, universe)
+                sample._last = conditions, universe, fails
             if fails >> shift & sample._ones:
                 if cs is not None and isinstance(cs, AxiomaticallyAppropriate):
                     cs = Explicit(cs_entries(cs))  # its entries as they are now
@@ -818,22 +821,16 @@ def check_conditions(m: KripkeModel, profile: VariantProfile, universe,
 def _block_failures(sample: _Sample, conditions, universe: frozenset) -> int:
     """The states, over every block of the sample, at which condition 1 or
     2 (those of the conditions) fails for a formula of the universe's
-    closure, cached on the sample per (conditions, universe), and kept as
-    the sample's last answer. Only an override row can fail them."""
-    key = conditions, universe
-    fails = sample._fails.get(key)
-    if fails is None:
-        ev, normal, fails = _evaluator(sample, _last_sample), sample._normal_mask, 0
-        for f in _query_part(universe)[0]:
-            rows = sample._override_rows.get(f)
-            if rows is not None:
-                ts = ev.mask(f)
-                if "1" in conditions:
-                    fails |= normal & ~_inside(sample, rows, ts)
-                if "2" in conditions:
-                    fails |= ts & normal & ~_diagonal(rows, sample._low)
-        sample._fails[key] = fails
-    sample._last = conditions, universe, fails
+    closure. Only an override row can fail them."""
+    ev, normal, fails = _evaluator(sample, _last_sample), sample._normal_mask, 0
+    for f in _query_part(universe)[0]:
+        rows = sample._override_rows.get(f)
+        if rows is not None:
+            ts = ev.mask(f)
+            if "1" in conditions:
+                fails |= normal & ~_inside(sample, rows, ts)
+            if "2" in conditions:
+                fails |= ts & normal & ~_diagonal(rows, sample._low)
     return fails
 
 

@@ -289,10 +289,9 @@ def test_undecoded_walk_models_hold_only_their_link():
         assert vars(a).keys() == vars(b).keys() == {"_sample"}
         assert type(a) is type(b) and isinstance(a, falsifier._WalkModel)
     layouts = list(falsifier._layouts(sig))
-    assert {type(m) for m in walks[0]} == {falsifier._walk_class(lay.k, lay.n)
-                                           for lay in layouts}
+    assert {type(m) for m in walks[0]} == {lay.walk_class for lay in layouts}
     for lay in layouts:
-        cls = falsifier._walk_class(lay.k, lay.n)
+        cls = lay.walk_class
         assert {key: getattr(cls, key) for key in lay.frame} == lay.frame
     other = SearchSignature.for_sequent([], parse_formula("x:q", L), L, 2)
     assert {type(m) for m in iter_kripke_models(other)} == {type(m) for m in walks[0]}
