@@ -23,9 +23,11 @@ are split by field by _SlotLayout.columns, which also gives
 iter_kripke_models' chunks of 2**8 codes; _SlotLayout.masks reads a single
 code. Both searches store masks valid by construction unchecked, walk the
 signature's universe in its sorted order and key their truth tables by formula.
-A model of iter_kripke_models stores only its chunk link: the frame record
-its layout shares sits on a class per state and normal count (_shape's),
-and its masks are decoded from its code when first read.
+Every model either search builds copies the one frame record
+kripke_models._frame gives its states (_shape keeps it per layout shape).
+A model of iter_kripke_models stores only its chunk link: that record sits
+on a class per state and normal count (_shape's), and its masks are
+decoded from its code when first read.
 
 The search is exponential in the sequent's vocabulary and meant for the
 small bounds where countermodels are legible. It doubles as the independent
@@ -48,6 +50,7 @@ from .kripke_models import (
     profile_for,
     _bits,
     _counterexamples,
+    _frame,
     _link_sample,
     _lowest,
     _query_part,
@@ -55,7 +58,7 @@ from .kripke_models import (
     _Sample,
     _View,
 )
-from .routley_models import RoutleyModel, check_jrc_conditions
+from .routley_models import RoutleyModel, _NO_MEMBERS, check_jrc_conditions
 from .syntax import (
     And, Atom, Constant, Counterfactual, Dialect, Formula, Just, MatImp, Neg,
     RelCf, RelImp, Sum, Term, Variable, atoms, check_dialect_formula, subterms,
@@ -120,18 +123,15 @@ _MASKS = ("_atoms", "_members", "_term_rows", "_override_rows")
 
 @functools.cache
 def _shape(k: int, n: int):
-    """What every layout of k states, the first n normal, shares: the fields
-    of its empty relational model but _MASKS and of its empty Routley model
-    (read only), the shifts of term and override rows, the non-normal rows,
-    and the _WalkModel subclass whose class attributes are that relational
-    frame record: one class per layout shape, shared by every walk, so a
-    model of iter_kripke_models stores only its chunk link."""
-    states, zero = tuple([f"w{i}" for i in range(k)]), ((0,) * k,) * k
-    empty = vars(_KRIPKE._from_masks(states, frozenset(states[:n]), {}, {}, {}, {}))
-    frame = {key: value for key, value in empty.items() if key not in _MASKS}
-    return (frame,
-            vars(_ROUTLEY._from_masks(states, frozenset(states[:n]), tuple(range(k)), zero,
-                                      {}, {}, {})),
+    """What every layout of k states, the first n normal, shares: the frame
+    records (kripke_models._frame) of its relational models and of its
+    Routley models, the shifts of term and override rows, the non-normal
+    rows, and the _WalkModel subclass whose class attributes are the
+    relational frame record: one class per layout shape, shared by every
+    walk, so a model of iter_kripke_models stores only its chunk link."""
+    states = tuple([f"w{i}" for i in range(k)])
+    frame = _frame(states, frozenset(states[:n]), RelScheme.TruthsetNormal, False)
+    return (frame, _frame(states, frozenset(states[:n]), RelScheme.TruthsetAll, True),
             tuple(range(0, k * k, k)), tuple(range(0, n * n, n)), (0,) * (k - n),
             type(f"_WalkModel{k}_{n}", (_WalkModel,), dict(frame)))
 
@@ -283,12 +283,16 @@ class _WalkModel(KripkeModel):
     frame record on its class (_SlotLayout.walk_class), until a mask is
     read; then the plain model(code), which holds its frame record itself.
     See _View for why the views sit here; repr, copies and pickles decode
-    first."""
+    first, and a call of the class builds a plain KripkeModel."""
 
     _atoms = _View("_atoms", lambda m: m._decode()._atoms)
     _members = _View("_members", lambda m: m._decode()._members)
     _term_rows = _View("_term_rows", lambda m: m._decode()._term_rows)
     _override_rows = _View("_override_rows", lambda m: m._decode()._override_rows)
+
+    def __new__(cls, *args, **kwargs):
+        # dataclasses.replace calls the class; the walk calls object.__new__
+        return _KRIPKE(*args, **kwargs)
 
     def _decode(self) -> KripkeModel:
         sample, shift = self._sample
@@ -586,6 +590,7 @@ class _RoutleySearch:
         vars(model).update(
             _shape(k, 1)[1], _star=sigma, _tern=tern + ((0,) * k,) * (k - len(tern)),
             _atoms={a: code >> self.group[Atom(a)] * k & row for a in self.sig.atoms},
+            _members=_NO_MEMBERS,
             _term_rows={t: tuple(map(_pack, rows)) for t, rows in term_rows.items()},
             _override_rows={f: tuple(map(_pack, rows)) for f, rows in cf_rows.items()})
         # w0 is the model's only normal state

@@ -22,8 +22,9 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import and_, not_, or_
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from condjust.syntax import (
     And, App, Atom, Bang, Box, Constant, Counterfactual, Dialect, Formula,
@@ -75,21 +76,24 @@ class KripkeModel:
     def __post_init__(self):
         _freeze(self, nonnormal_valuation={
             w: frozenset(v) for w, v in self.nonnormal_valuation.items()})
-        frame = _frame(self.states, self.normal)
-        index, n = frame.index, len(self.states)
+        frame = _frame(self.states, self.normal, self.formula_rel_default, False)
+        index, n = frame["_index"], len(self.states)
+        normal_index = {w: index[w] for w in self.normal}
         # Building and _check check the bitset form the evaluator reads:
         # state i is bit i, a set of states is an int, a relation is a tuple
         # holding one such int (the row) per state.
-        _fill(self, self.states, self.normal, self.formula_rel_default, frame, frame,
-              _state_masks(self.valuation, index, self.normal,
-                           "valuation key {!r} is not a normal state"),
-              _state_masks(self.nonnormal_valuation, index, index.keys() - self.normal,
-                           "nonnormal_valuation key {!r} is not a non-normal state"),
-              {t: _rows(rel, index, n, _UNKNOWN_PAIR) for t, rel in self.term_rels.items()},
-              # Formula relations live on the normal states.
-              {f: _rows(rel, frame.normal_index, n, _ABNORMAL_PAIR)
-               for f, rel in self.formula_rel_overrides.items()})
-        _check(self, frame, frame)
+        vars(self).update(
+            frame,
+            _atoms=_state_masks(self.valuation, index, self.normal,
+                                "valuation key {!r} is not a normal state"),
+            _members=_state_masks(self.nonnormal_valuation, index, index.keys() - self.normal,
+                                  "nonnormal_valuation key {!r} is not a non-normal state"),
+            _term_rows={t: _rows(rel, index, n, _UNKNOWN_PAIR)
+                        for t, rel in self.term_rels.items()},
+            # Formula relations live on the normal states.
+            _override_rows={f: _rows(rel, normal_index, n, _ABNORMAL_PAIR)
+                            for f, rel in self.formula_rel_overrides.items()})
+        _check(self)
 
     @classmethod
     def _from_masks(cls, states: tuple[str, ...], normal: frozenset[str],
@@ -100,11 +104,10 @@ class KripkeModel:
         scheme, checked as the constructor checks the pair form. The dicts
         are kept as given; the caller must not change them. The pair-form
         fields are built on first read."""
-        frame = _frame(states, normal)
         m = object.__new__(cls)
-        _fill(m, states, normal, RelScheme.TruthsetNormal, frame, frame, atoms, members,
-              term_rows, override_rows)
-        _check(m, frame, frame)
+        vars(m).update(_frame(states, normal, RelScheme.TruthsetNormal, False), _atoms=atoms,
+                       _members=members, _term_rows=term_rows, _override_rows=override_rows)
+        _check(m)
         return m
 
     def state_index(self, w: str) -> int:
@@ -137,78 +140,66 @@ def _freeze(m, **fields) -> None:
         **fields)
 
 
-def _fill(m, states: tuple[str, ...], normal: frozenset[str], default: RelScheme,
-          frame: "_Frame", scope: "_Frame", atoms: dict[str, int],
-          members: dict[Formula, int], term_rows: dict[Term, tuple[int, ...]],
-          override_rows: dict[Formula, tuple[int, ...]], star=None, tern=None) -> None:
-    """Store a model's bitset form, states, normal states and default scheme
-    on m, unchecked: the body of every constructor, which then runs _check."""
-    vars(m).update(states=states, normal=normal, formula_rel_default=default,
-                   _index=frame.index, _normal_mask=frame.normal_mask,
-                   _normal_idx=frame.normal_idx, _checked=scope.normal_mask,
-                   _checked_idx=scope.normal_idx, _atoms=atoms, _members=members,
-                   _term_rows=term_rows, _override_rows=override_rows, _star=star, _tern=tern,
-                   # the states a default scheme's row R_f(w), the truth set
-                   # of f, is cut to
-                   _scope=frame.normal_mask if default is RelScheme.TruthsetNormal
-                   else 0 if default is RelScheme.Empty else -1)
-
-
-def _check(m, frame: "_Frame", scope: "_Frame") -> None:
-    """Raise ValueError unless the bitset form _fill stored on m lies in its
-    frame; valuations and override rows live on scope's normal states."""
+def _check(m) -> None:
+    """Raise ValueError unless the masks stored on m lie in its frame:
+    valuations and override rows on the states the clauses hold at (m's
+    checked states), rows and the star on its states."""
     # Each test ORs or ANDs the masks together in C; the loops that name
     # the offender run only once a test has failed.
-    n, atoms, members, star, tern = len(frame.index), m._atoms, m._members, m._star, m._tern
+    n, checked, star, tern = len(m.states), m._checked, m._star, m._tern
+    beyond = repeat(-1 << n)  # per row, the bits of no state
     if star is not None:
         if len(star) != n or min(star) < 0 or max(star) >= n:
             raise ValueError("star must map every state to a state")
-        if len(tern) != n or any(len(rows) != n or any(map(and_, rows, frame.off_rows))
+        if len(tern) != n or any(len(rows) != n or any(map(and_, rows, beyond))
                                  for rows in tern):
             raise ValueError("ternary relation mentions unknown states")
-    if functools.reduce(or_, atoms.values(), 0) & ~scope.normal_mask:
-        a = next(a for a, mask in atoms.items() if mask & ~scope.normal_mask)
+    atoms, members = m._atoms, m._members
+    if functools.reduce(or_, atoms.values(), 0) & ~checked:
+        a = next(a for a, mask in atoms.items() if mask & ~checked)
         raise ValueError(f"valuation of {a!r} holds outside the {m._covered}")
-    if functools.reduce(or_, members.values(), 0) & ~scope.nonnormal_mask:
-        f = next(f for f, mask in members.items() if mask & ~scope.nonnormal_mask)
+    literal = checked | -1 << n  # the bits of no unchecked state
+    if functools.reduce(or_, members.values(), 0) & literal:
+        f = next(f for f, mask in members.items() if mask & literal)
         raise ValueError(f"nonnormal_valuation of {print_formula(f)} holds "
                          "outside the non-normal states")
     for t, rows in m._term_rows.items():
-        if len(rows) != n or any(map(and_, rows, frame.off_rows)):
+        if len(rows) != n or any(map(and_, rows, beyond)):
             raise ValueError(f"relation of {print_term(t)} mentions unknown states")
     for f, rows in m._override_rows.items():
-        if len(rows) != n or any(map(and_, rows, scope.off_normal_rows)):
+        # rows of checked states, each inside them
+        if len(rows) != n or any(map(and_, rows, repeat(~checked))) or any(
+                rows[i] for i in range(n) if not checked >> i & 1):
             raise ValueError(f"formula relation of {print_formula(f)} must join {m._covered}")
 
 
-class _Frame(NamedTuple):
-    """What every model over the same states and normal states shares."""
-
-    index: dict[str, int]
-    normal_index: dict[str, int]
-    normal_mask: int
-    normal_idx: tuple[int, ...]
-    nonnormal_mask: int
-    # per state, the bits a term row or an override row must not hold; any()
-    # over map(and_, ...) tests them without building a tuple per model
-    off_rows: tuple[int, ...]
-    off_normal_rows: tuple[int, ...]
-
-
 @functools.lru_cache(maxsize=64)
-def _frame(states: tuple[str, ...], normal: frozenset[str]) -> _Frame:
+def _frame(states: tuple[str, ...], normal: frozenset[str], default: RelScheme,
+           everywhere: bool) -> dict:
+    """The fields that every model over the states and normal states, under
+    the default relation scheme, stores but its masks: the one record every
+    model builder copies into its model, shared, so that no caller may
+    change it. everywhere: the clauses hold at every state, as in Routley
+    models, not at the normal states only; those models store their own
+    star and ternary rows over this record's None."""
     if len(set(states)) != len(states) or not states:
         raise ValueError("states must be a nonempty sequence without repeats")
-    if not normal <= set(states):
-        raise ValueError("normal states must be listed in states")
     index = dict(zip(states, range(len(states))))
+    if everywhere and not (normal and normal <= index.keys()):
+        raise ValueError("normal states must be a nonempty subset of states")
+    if not normal <= index.keys():
+        raise ValueError("normal states must be listed in states")
     normal_idx = tuple(sorted(map(index.__getitem__, normal)))
     normal_mask = sum(1 << i for i in normal_idx)
-    full = (1 << len(states)) - 1
-    return _Frame(index, {w: index[w] for w in normal}, normal_mask, normal_idx,
-                  full ^ normal_mask, (~full,) * len(states),
-                  tuple(~normal_mask if normal_mask >> i & 1 else -1
-                        for i in range(len(states))))
+    checked_idx = tuple(range(len(states))) if everywhere else normal_idx
+    return dict(
+        states=states, normal=normal, formula_rel_default=default, _index=index,
+        _normal_mask=normal_mask, _normal_idx=normal_idx,
+        _checked=sum(1 << i for i in checked_idx), _checked_idx=checked_idx,
+        _star=None, _tern=None,
+        # the states a default scheme's row R_f(w), the truth set of f, is cut to
+        _scope=normal_mask if default is RelScheme.TruthsetNormal
+        else 0 if default is RelScheme.Empty else -1)
 
 
 _UNKNOWN_PAIR = "relation pair ({a!r}, {b!r}) mentions unknown states"

@@ -17,13 +17,12 @@ every condition check reads only masks.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from condjust.kripke_models import (
-    ConditionReport, KripkeModel, Pairs, RelScheme, _UNKNOWN_PAIR, _Frame,
+    ConditionReport, KripkeModel, Pairs, RelScheme, _UNKNOWN_PAIR,
     _View, _array, _bits, _check_document, _cond_antecedent_truth,
-    _check, _cond_sum, _cond_weak_centering, _diagonal, _fill, _frame, _freeze, _holding,
+    _check, _cond_sum, _cond_weak_centering, _diagonal, _frame, _freeze, _holding,
     _load_fields, _lowest, _object, _report, _rows, _state_masks,
     consequence, eval as _eval, model_to_json, truthset, valid_in_model,
 )
@@ -53,8 +52,8 @@ class RoutleyModel:
     def __post_init__(self):
         _freeze(self, star=dict(self.star),
                 ternary=frozenset(tuple(t) for t in self.ternary))
-        frames = _frames(self.states, self.normal)
-        index, n = frames[0].index, len(self.states)
+        frame = _frame(self.states, self.normal, self.formula_rel_default, True)
+        index, n = frame["_index"], len(self.states)
         if self.star.keys() != index.keys() or not set(self.star.values()) <= index.keys():
             raise ValueError("star must map every state to a state")
         # The checks below also build the bitset form the evaluator reads.
@@ -64,14 +63,16 @@ class RoutleyModel:
                 raise ValueError(f"bad ternary triple {triple!r}")
             x, y, z = map(index.__getitem__, triple)
             tern[x][y] |= 1 << z
-        _fill(self, self.states, self.normal, self.formula_rel_default, *frames,
-              _state_masks(self.valuation, index, index, "valuation key {!r} is not a state"),
-              _NO_MEMBERS,
-              {t: _rows(rel, index, n, _UNKNOWN_PAIR) for t, rel in self.term_rels.items()},
-              {f: _rows(rel, index, n, _UNKNOWN_PAIR)
-               for f, rel in self.formula_rel_overrides.items()},
-              tuple(index[self.star[w]] for w in self.states), tuple(map(tuple, tern)))
-        _check(self, *frames)
+        vars(self).update(
+            frame, _star=tuple(index[self.star[w]] for w in self.states),
+            _tern=tuple(map(tuple, tern)),
+            _atoms=_state_masks(self.valuation, index, index, "valuation key {!r} is not a state"),
+            _members=_NO_MEMBERS,
+            _term_rows={t: _rows(rel, index, n, _UNKNOWN_PAIR)
+                        for t, rel in self.term_rels.items()},
+            _override_rows={f: _rows(rel, index, n, _UNKNOWN_PAIR)
+                            for f, rel in self.formula_rel_overrides.items()})
+        _check(self)
 
     @classmethod
     def _from_masks(cls, states: tuple[str, ...], normal: frozenset[str],
@@ -81,10 +82,11 @@ class RoutleyModel:
         """As KripkeModel._from_masks; star[i] is the index of the star of
         state i, and row y of tern[x] holds the states z of the triples
         (x, y, z)."""
-        m, frames = object.__new__(cls), _frames(states, normal)
-        _fill(m, states, normal, RelScheme.TruthsetAll, *frames, atoms, _NO_MEMBERS,
-              term_rows, override_rows, star, tern)
-        _check(m, *frames)
+        m = object.__new__(cls)
+        vars(m).update(_frame(states, normal, RelScheme.TruthsetAll, True), _star=star,
+                       _tern=tern, _atoms=atoms, _members=_NO_MEMBERS, _term_rows=term_rows,
+                       _override_rows=override_rows)
+        _check(m)
         return m
 
     state_index = KripkeModel.state_index
@@ -97,15 +99,6 @@ class RoutleyModel:
                         for y, row in enumerate(rows) for z in _bits(row)],
             "valuation": {w: sorted(_holding(self._atoms, i)) for i, w in enumerate(s)},
         }
-
-
-@functools.lru_cache(maxsize=64)
-def _frames(states: tuple[str, ...], normal: frozenset[str]) -> tuple[_Frame, _Frame]:
-    """The model's frame, and the frame of the states the clauses hold at: all."""
-    everywhere = _frame(states, frozenset(states))  # a fault in the states comes first
-    if not normal or not normal <= everywhere.index.keys():
-        raise ValueError("normal states must be a nonempty subset of states")
-    return _frame(states, normal), everywhere
 
 
 # Set after the class is made, as on KripkeModel.

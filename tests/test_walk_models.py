@@ -15,6 +15,9 @@ of slot ints computed here from the codes.
 iter_kripke_models decodes a model's masks from its code when something
 first reads them. Whatever is asked first of a model not read yet, the
 answer is that of the eager model _SlotLayout.model gives for the code.
+
+Every builder of either family stores the one frame record
+kripke_models._frame gives for its states, normal states and scheme.
 """
 
 import copy
@@ -27,9 +30,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import condjust.falsifier as falsifier
 from condjust.falsifier import SearchSignature, iter_kripke_models
-from condjust.kripke_models import KripkeModel, _bits, _check, _frame, model_to_json
-from condjust.routley_models import RoutleyModel, _NO_MEMBERS, _frames
-from condjust.syntax import Dialect, parse_formula
+from condjust.kripke_models import (
+    KripkeModel, RelScheme, _bits, _check, _frame, model_to_json,
+)
+from condjust.routley_models import RoutleyModel, _NO_MEMBERS
+from condjust.syntax import Dialect, Variable, parse_formula
+from condjust.tableau import Open, prove
 from test_falsifier import (
     KRIPKE_DIALECTS, MASK_GOALS, draw_small_routley_search, draw_small_search,
 )
@@ -40,8 +46,7 @@ J, L = Dialect.JRC, Dialect.LPCplus
 def assert_kripke_trusted(m: KripkeModel, dialect: Dialect) -> None:
     """m passes the constructors' checks and equals _from_masks' model of
     its masks, field by field and as JSON."""
-    frame = _frame(m.states, m.normal)
-    _check(m, frame, frame)
+    _check(m)
     built = KripkeModel._from_masks(m.states, m.normal, m._atoms, m._members,
                                     m._term_rows, m._override_rows)
     assert vars(m) == vars(built)
@@ -52,7 +57,7 @@ def assert_routley_trusted(m: RoutleyModel) -> None:
     """As assert_kripke_trusted, for a Routley model; fields made on first
     read (the clauses the search's checks read) are left out."""
     assert m._members is _NO_MEMBERS
-    _check(m, *_frames(m.states, m.normal))
+    _check(m)
     built = RoutleyModel._from_masks(m.states, m.normal, m._star, m._tern, m._atoms,
                                      m._term_rows, m._override_rows)
     assert {name: vars(m)[name] for name in vars(built)} == vars(built)
@@ -208,6 +213,10 @@ def plain_copy(got, eager: KripkeModel) -> bool:
     return type(got) is KripkeModel and vars(got) == vars(eager)
 
 
+def pairs_of(m) -> dict:
+    return {name: getattr(m, name) for name in PAIR_FIELDS}
+
+
 def read_first(name):
     """Read the mask name first: the model then holds what the eager one
     holds, and is a plain KripkeModel."""
@@ -227,6 +236,9 @@ FIRST_ASKS = {
     "deepcopy": lambda m, eager, d: plain_copy(copy.deepcopy(m), eager),
     "replace": lambda m, eager, d: plain_copy(dataclasses.replace(m),
                                               dataclasses.replace(eager)),
+    # given every pair field, replace reads no mask of m: it calls m's class
+    "replace_pairs": lambda m, eager, d: plain_copy(
+        dataclasses.replace(m, **pairs_of(eager)), dataclasses.replace(eager, **pairs_of(eager))),
     **{name: read_first(name) for name in MASKS},
 }
 
@@ -295,3 +307,104 @@ def test_undecoded_walk_models_hold_only_their_link():
         assert {key: getattr(cls, key) for key in lay.frame} == lay.frame
     other = SearchSignature.for_sequent([], parse_formula("x:q", L), L, 2)
     assert {type(m) for m in iter_kripke_models(other)} == {type(m) for m in walks[0]}
+
+
+# --- the frame record every builder stores ---------------------------------------
+
+ROUTLEY_OWN = ("_star", "_tern")  # a Routley model's own, over the record's None
+
+
+def assert_stores_frame(m, default: RelScheme, pairs=()) -> None:
+    """m holds the frame record of its states, normal states and scheme,
+    its masks and the pair fields named, and nothing else but a Routley
+    model's clauses, which the search's checks make on first read."""
+    everywhere = isinstance(m, RoutleyModel)
+    frame = _frame(m.states, m.normal, default, everywhere)
+    own = {*MASKS, *pairs, *(ROUTLEY_OWN if everywhere else ())}
+    held = {k: v for k, v in stored(m).items() if k != "_clauses"}
+    assert held.keys() == frame.keys() | own
+    assert {k: held[k] for k in frame.keys() - own} == {k: frame[k] for k in frame.keys() - own}
+
+
+FRAMES = [(("w0",), {"w0"}), (("a", "b", "c"), {"b"}), (("w1", "w0"), {"w0", "w1"})]
+
+
+@pytest.mark.parametrize("scheme", list(RelScheme), ids=lambda s: s.value)
+@pytest.mark.parametrize("states,normal", FRAMES)
+def test_constructors_store_the_frame_record(states, normal, scheme):
+    normal, first, last = frozenset(normal), states[0], states[-1]
+    x = Variable("x")
+    kripke = KripkeModel(
+        states, normal, {w: {"p"} for w in normal},
+        {w: {parse_formula("q", L)} for w in states if w not in normal},
+        {x: {(first, last)}}, {}, scheme)
+    assert_stores_frame(kripke, scheme, PAIR_FIELDS)
+    routley = RoutleyModel(states, normal, {w: w for w in states},
+                           {(w, w, w) for w in states}, {first: {"p"}}, {x: {(last, first)}},
+                           {}, scheme)
+    assert_stores_frame(routley, scheme, ("valuation", "term_rels", "formula_rel_overrides",
+                                          "star", "ternary"))
+    k, normal_mask = len(states), sum(1 << i for i, w in enumerate(states) if w in normal)
+    assert_stores_frame(KripkeModel._from_masks(states, normal, {"p": normal_mask}, {}, {}, {}),
+                        RelScheme.TruthsetNormal)
+    assert_stores_frame(RoutleyModel._from_masks(states, normal, tuple(range(k)),
+                                                 ((0,) * k,) * k, {}, {x: (1,) * k}, {}),
+                        RelScheme.TruthsetAll)
+
+
+def test_walks_store_the_frame_record():
+    """_SlotLayout.model, a walk model once decoded, the walk classes, and
+    the Routley search's models."""
+    sig = SearchSignature.for_sequent([], parse_formula("x:p > p", L), L, 2)
+    for lay in falsifier._layouts(sig):
+        frame = _frame(lay.frame["states"], lay.frame["normal"], RelScheme.TruthsetNormal, False)
+        assert lay.frame == frame
+        assert {key: getattr(lay.walk_class, key) for key in frame} == frame
+        for code in (0, (1 << lay.size) - 1):
+            assert_stores_frame(lay.model(code), RelScheme.TruthsetNormal)
+    for m in iter_kripke_models(sig):
+        m._atoms  # decodes it
+        assert_stores_frame(m, RelScheme.TruthsetNormal)
+    goal = parse_formula("p -> (q -> p)", J)
+    sizes = set()
+    for m in routley_models(SearchSignature.for_sequent([], goal, J, 3), [], goal):
+        assert_stores_frame(m, RelScheme.TruthsetAll)
+        sizes.add(len(m.states))
+    assert sizes >= {2, 3}
+
+
+@pytest.mark.parametrize("text", ["p ~> (q ~> p)", "(p & ~p) ~> q", "~p"])
+def test_extracted_models_store_the_frame_record(text):
+    r = prove([], parse_formula(text, J))
+    assert isinstance(r, Open) and len(r.extracted.states) > 1
+    assert_stores_frame(r.extracted, RelScheme.TruthsetAll)
+
+
+def _routley(states, normal):
+    return RoutleyModel(states, normal, {w: w for w in states}, set())
+
+
+def _routley_masks(states, normal):
+    k = len(states)
+    return RoutleyModel._from_masks(states, normal, tuple(range(k)), ((0,) * k,) * k, {}, {}, {})
+
+
+@pytest.mark.parametrize("build,routley", [
+    (KripkeModel, False),
+    (lambda states, normal: KripkeModel._from_masks(states, normal, {}, {}, {}, {}), False),
+    (_routley, True),
+    (_routley_masks, True),
+], ids=["KripkeModel", "KripkeModel._from_masks", "RoutleyModel", "RoutleyModel._from_masks"])
+def test_a_bad_state_list_is_named_before_a_bad_normal_set(build, routley):
+    for states in (("w0", "w0"), ()):
+        with pytest.raises(ValueError, match="^states must be a nonempty sequence without "
+                                             "repeats$"):
+            build(states, frozenset({"w9"}))
+    unknown = "a nonempty subset of states" if routley else "listed in states"
+    with pytest.raises(ValueError, match=f"^normal states must be {unknown}$"):
+        build(("w0",), frozenset({"w9"}))
+    if routley:
+        with pytest.raises(ValueError, match="^normal states must be a nonempty subset"):
+            build(("w0",), frozenset())
+    else:
+        build(("w0",), frozenset())  # a relational model may have no normal state
