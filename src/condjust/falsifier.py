@@ -21,10 +21,11 @@ codes that survive are built, in ascending order, so the first model found
 is the one a code-by-code walk would find. A relational slice's slot ints
 are split by field by _SlotLayout.columns, which also gives
 iter_kripke_models' chunks of 2**8 codes; _SlotLayout.masks reads a single
-code. Both searches store masks valid by construction unchecked, walk the
-signature's universe in its sorted order and key their truth tables by formula.
-Every model either search builds copies the one frame record
-kripke_models._frame gives its states (_shape keeps it per layout shape).
+code. Both searches build models through _from_masks, which stores masks
+valid by construction unchecked, walk the signature's universe in its
+sorted order and key their truth tables by formula. Every model either
+search builds copies the one frame record kripke_models._frame gives its
+states (_shape keeps it per layout shape).
 A model of iter_kripke_models stores only its chunk link: that record sits
 on a class per state and normal count (_shape's), and its masks are
 decoded from its code when first read.
@@ -58,7 +59,7 @@ from .kripke_models import (
     _Sample,
     _View,
 )
-from .routley_models import RoutleyModel, _NO_MEMBERS, check_jrc_conditions
+from .routley_models import RoutleyModel, check_jrc_conditions
 from .syntax import (
     And, Atom, Constant, Counterfactual, Dialect, Formula, Just, MatImp, Neg,
     RelCf, RelImp, Sum, Term, Variable, atoms, check_dialect_formula, subterms,
@@ -116,7 +117,7 @@ _SLICE_BITS = 16
 _CHUNK_BITS = 8
 
 
-# Bound at import, for object.__new__: perfbench's tracer replaces the names.
+# The classes, bound at import: perfbench's tracer replaces their names.
 _KRIPKE, _ROUTLEY = KripkeModel, RoutleyModel
 _MASKS = ("_atoms", "_members", "_term_rows", "_override_rows")
 
@@ -143,7 +144,8 @@ class _SlotLayout:
     relation overrides, each block row-major over its index tuple; bit i of
     a model code is slot i, and ascending codes give the canonical order.
     masks and columns are the two readers of that order. As no slot lies
-    outside the frame, model stores a code's masks unchecked.
+    outside the frame, model builds through KripkeModel._from_masks, which
+    stores a code's masks unchecked.
     """
 
     def __init__(self, sig: SearchSignature, k: int, n: int, packed: bool = False):
@@ -175,11 +177,7 @@ class _SlotLayout:
 
     def model(self, code: int) -> KripkeModel:
         """The model of one code."""
-        atoms, members, term_rows, override_rows = self.masks(code)
-        m = object.__new__(_KRIPKE)
-        vars(m).update(self.frame, _atoms=atoms, _members=members,
-                       _term_rows=term_rows, _override_rows=override_rows)
-        return m
+        return _KRIPKE._from_masks(self.frame, *self.masks(code))
 
     def masks(self, code: int):
         """The code's masks in _MASKS order, read field by field from the low bits up."""
@@ -577,7 +575,7 @@ class _RoutleySearch:
 
     def _verify(self, k: int, sigma, code: int) -> tuple[RoutleyModel, str] | None:
         """Build the model of one code the filter kept, with the rows
-        realize builds for that code alone, stored unchecked, and check it."""
+        realize builds for that code alone, and check its conditions."""
         bits = [code >> i & 1 for i in range(self.groups * k)]
         _, cf_rows, slices, term_rows = self.realize(k, sigma, bits, 1)
         # w0's ternary rows are its diagonal; cell y * k + z of the slice of
@@ -586,13 +584,11 @@ class _RoutleySearch:
                 *(tuple(_pack(cells[y:y + k]) for y in range(0, k * k, k))
                   for cells in slices))
         row = (1 << k) - 1
-        model = object.__new__(_ROUTLEY)
-        vars(model).update(
-            _shape(k, 1)[1], _star=sigma, _tern=tern + ((0,) * k,) * (k - len(tern)),
-            _atoms={a: code >> self.group[Atom(a)] * k & row for a in self.sig.atoms},
-            _members=_NO_MEMBERS,
-            _term_rows={t: tuple(map(_pack, rows)) for t, rows in term_rows.items()},
-            _override_rows={f: tuple(map(_pack, rows)) for f, rows in cf_rows.items()})
+        model = _ROUTLEY._from_masks(
+            _shape(k, 1)[1], sigma, tern + ((0,) * k,) * (k - len(tern)),
+            {a: code >> self.group[Atom(a)] * k & row for a in self.sig.atoms},
+            {t: tuple(map(_pack, rows)) for t, rows in term_rows.items()},
+            {f: tuple(map(_pack, rows)) for f, rows in cf_rows.items()})
         # w0 is the model's only normal state
         if check_jrc_conditions(model, [*self.premises, self.goal]).ok \
                 and _counterexamples(model, self.premises, self.goal):
@@ -638,6 +634,19 @@ class CrossCheckReport:
         return self.verdict == "contradiction"
 
 
+# cross_check's verdict and detail per kind of proof and whether the
+# enumeration found a countermodel; {} is the state bound
+_VERDICTS = {
+    (Closed, True): ("contradiction", "proof closed but a countermodel exists within {} states"),
+    (Closed, False): ("agree", "proof closed and no countermodel exists within {} states"),
+    (Open, True): ("agree", "open branch verified; enumeration confirms a countermodel"),
+    (Open, False): ("agree", "open branch verified; no countermodel within {} states"),
+    (Exhausted, True): ("agree", "proof budget ran out but enumeration found a countermodel"),
+    (Exhausted, False): ("inconclusive",
+                         "proof budget ran out and no countermodel within {} states"),
+}
+
+
 def cross_check(premises, goal: Formula, budget=None,
                 bound: int = 3) -> CrossCheckReport:
     """Pit the tableau against bounded enumeration on a relevant sequent.
@@ -649,34 +658,11 @@ def cross_check(premises, goal: Formula, budget=None,
     premises = tuple(premises)
     proof = prove(premises, goal, budget)
     found = find_countermodel(premises, goal, Dialect.JRC, bound)
-    if isinstance(proof, Closed):
-        if found is not None:
-            return CrossCheckReport(
-                proof, found, "contradiction",
-                f"proof closed but a countermodel exists within {bound} states")
-        return CrossCheckReport(
-            proof, None, "agree",
-            f"proof closed and no countermodel exists within {bound} states")
-    if isinstance(proof, Open):
-        if not verify_result(proof, premises, goal):
-            return CrossCheckReport(
-                proof, found, "contradiction",
-                "open branch extraction failed verification")
-        if found is not None:
-            return CrossCheckReport(
-                proof, found, "agree",
-                "open branch verified; enumeration confirms a countermodel")
-        return CrossCheckReport(
-            proof, None, "agree",
-            f"open branch verified; no countermodel within {bound} states")
-    assert isinstance(proof, Exhausted)
-    if found is not None:
-        return CrossCheckReport(
-            proof, found, "agree",
-            "proof budget ran out but enumeration found a countermodel")
-    return CrossCheckReport(
-        proof, None, "inconclusive",
-        f"proof budget ran out and no countermodel within {bound} states")
+    if isinstance(proof, Open) and not verify_result(proof, premises, goal):
+        return CrossCheckReport(proof, found, "contradiction",
+                                "open branch extraction failed verification")
+    verdict, detail = _VERDICTS[type(proof), found is not None]
+    return CrossCheckReport(proof, found, verdict, detail.format(bound))
 
 
 # --- random condition-passing models ---------------------------------------

@@ -22,8 +22,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import and_, not_, or_
+from operator import not_
 from typing import TYPE_CHECKING
 
 from condjust.syntax import (
@@ -62,8 +61,11 @@ Pairs = frozenset[tuple[str, str]]
 @dataclass(frozen=True, eq=False)
 class KripkeModel:
     """A relational model. The constructor takes relations as sets of state
-    pairs and builds the bitset form from them; _from_masks takes the bitset
-    form and builds the pair fields only when they are first read."""
+    pairs and checks them while it builds the bitset form from them: a model
+    is checked there, once, where its pairs are read. _from_masks stores a
+    bitset form unchecked and builds the pair fields only when they are
+    first read; its callers build masks valid by construction, and the
+    tests hold each of them to this constructor."""
 
     states: tuple[str, ...]
     normal: frozenset[str]
@@ -79,9 +81,9 @@ class KripkeModel:
         frame = _frame(self.states, self.normal, self.formula_rel_default, False)
         index, n = frame["_index"], len(self.states)
         normal_index = {w: index[w] for w in self.normal}
-        # Building and _check check the bitset form the evaluator reads:
-        # state i is bit i, a set of states is an int, a relation is a tuple
-        # holding one such int (the row) per state.
+        # Building checks the pairs and gives the bitset form the evaluator
+        # reads: state i is bit i, a set of states is an int, a relation is
+        # a tuple holding one such int (the row) per state.
         vars(self).update(
             frame,
             _atoms=_state_masks(self.valuation, index, self.normal,
@@ -93,21 +95,19 @@ class KripkeModel:
             # Formula relations live on the normal states.
             _override_rows={f: _rows(rel, normal_index, n, _ABNORMAL_PAIR)
                             for f, rel in self.formula_rel_overrides.items()})
-        _check(self)
 
     @classmethod
-    def _from_masks(cls, states: tuple[str, ...], normal: frozenset[str],
-                    atoms: dict[str, int], members: dict[Formula, int],
+    def _from_masks(cls, frame: dict, atoms: dict[str, int], members: dict[Formula, int],
                     term_rows: dict[Term, tuple[int, ...]],
                     override_rows: dict[Formula, tuple[int, ...]]) -> "KripkeModel":
-        """A model given in its bitset form, under the default relation
-        scheme, checked as the constructor checks the pair form. The dicts
-        are kept as given; the caller must not change them. The pair-form
-        fields are built on first read."""
+        """A model given in its bitset form over a _frame record, stored
+        unchecked: atoms at the frame's normal states, members at its others,
+        a row per state, override rows at normal states only. The dicts are
+        kept as given; the caller must not change them. The pair-form fields
+        are built on first read."""
         m = object.__new__(cls)
-        vars(m).update(_frame(states, normal, RelScheme.TruthsetNormal, False), _atoms=atoms,
-                       _members=members, _term_rows=term_rows, _override_rows=override_rows)
-        _check(m)
+        vars(m).update(frame, _atoms=atoms, _members=members, _term_rows=term_rows,
+                       _override_rows=override_rows)
         return m
 
     def state_index(self, w: str) -> int:
@@ -138,39 +138,6 @@ def _freeze(m, **fields) -> None:
             f: frozenset(tuple(p) for p in v) for f, v in m.formula_rel_overrides.items()},
         formula_rel_default=RelScheme(m.formula_rel_default),
         **fields)
-
-
-def _check(m) -> None:
-    """Raise ValueError unless the masks stored on m lie in its frame:
-    valuations and override rows on the states the clauses hold at (m's
-    checked states), rows and the star on its states."""
-    # Each test ORs or ANDs the masks together in C; the loops that name
-    # the offender run only once a test has failed.
-    n, checked, star, tern = len(m.states), m._checked, m._star, m._tern
-    beyond = repeat(-1 << n)  # per row, the bits of no state
-    if star is not None:
-        if len(star) != n or min(star) < 0 or max(star) >= n:
-            raise ValueError("star must map every state to a state")
-        if len(tern) != n or any(len(rows) != n or any(map(and_, rows, beyond))
-                                 for rows in tern):
-            raise ValueError("ternary relation mentions unknown states")
-    atoms, members = m._atoms, m._members
-    if functools.reduce(or_, atoms.values(), 0) & ~checked:
-        a = next(a for a, mask in atoms.items() if mask & ~checked)
-        raise ValueError(f"valuation of {a!r} holds outside the {m._covered}")
-    literal = checked | -1 << n  # the bits of no unchecked state
-    if functools.reduce(or_, members.values(), 0) & literal:
-        f = next(f for f, mask in members.items() if mask & literal)
-        raise ValueError(f"nonnormal_valuation of {print_formula(f)} holds "
-                         "outside the non-normal states")
-    for t, rows in m._term_rows.items():
-        if len(rows) != n or any(map(and_, rows, beyond)):
-            raise ValueError(f"relation of {print_term(t)} mentions unknown states")
-    for f, rows in m._override_rows.items():
-        # rows of checked states, each inside them
-        if len(rows) != n or any(map(and_, rows, repeat(~checked))) or any(
-                rows[i] for i in range(n) if not checked >> i & 1):
-            raise ValueError(f"formula relation of {print_formula(f)} must join {m._covered}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -274,7 +241,6 @@ KripkeModel.formula_rel_overrides = _View("formula_rel_overrides", lambda m: {
 # rows that ~ and the implication read, None for complement and material.
 KripkeModel._clauses = (Counterfactual, MatImp, None, None)
 KripkeModel._foreign = "{} has no clause on relational models; use a Routley model"
-KripkeModel._covered = "normal states"  # where the clauses hold, in _check's messages
 
 
 # --- constant specifications -------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from condjust.kripke_models import (
     ConditionReport, KripkeModel, Pairs, RelScheme, _UNKNOWN_PAIR,
     _View, _array, _bits, _check_document, _cond_antecedent_truth,
-    _check, _cond_sum, _cond_weak_centering, _diagonal, _frame, _freeze, _holding,
+    _cond_sum, _cond_weak_centering, _diagonal, _frame, _freeze, _holding,
     _load_fields, _lowest, _object, _report, _rows, _state_masks,
     consequence, eval as _eval, model_to_json, truthset, valid_in_model,
 )
@@ -38,7 +38,8 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class RoutleyModel:
     """A Routley model. As on KripkeModel, the constructor takes the fields
-    by state name and _from_masks takes the bitset form."""
+    by state name and checks them, and _from_masks stores the bitset form
+    unchecked."""
 
     states: tuple[str, ...]
     normal: frozenset[str]
@@ -72,21 +73,18 @@ class RoutleyModel:
                         for t, rel in self.term_rels.items()},
             _override_rows={f: _rows(rel, index, n, _UNKNOWN_PAIR)
                             for f, rel in self.formula_rel_overrides.items()})
-        _check(self)
 
     @classmethod
-    def _from_masks(cls, states: tuple[str, ...], normal: frozenset[str],
-                    star: tuple[int, ...], tern: tuple[tuple[int, ...], ...],
+    def _from_masks(cls, frame: dict, star: tuple[int, ...], tern: tuple[tuple[int, ...], ...],
                     atoms: dict[str, int], term_rows: dict[Term, tuple[int, ...]],
                     override_rows: dict[Formula, tuple[int, ...]]) -> "RoutleyModel":
-        """As KripkeModel._from_masks; star[i] is the index of the star of
-        state i, and row y of tern[x] holds the states z of the triples
-        (x, y, z)."""
+        """As KripkeModel._from_masks, over a _frame record whose clauses
+        hold everywhere: star[i] is the index of the star of state i, row y
+        of tern[x] holds the states z of the triples (x, y, z), and every
+        row has a cell per state."""
         m = object.__new__(cls)
-        vars(m).update(_frame(states, normal, RelScheme.TruthsetAll, True), _star=star,
-                       _tern=tern, _atoms=atoms, _members=_NO_MEMBERS, _term_rows=term_rows,
-                       _override_rows=override_rows)
-        _check(m)
+        vars(m).update(frame, _star=star, _tern=tern, _atoms=atoms, _members=_NO_MEMBERS,
+                       _term_rows=term_rows, _override_rows=override_rows)
         return m
 
     state_index = KripkeModel.state_index
@@ -112,7 +110,6 @@ RoutleyModel.valuation = _View("valuation", lambda m: {
 RoutleyModel.term_rels = KripkeModel.term_rels
 RoutleyModel.formula_rel_overrides = KripkeModel.formula_rel_overrides
 RoutleyModel._foreign = "{} has no clause on Routley models; use a relational model"
-RoutleyModel._covered = "listed states"
 RoutleyModel._sample = None  # no sample_models link, as on a KripkeModel not sampled
 RoutleyModel._none, RoutleyModel._ones = KripkeModel._none, KripkeModel._ones  # one block
 # An identity star reads ~ as the complement.

@@ -23,7 +23,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .kripke_models import _counterexamples
+from .kripke_models import RelScheme, _counterexamples, _frame
 from .routley_models import RoutleyModel, check_jrc_conditions
 from .syntax import (
     And, Atom, Dialect, Formula, Just, Neg, RelCf, RelImp, Sum, Term,
@@ -511,7 +511,10 @@ def _state_name(x: Label) -> str:
 
 def extract_model(branch: Branch) -> tuple[RoutleyModel, str]:
     """Read the induced countermodel off an open complete branch: label i
-    of the sorted labels is state bit i."""
+    of the sorted labels is state bit i. Every index is thus a state, the
+    star, a label's bar or the label itself, is an involution, and every
+    row has a cell per state: RoutleyModel._from_masks stores them as
+    they are."""
     if not branch.complete:
         raise ValueError("countermodels come only from complete open branches")
     labels = sorted(branch.labels)
@@ -534,7 +537,7 @@ def extract_model(branch: Branch) -> tuple[RoutleyModel, str]:
     states = tuple(map(_state_name, labels))
     root = states[bit[_ROOT]]
     model = RoutleyModel._from_masks(
-        states, frozenset({root}),
+        _frame(states, frozenset({root}), RelScheme.TruthsetAll, True),
         tuple(bit.get(x.bar(), i) for i, x in enumerate(labels)),
         tuple(map(tuple, tern)), atoms,
         {t: tuple(rows) for t, rows in term_rows.items()},

@@ -920,27 +920,3 @@ class TestMaskModels:
         with pytest.raises(ValueError):
             m.state_index("w2")
         assert not hasattr(m, "no_such_field")
-
-    @pytest.mark.parametrize("change", [
-        {"states": ("w0", "w0")},
-        {"states": ()},
-        {"normal": frozenset({"w2"})},
-        {"atoms": {"p": 0b10}},
-        {"atoms": {"p": -1}},
-        {"members": {Atom("p"): 0b01}},
-        {"members": {Atom("p"): 0b100}},
-        {"term_rows": {Variable("x"): (0b11,)}},
-        {"term_rows": {Variable("x"): (0b100, 0)}},
-        {"term_rows": {Variable("x"): (-1, 0)}},
-        {"override_rows": {Atom("p"): (0b10, 0)}},
-        {"override_rows": {Atom("p"): (0b01, 0b01)}},
-        {"override_rows": {Atom("p"): (0b01,)}},
-    ], ids=lambda c: f"{next(iter(c))}={next(iter(c.values()))}")
-    def test_from_masks_rejects_broken_invariants(self, change):
-        fields = {"states": ("w0", "w1"), "normal": frozenset({"w0"}),
-                  "atoms": {"p": 0b01}, "members": {Atom("p"): 0b10},
-                  "term_rows": {Variable("x"): (0b11, 0b10)},
-                  "override_rows": {Atom("p"): (0b01, 0)}}
-        KripkeModel._from_masks(**fields)
-        with pytest.raises(ValueError):
-            KripkeModel._from_masks(**{**fields, **change})

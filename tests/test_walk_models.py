@@ -1,11 +1,15 @@
-"""The models the countermodel walks build without checks, and the slot ints
-they split per slice.
+"""The models that are built from masks without checks, and the slot ints
+the walks split per slice.
 
-_SlotLayout.model and _RoutleySearch._verify store their masks unchecked:
-the slot layout and the realization make every mask valid by construction.
-The property tests below are what shows it. Each model such a walk builds
-passes the checks the public constructors make (kripke_models._check) and
-equals the model _from_masks builds, with those checks, from the same masks.
+The public constructors check a model's pairs while they turn them into
+masks; nothing checks masks. _SlotLayout.model, _RoutleySearch._verify and
+tableau.extract_model store theirs unchecked through their family's
+_from_masks: the slot layout, the realization and the branch labels make
+every mask valid by construction. The property tests below are what shows
+it. Each model such a builder returns rebuilds through its family's public
+constructor from its own pair fields, with the same frame record, masks,
+pair fields and JSON document, and equals the model _from_masks builds from
+its masks. A mask outside the frame fails that round trip.
 
 _SlotLayout.columns splits the low slots of a slice by field once per layout
 and patches in only the high ones. Its fields are compared, slice by slice,
@@ -23,45 +27,68 @@ kripke_models._frame gives for its states, normal states and scheme.
 import copy
 import dataclasses
 import functools
+import json
 import pickle
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import condjust.falsifier as falsifier
 from condjust.falsifier import SearchSignature, iter_kripke_models
-from condjust.kripke_models import (
-    KripkeModel, RelScheme, _bits, _check, _frame, model_to_json,
-)
+from condjust.kripke_models import KripkeModel, RelScheme, _bits, _frame, model_to_json
 from condjust.routley_models import RoutleyModel, _NO_MEMBERS
-from condjust.syntax import Dialect, Variable, parse_formula
-from condjust.tableau import Open, prove
+from condjust.syntax import Atom, Dialect, Variable, parse_formula
+from condjust.tableau import Budget, Open, prove
 from test_falsifier import (
     KRIPKE_DIALECTS, MASK_GOALS, draw_small_routley_search, draw_small_search,
 )
+from util_gen import ast_strategies
 
 J, L = Dialect.JRC, Dialect.LPCplus
 
 
+def assert_round_trip(m, dialect: Dialect) -> None:
+    """The public constructor of m's family, given m's own pair fields,
+    builds a model that stores what m stores (frame record, masks, and the
+    pair fields, which reading them has stored on m) and has m's JSON
+    document: m's masks are what the constructor's checks admit."""
+    family = RoutleyModel if isinstance(m, RoutleyModel) else KripkeModel
+    built = family(**{f.name: getattr(m, f.name) for f in dataclasses.fields(family)})
+    assert nonzero({name: vars(m)[name] for name in vars(built)}) == nonzero(vars(built))
+    assert model_to_json(m, dialect) == model_to_json(built, dialect)
+
+
+def nonzero(fields: dict) -> dict:
+    """The fields, their valuation and membership masks of 0 left out: the
+    evaluator reads a missing atom or formula as 0, and _verify keeps an
+    entry for every atom of the sequent."""
+    return {name: {key: mask for key, mask in value.items() if mask}
+            if name in ("_atoms", "_members") else value for name, value in fields.items()}
+
+
 def assert_kripke_trusted(m: KripkeModel, dialect: Dialect) -> None:
-    """m passes the constructors' checks and equals _from_masks' model of
-    its masks, field by field and as JSON."""
-    _check(m)
-    built = KripkeModel._from_masks(m.states, m.normal, m._atoms, m._members,
-                                    m._term_rows, m._override_rows)
+    """m equals _from_masks' model of its masks, field by field and as
+    JSON, and round-trips through the constructor."""
+    frame = _frame(m.states, m.normal, RelScheme.TruthsetNormal, False)
+    built = KripkeModel._from_masks(frame, m._atoms, m._members, m._term_rows,
+                                    m._override_rows)
     assert vars(m) == vars(built)
     assert model_to_json(m, dialect) == model_to_json(built, dialect)
+    assert_round_trip(m, dialect)
 
 
 def assert_routley_trusted(m: RoutleyModel) -> None:
     """As assert_kripke_trusted, for a Routley model; fields made on first
     read (the clauses the search's checks read) are left out."""
     assert m._members is _NO_MEMBERS
-    _check(m)
-    built = RoutleyModel._from_masks(m.states, m.normal, m._star, m._tern, m._atoms,
-                                     m._term_rows, m._override_rows)
+    frame = _frame(m.states, m.normal, RelScheme.TruthsetAll, True)
+    built = RoutleyModel._from_masks(frame, m._star, m._tern, m._atoms, m._term_rows,
+                                     m._override_rows)
     assert {name: vars(m)[name] for name in vars(built)} == vars(built)
     assert model_to_json(m, J) == model_to_json(built, J)
+    assert_round_trip(m, J)
 
 
 def kripke_models(sig: SearchSignature, max_bits: int):
@@ -345,10 +372,12 @@ def test_constructors_store_the_frame_record(states, normal, scheme):
     assert_stores_frame(routley, scheme, ("valuation", "term_rels", "formula_rel_overrides",
                                           "star", "ternary"))
     k, normal_mask = len(states), sum(1 << i for i, w in enumerate(states) if w in normal)
-    assert_stores_frame(KripkeModel._from_masks(states, normal, {"p": normal_mask}, {}, {}, {}),
+    frame = _frame(states, normal, RelScheme.TruthsetNormal, False)
+    assert_stores_frame(KripkeModel._from_masks(frame, {"p": normal_mask}, {}, {}, {}),
                         RelScheme.TruthsetNormal)
-    assert_stores_frame(RoutleyModel._from_masks(states, normal, tuple(range(k)),
-                                                 ((0,) * k,) * k, {}, {x: (1,) * k}, {}),
+    frame = _frame(states, normal, RelScheme.TruthsetAll, True)
+    assert_stores_frame(RoutleyModel._from_masks(frame, tuple(range(k)), ((0,) * k,) * k,
+                                                 {}, {x: (1,) * k}, {}),
                         RelScheme.TruthsetAll)
 
 
@@ -380,21 +409,94 @@ def test_extracted_models_store_the_frame_record(text):
     assert_stores_frame(r.extracted, RelScheme.TruthsetAll)
 
 
+# --- models extract_model reads off open branches ------------------------------
+
+
+def _workload_sequents():
+    """The golden tableau sequents at the two budgets they pin, then the
+    sequents of the proofs and crosscheck benchmarks at seeds 41 and 7 at
+    their benchmark's budget: (premises, goal, budget) in printed form."""
+    golden = json.loads((Path(__file__).parent / "golden" / "tableau.json").read_text())
+    out = [(tuple(c["premises"]), c["goal"], budget) for c in golden["cases"]
+           for budget in (Budget(6, 500), None)]
+    sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+    import workloads
+
+    for name, budget in (("proofs", None), ("crosscheck", workloads.CROSSCHECK_BUDGET)):
+        for seed in (41, 7):
+            out += [(tuple(r[1]), r[2], budget) for r in workloads.generate(name, seed)
+                    if r[0] in ("prove", "crosscheck")]
+    return list(dict.fromkeys(out))
+
+
+def extracted_round_trips(premises, goal, budget) -> bool:
+    """Whether the proof is Open, its extracted model round-tripping
+    through RoutleyModel(...)."""
+    r = prove(premises, goal, budget)
+    if isinstance(r, Open):
+        assert_round_trip(r.extracted, J)
+    return isinstance(r, Open)
+
+
+def test_extracted_models_of_the_workload_sequents_round_trip():
+    sequents = _workload_sequents()
+    opens = sum(extracted_round_trips(tuple(parse_formula(p, J) for p in ps),
+                                      parse_formula(g, J), budget)
+                for ps, g, budget in sequents)
+    assert opens > len(sequents) // 2  # most of them end Open
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(premises=st.lists(ast_strategies(J)[1], max_size=2), goal=ast_strategies(J)[1])
+def test_extracted_models_of_drawn_sequents_round_trip(premises, goal):
+    extracted_round_trips(tuple(premises), goal, Budget(6, 500))
+
+
+# --- masks outside the frame fail the round trip ---------------------------------
+
+_X, _P = Variable("x"), Atom("p")
+# two states, w0 normal: every mask valid, then one field changed
+_KRIPKE_MASKS = dict(atoms={"p": 0b01}, members={_P: 0b10}, term_rows={_X: (0b11, 0b10)},
+                     override_rows={_P: (0b01, 0)})
+_ROUTLEY_MASKS = dict(star=(1, 0), tern=((1, 2), (0, 0)), atoms={"p": 1},
+                      term_rows={_X: (1, 3)}, override_rows={_P: (1, 0)})
+
+
+def _kripke_form(**change):
+    frame = _frame(("w0", "w1"), frozenset({"w0"}), RelScheme.TruthsetNormal, False)
+    return KripkeModel._from_masks(frame, **{**_KRIPKE_MASKS, **change})
+
+
+def _routley_form(**change):
+    frame = _frame(("w0", "w1"), frozenset({"w0"}), RelScheme.TruthsetAll, True)
+    return RoutleyModel._from_masks(frame, **{**_ROUTLEY_MASKS, **change})
+
+
+@pytest.mark.parametrize("build,change", [
+    (_kripke_form, {"atoms": {"p": 0b10}}),
+    (_kripke_form, {"members": {_P: 0b01}}),
+    (_kripke_form, {"term_rows": {_X: (0b100, 0)}}),
+    (_kripke_form, {"override_rows": {_P: (0b01, 0b01)}}),
+    (_routley_form, {"star": (1, 2)}),
+    (_routley_form, {"tern": ((1, 2), (0, 4))}),
+], ids=["atom bit at a non-normal state", "membership at a normal state",
+        "term bit past the last state", "override row at a non-normal state",
+        "star index past the last state", "ternary bit past the last state"])
+def test_masks_outside_the_frame_fail_the_round_trip(build, change):
+    """The oracle above is not vacuous: _from_masks stores these as given,
+    and the round trip rejects each one."""
+    dialect = J if build is _routley_form else L
+    assert_round_trip(build(), dialect)  # the unchanged form is well formed
+    with pytest.raises((AssertionError, IndexError, ValueError)):
+        assert_round_trip(build(**change), dialect)
+
+
 def _routley(states, normal):
     return RoutleyModel(states, normal, {w: w for w in states}, set())
 
 
-def _routley_masks(states, normal):
-    k = len(states)
-    return RoutleyModel._from_masks(states, normal, tuple(range(k)), ((0,) * k,) * k, {}, {}, {})
-
-
-@pytest.mark.parametrize("build,routley", [
-    (KripkeModel, False),
-    (lambda states, normal: KripkeModel._from_masks(states, normal, {}, {}, {}, {}), False),
-    (_routley, True),
-    (_routley_masks, True),
-], ids=["KripkeModel", "KripkeModel._from_masks", "RoutleyModel", "RoutleyModel._from_masks"])
+@pytest.mark.parametrize("build,routley", [(KripkeModel, False), (_routley, True)],
+                         ids=["KripkeModel", "RoutleyModel"])
 def test_a_bad_state_list_is_named_before_a_bad_normal_set(build, routley):
     for states in (("w0", "w0"), ()):
         with pytest.raises(ValueError, match="^states must be a nonempty sequence without "
