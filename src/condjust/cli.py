@@ -43,9 +43,19 @@ class _InputError(Exception):
     """Bad command input; message goes to stderr and the exit code is 2."""
 
 
+def _moved(exc: ParseError, start: int) -> ParseError:
+    """exc, raised on a piece of a sequent, at its offset in the sequent,
+    where the piece starts at offset start."""
+    return type(exc)(exc.message, start + exc.pos)
+
+
 def parse_sequent(text: str, dialect: Dialect) -> tuple[tuple[Formula, ...], Formula]:
     """Split ``"phi1, phi2 |- psi"`` into premises and goal.  The turnstile
-    may be omitted when there are no premises."""
+    may be omitted when there are no premises.  A comma inside a pair term
+    ``<t, phi>`` does not end a premise: a premise takes comma-separated
+    pieces until they parse, and a text that ends at a comma inside a
+    premise never parses, since its ``<`` is still open.  An empty premise
+    is an error; every error names its offset in text."""
     if not isinstance(text, str):
         raise TypeError(f"a sequent must be a string, not {type(text).__name__}")
     head, sep, tail = text.partition("|-")
@@ -54,12 +64,27 @@ def parse_sequent(text: str, dialect: Dialect) -> tuple[tuple[Formula, ...], For
     if "|-" in tail:
         raise ParseError("a sequent has exactly one '|-'",
                          len(head) + 2 + tail.index("|-"))
-    goal = parse_formula(tail, dialect)
-    premises = tuple(
-        parse_formula(part, dialect)
-        for part in head.split(",") if part.strip()
-    )
-    return premises, goal
+    try:
+        goal = parse_formula(tail, dialect)
+    except ParseError as exc:
+        raise _moved(exc, len(text) - len(tail)) from None
+    pieces = head.split(",") if "," in head or head.strip() else []
+    premises = []
+    start = 0
+    while pieces:
+        if not pieces[0].strip():
+            raise ParseError("empty premise", start)
+        part = pieces.pop(0)
+        while True:
+            try:
+                premises.append(parse_formula(part, dialect))
+                break
+            except ParseError as exc:
+                if not pieces:
+                    raise _moved(exc, start) from None
+                part += "," + pieces.pop(0)
+        start += len(part) + 1
+    return tuple(premises), goal
 
 
 def _read_text(name: str, base: Path | None = None) -> str:

@@ -219,6 +219,7 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at offset {pos})")
+        self.message = message
         self.pos = pos
 
 
@@ -684,11 +685,17 @@ def subformulas(f: Formula) -> set[Formula]:
 
 
 def atoms(f: Formula) -> set[str]:
-    """Names of all atoms occurring anywhere, pair antecedents included."""
+    """Names of all atoms occurring anywhere, pair antecedents included.
+    A shared subtree is walked once, so a chain of k nodes sharing their
+    subtrees costs k steps, not 2**k."""
     names: set[str] = set()
+    seen: set[Formula | Term] = set()
     stack: list[Formula | Term] = [f]
     while stack:
         g = stack.pop()
+        if g in seen:
+            continue
+        seen.add(g)
         if type(g) is Atom:
             names.add(g.name)
         else:
@@ -763,7 +770,9 @@ def closure(formulas) -> set[Formula]:
 # Interned subtrees each dialect has accepted. Nodes live as long as the
 # intern table, so this grows with it and no further; an accepted subtree
 # holds no offending constructor, so skipping it leaves the first error the
-# walk meets unchanged.
+# walk meets unchanged. A call also skips a node it has walked already: the
+# stack finishes that node's subtree before it meets the node again, so a
+# shared subtree is walked once and the first error stays the same.
 _ACCEPTED: dict[Dialect, set[Formula | Term]] = {d: set() for d in Dialect}
 
 
@@ -775,16 +784,16 @@ def check_dialect_formula(f: Formula, dialect: Dialect) -> None:
         return
     admits = _ADMITS[dialect]
     stack: list[Formula | Term] = [f]
-    walked = []
+    walked: set[Formula | Term] = set()
     while stack:
         g = stack.pop()
-        if g in accepted:
+        if g in accepted or g in walked:
             continue
         cls = type(g)
         if cls not in admits:
             if cls in _REFUSALS:
                 raise ValueError(_REFUSALS[cls].format(dialect.value))
             raise TypeError(f"not a node: {cls.__name__}")
-        walked.append(g)
+        walked.add(g)
         stack += [getattr(g, name) for name in cls._node_fields]
     accepted.update(walked)

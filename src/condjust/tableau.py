@@ -27,7 +27,7 @@ from .kripke_models import RelScheme, _counterexamples, _frame
 from .routley_models import RoutleyModel, check_jrc_conditions
 from .syntax import (
     And, Atom, Dialect, Formula, Just, Neg, RelCf, RelImp, Sum, Term,
-    check_dialect_formula, print_formula, print_term, _children, _plan,
+    check_dialect_formula, print_formula, print_term,
 )
 
 __all__ = [
@@ -103,11 +103,16 @@ class Budget:
             raise ValueError("budget must be positive")
 
 
+_DEFAULT_BUDGET = Budget()
+
+
 def _render(events) -> str:
-    """Trace text from ``(line, depth, expr, tag)`` events: a node event
-    reads ``line. expr  [tag]``, and one with no expr is its tag alone."""
-    return "\n".join(
-        "  " * depth + (tag if expr is None else f"{line}. {expr}  [{tag}]")
+    """Trace text from ``(line, depth, expr, tag)`` events, whose tag is a
+    word (the rule) and the trace lines it cites: a node event reads
+    ``7. expr  [T-> 2 4]``, a note (no expr) ``closed [2, 4]`` or ``open``."""
+    return "\n".join("  " * depth + (
+        f"{line}. {expr}  [{' '.join(map(str, tag))}]" if expr is not None
+        else f"{tag[0]} [{', '.join(map(str, tag[1:]))}]" if len(tag) > 1 else tag[0])
         for line, depth, expr, tag in events)
 
 
@@ -126,6 +131,7 @@ class Branch:
         self.next_fresh = 1
         self.agenda: list = []
         self.labels: dict[Label, None] = {}
+        # Filled at the root only, so every copy shares it.
         self.antecedents: dict[Formula, None] = {}
         # The trace is one event list shared by every branch of a proof; a
         # branch's own path is the runs of it in trail, then the events from
@@ -146,7 +152,6 @@ class Branch:
         twin.partners = self.partners.copy()
         twin.agenda = self.agenda.copy()
         twin.labels = self.labels.copy()
-        twin.antecedents = self.antecedents.copy()
         return twin
 
     def text(self) -> str:
@@ -191,12 +196,24 @@ ProofResult = Closed | Open | Exhausted
 _CLOSED, _EXHAUSTED, _OPEN = "closed", "exhausted", "open"
 
 
-def _merge(*parts: tuple) -> tuple:
-    """The parts' items in order, each at its first occurrence."""
-    nonempty = [p for p in parts if p]
-    if len(nonempty) < 2:
-        return nonempty[0] if nonempty else ()
-    return tuple(dict.fromkeys(x for p in nonempty for x in p))
+def _cond_antecedents(f: Formula, walked: set) -> list[Formula]:
+    """Antecedents of f's conditional subformulas in pre-order, by a walk
+    that skips, and adds to walked, the nodes it visits.  A node met again
+    was walked with its subformulas then, so the order of first occurrences
+    stays and the walk is linear on shared subtrees."""
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if g not in walked:
+            walked.add(g)
+            kind = type(g)
+            if kind is Neg or kind is Just:
+                stack.append(g.inner)
+            elif kind is not Atom:
+                if kind is RelCf:
+                    out.append(g.left)
+                stack += (g.right, g.left)
+    return out
 
 
 class _Blocked(Exception):
@@ -260,13 +277,12 @@ _RULES = {
         (Signed(ante, False, x),), (Signed(ante, True, x), FormulaEdge(x, ante, x)))),
 }
 
-# The rule a signed node enables on its own, by sign and formula class; at
-# the root F~> becomes F~>0.  T->, T~> and T: wait for a partner in _pair.
-_SINGLE = {
-    (True, And): "T&", (True, Neg): "T~",
-    (False, Neg): "F~", (False, And): "F&", (False, RelImp): "F->",
-    (False, RelCf): "F~>", (False, Just): "F:",
-}
+# The rule a signed node enables on its own: _SINGLE[sign][formula class];
+# at the root F~> becomes F~>0.  T->, T~> and T: wait for a partner in _pair.
+_SINGLE = (
+    {Neg: "F~", And: "F&", RelImp: "F->", RelCf: "F~>", Just: "F:"},
+    {And: "T&", Neg: "T~"},
+)
 
 
 class _Prover:
@@ -282,31 +298,16 @@ class _Prover:
         # proof can no longer close, and no blocked branch can end Open, so
         # blocked branches are searched no further.
         self.cannot_close = False
-        self.antecedents_of: dict[Formula, tuple[Formula, ...]] = {}
-
-    def _cond_antecedents(self, f: Formula) -> tuple[Formula, ...]:
-        """Antecedents of f's conditional subformulas in pre-order, each
-        once.  Filled along f's evaluation plan, children first, once per
-        formula and proof."""
-        memo = self.antecedents_of
-        done = memo.get(f)
-        if done is None:
-            for g in _plan(f):
-                if g not in memo:
-                    own = (g.left,) if type(g) is RelCf else ()
-                    memo[g] = _merge(own, *(memo[k] for k in _children(g)))
-            done = memo[f]
-        return done
-
-    # -- trace -------------------------------------------------------------
-
-    def _note(self, branch: Branch, text: str):
-        """An unnumbered trace line: a closure or the end of a branch."""
-        branch.events.append((self.line_no, branch.depth, None, text))
+        # What the root nodes' antecedent walks visit; None past the root.
+        self.walked: set[Formula] | None = set()
 
     # -- branch growth -----------------------------------------------------
 
-    def add_nodes(self, branch: Branch, exprs, tag: str) -> bool:
+    def _note(self, branch: Branch, *tag):
+        """An unnumbered trace line: a closure or the end of a branch."""
+        branch.events.append((self.line_no, branch.depth, None, tag))
+
+    def add_nodes(self, branch: Branch, exprs, tag: tuple) -> bool:
         """Add each new expr in order; returns False once the branch closes."""
         nodes = branch.nodes
         for expr in exprs:
@@ -317,11 +318,12 @@ class _Prover:
             branch.events.append((line, branch.depth, expr, tag))
             self._enable(branch, expr)
             if type(expr) is Signed:
-                twin = nodes.get(Signed(expr.formula, not expr.sign, expr.label))
+                # a plain tuple finds the Signed node of equal fields
+                twin = nodes.get((expr.formula, not expr.sign, expr.label))
                 if twin is not None:
                     branch.closed = True
                     branch.closure = (twin, line)
-                    self._note(branch, f"closed [{twin}, {line}]")
+                    self._note(branch, "closed", twin, line)
                     return False
         return True
 
@@ -342,30 +344,31 @@ class _Prover:
             a, b = (expr, other) if signed_first else (other, expr)
             self._enqueue(branch, rule, a, b)
 
-    def _register_label(self, branch: Branch, x: Label):
-        if x in branch.labels:
-            return
-        branch.labels[x] = None
-        self._enqueue(branch, "norm", x)
-        for ante in branch.antecedents:
-            self._enqueue(branch, "cut", ante, x)
-
-    def _register_antecedent(self, branch: Branch, ante: Formula):
-        if ante in branch.antecedents:
-            return
-        branch.antecedents[ante] = None
-        for x in branch.labels:
-            self._enqueue(branch, "cut", ante, x)
+    def _register_labels(self, branch: Branch, labels):
+        """Queue norm, and cut per antecedent, for each label new here."""
+        known = branch.labels
+        for x in labels:
+            if x not in known:
+                known[x] = None
+                self._enqueue(branch, "norm", x)
+                for ante in branch.antecedents:
+                    self._enqueue(branch, "cut", ante, x)
 
     def _enable(self, branch: Branch, expr: NodeExpr):
-        """Queue every rule instance the new expression participates in."""
+        """Queue every rule instance the new expression participates in.
+        Only root nodes register antecedents: rules add subformulas of the
+        nodes they fire on, and cut an antecedent, so none is ever new."""
         kind = type(expr)
         if kind is Signed:
             f, x = expr.formula, expr.label
-            self._register_label(branch, x)
-            for ante in self._cond_antecedents(f):
-                self._register_antecedent(branch, ante)
-            rule = _SINGLE.get((expr.sign, type(f)))
+            if x not in branch.labels:
+                self._register_labels(branch, (x,))
+            if self.walked is not None:  # a root node, whose label x is the only one
+                for ante in _cond_antecedents(f, self.walked):
+                    if ante not in branch.antecedents:
+                        branch.antecedents[ante] = None
+                        self._enqueue(branch, "cut", ante, x)
+            rule = _SINGLE[expr.sign].get(type(f))
             if rule is not None:
                 if rule == "F~>" and x == _ROOT:
                     rule = "F~>0"
@@ -381,28 +384,26 @@ class _Prover:
                     self._pair(branch, "T:", expr, (Just, x, f.term),
                                (TermEdge, x, f.term), True)
         elif kind is FormulaEdge:
-            self._register_label(branch, expr.src)
-            self._register_label(branch, expr.dst)
+            self._register_labels(branch, (expr.src, expr.dst))
             self._pair(branch, "T~>", expr, (FormulaEdge, expr.src, expr.antecedent),
                        (RelCf, expr.src, expr.antecedent), False)
         elif kind is TermEdge:
-            self._register_label(branch, expr.src)
-            self._register_label(branch, expr.dst)
+            self._register_labels(branch, (expr.src, expr.dst))
             if isinstance(expr.term, Sum):
                 self._enqueue(branch, "sum", expr)
             self._pair(branch, "T:", expr, (TermEdge, expr.src, expr.term),
                        (Just, expr.src, expr.term), False)
         else:
-            for lab in expr:
-                self._register_label(branch, lab)
+            self._register_labels(branch, expr)
             self._pair(branch, "T->", expr, (Ternary, expr.x), (RelImp, expr.x), False)
 
     # -- rule firing ---------------------------------------------------------
 
-    def _cite(self, branch: Branch, rule: str, a, b) -> str:
+    def _cite(self, branch: Branch, rule: str, a, b) -> tuple:
+        """The rule and its nodes' lines; norm and cut fire on no node."""
         nodes = branch.nodes
-        sources = [nodes[d] for d in (a, b) if d in nodes]
-        return rule if not sources else rule + " " + " ".join(map(str, sources))
+        return ((rule,) if a not in nodes else (rule, nodes[a]) if b is None
+                else (rule, nodes[a], nodes[b]))
 
     def _fresh(self, branch: Branch, count: int) -> list[Label]:
         """count new labels, drawn together.  Past the budget it draws none,
@@ -448,7 +449,7 @@ class _Prover:
 
     def search(self, root: Branch):
         # (branch, alternative nodes, tag, whether to copy the branch first)
-        pending: list[tuple[Branch, tuple | None, str, bool]] = [(root, None, "", False)]
+        pending: list[tuple[Branch, tuple | None, tuple, bool]] = [(root, None, (), False)]
         while pending and not self.step_capped:
             branch, alt, tag, fork = pending.pop()
             if self.cannot_close and branch.blocked:
@@ -478,8 +479,9 @@ class _Prover:
     def run(self) -> ProofResult:
         root = Branch()
         # Premises all sit at +0, so only the goal can close the root.
-        self.add_nodes(root, [Signed(f, True, _ROOT) for f in self.premises], "premise")
-        alive = self.add_nodes(root, [Signed(self.goal, False, _ROOT)], "goal")
+        self.add_nodes(root, [Signed(f, True, _ROOT) for f in self.premises], ("premise",))
+        alive = self.add_nodes(root, [Signed(self.goal, False, _ROOT)], ("goal",))
+        self.walked = None
         outcome = _CLOSED if not alive else self.search(root)
         if isinstance(outcome, Branch):
             model, root_state = extract_model(outcome)
@@ -496,7 +498,7 @@ class _Prover:
 def prove(premises, goal: Formula, budget: Budget | dict | None = None) -> ProofResult:
     """Build a tableau for the sequent; never answers wrongly under budget."""
     if budget is None:
-        budget = Budget()
+        budget = _DEFAULT_BUDGET
     elif not isinstance(budget, Budget):
         budget = Budget(**budget)
     premises = tuple(premises)
@@ -505,40 +507,38 @@ def prove(premises, goal: Formula, budget: Budget | dict | None = None) -> Proof
     return _Prover(premises, goal, budget).run()
 
 
-def _state_name(x: Label) -> str:
-    return f"w{x.index}s" if x.sharped else f"w{x.index}"
-
-
 def extract_model(branch: Branch) -> tuple[RoutleyModel, str]:
     """Read the induced countermodel off an open complete branch: label i
-    of the sorted labels is state bit i. Every index is thus a state, the
-    star, a label's bar or the label itself, is an involution, and every
-    row has a cell per state: RoutleyModel._from_masks stores them as
-    they are."""
+    of the sorted labels is state bit i. So every index is a state, the star
+    (a label's bar, or the label) is an involution, and every row has a cell
+    per state: RoutleyModel._from_masks stores them as they are."""
     if not branch.complete:
         raise ValueError("countermodels come only from complete open branches")
     labels = sorted(branch.labels)
-    bit = {x: i for i, x in enumerate(labels)}
     n = len(labels)
+    bit = dict(zip(labels, range(n)))
     tern = [[0] * n for _ in labels]
     term_rows: dict[Term, list[int]] = {}
     overrides: dict[Formula, list[int]] = {f: [0] * n for f in branch.antecedents}
     atoms: dict[str, int] = {}
     for expr in branch.nodes:
-        if isinstance(expr, Ternary):
+        kind = type(expr)
+        if kind is Signed:
+            if expr.sign and type(expr.formula) is Atom:
+                a = expr.formula.name
+                atoms[a] = atoms.get(a, 0) | 1 << bit[expr.label]
+        elif kind is Ternary:
             tern[bit[expr.x]][bit[expr.y]] |= 1 << bit[expr.z]
-        elif isinstance(expr, TermEdge):
+        elif kind is TermEdge:
             term_rows.setdefault(expr.term, [0] * n)[bit[expr.src]] |= 1 << bit[expr.dst]
-        elif isinstance(expr, FormulaEdge):
+        else:
             overrides[expr.antecedent][bit[expr.src]] |= 1 << bit[expr.dst]
-        elif expr.sign and isinstance(expr.formula, Atom):
-            a = expr.formula.name
-            atoms[a] = atoms.get(a, 0) | 1 << bit[expr.label]
-    states = tuple(map(_state_name, labels))
+    states = tuple([f"w{i}s" if sharp else f"w{i}" for i, sharp in labels])
     root = states[bit[_ROOT]]
+    # a label's bar (i, not sharp) finds the Label in bit as an equal key
     model = RoutleyModel._from_masks(
         _frame(states, frozenset({root}), RelScheme.TruthsetAll, True),
-        tuple(bit.get(x.bar(), i) for i, x in enumerate(labels)),
+        tuple([bit.get((x, not sharp), i) for i, (x, sharp) in enumerate(labels)]),
         tuple(map(tuple, tern)), atoms,
         {t: tuple(rows) for t, rows in term_rows.items()},
         {f: tuple(rows) for f, rows in overrides.items()})

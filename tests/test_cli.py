@@ -53,6 +53,51 @@ class TestParseSequent:
         with pytest.raises(ParseError):
             parse_sequent("p |- q |- r", Dialect.JRC)
 
+    @pytest.mark.parametrize("text, premises, goal", [
+        ("<x, q>:p |- p", ["<x, q>:p"], "p"),
+        ("<x, q>:p, q |- x:p", ["<x, q>:p", "q"], "x:p"),
+        ("p, <x, <y, r>:q>:p, q |- x:p", ["p", "<x, <y, r>:q>:p", "q"], "x:p"),
+    ])
+    def test_a_pair_term_comma_does_not_split_premises(self, text, premises, goal):
+        lpcint = Dialect.LPCint
+        assert parse_sequent(text, lpcint) == (
+            tuple(parse_formula(t, lpcint) for t in premises), parse_formula(goal, lpcint))
+
+    def test_pair_term_premises_reach_the_search(self, capsys):
+        code, out, _ = run(capsys, "falsify", "--dialect", "lpcint", "--bound", "2",
+                           "<x, q>:p |- p")
+        assert (code, out) == (0, "no countermodel within 2 states\n")
+        code, out, _ = run(capsys, "falsify", "--dialect", "lpcint", "--bound", "2",
+                           "--format", "json", "<x, q>:p, q |- x:p")
+        doc = json.loads(out)
+        assert code == 0 and doc["found"] and doc["state"] == "w0"
+        assert len(doc["model"]["states"]) == 2
+
+    # The offset counts from the start of the sequent, as the '|-' error's does.
+    @pytest.mark.parametrize("text, offset", [
+        ("p |- q &", 8), ("p, q & |- p", 7), ("p, q &, r |- p", 6), ("p ~> |- q", 5),
+        ("p |- q |- r", 7),
+    ])
+    def test_errors_name_their_offset_in_the_sequent(self, text, offset, capsys):
+        with pytest.raises(ParseError) as exc:
+            parse_sequent(text, Dialect.JRC)
+        assert exc.value.pos == offset
+        code, _, err = run(capsys, "prove", text)
+        assert code == 2 and f"(at offset {offset})" in err
+
+    @pytest.mark.parametrize("text, offset", [
+        ("p,,q |- p", 2), (", |- p", 0), ("p, |- q", 2), (" , p |- q", 0),
+    ])
+    def test_an_empty_premise_is_rejected(self, text, offset, capsys):
+        with pytest.raises(ParseError, match=f"empty premise \\(at offset {offset}\\)"):
+            parse_sequent(text, Dialect.JRC)
+        code, _, err = run(capsys, "prove", text)
+        assert code == 2 and "empty premise" in err
+
+    @pytest.mark.parametrize("text", ["|- p", "  |- p", "p"])
+    def test_no_premises_stay_valid(self, text):
+        assert parse_sequent(text, Dialect.JRC) == ((), parse_formula("p", Dialect.JRC))
+
 
 class TestParseCommand:
     def test_formula_roundtrip(self, capsys):

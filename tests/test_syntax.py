@@ -22,7 +22,7 @@ from condjust.hilbert import match_axiom
 from condjust.kripke_models import KripkeModel, check_conditions, profile_for
 from condjust.routley_models import RoutleyModel, check_jrc_conditions
 from condjust.tableau import prove
-from util_gen import ast_strategies
+from util_gen import ast_strategies, within_seconds
 import seed_syntax
 import seed_walks
 
@@ -435,6 +435,36 @@ def test_deep_chain_gets_a_condition_report():
 def test_print_formula_rejects_a_non_formula(bad):
     with pytest.raises(TypeError, match="not a formula node"):
         print_formula(bad)
+
+
+def _shared_chain(depth: int):
+    """f_depth, where f_0 = p and f_(k+1) = f_k ~> f_k: interned, a DAG of
+    depth + 1 nodes whose tree has 2**(depth + 1) - 1 of them."""
+    f = p
+    for _ in range(depth):
+        f = RelCf(f, f)
+    return f
+
+
+def test_walks_visit_a_shared_subtree_once(monkeypatch):
+    # Fresh accepted sets, so the check walks the whole chain; a walk per
+    # path would take 2**41 steps.
+    monkeypatch.setattr(sx, "_ACCEPTED", {d: set() for d in Dialect})
+    f = _shared_chain(40)
+    with within_seconds(10):
+        check_dialect_formula(f, Dialect.JRC)
+        assert atoms(f) == {"p"}
+    assert sx._ACCEPTED[Dialect.JRC] == {_shared_chain(k) for k in range(41)}
+
+
+def test_a_shared_subtree_keeps_the_first_error():
+    # The refused box sits under both sides of every conditional.
+    f = Box(p)
+    for _ in range(40):
+        f = RelCf(f, f)
+    with within_seconds(10), pytest.raises(ValueError) as exc:
+        check_dialect_formula(f, Dialect.JRC)
+    assert str(exc.value) == _gate(seed_walks.check_dialect_formula, Box(p), Dialect.JRC)
 
 
 @pytest.mark.parametrize("bad", [p, "x", None, Sum(Variable("x"), p)],

@@ -8,7 +8,9 @@ from pathlib import Path
 from textwrap import dedent
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import condjust.syntax as sx
 from condjust import tableau
 from condjust.falsifier import find_countermodel
 from condjust.routley_models import (
@@ -16,7 +18,7 @@ from condjust.routley_models import (
     eval_jrc,
     routley_model_to_json,
 )
-from condjust.syntax import Dialect, Neg, parse_formula
+from condjust.syntax import Atom, Dialect, Neg, RelCf, parse_formula
 from condjust.tableau import (
     Branch,
     Budget,
@@ -32,6 +34,7 @@ from condjust.tableau import (
     prove,
     verify_result,
 )
+from util_gen import ast_strategies, within_seconds
 
 
 def pf(text: str):
@@ -380,6 +383,90 @@ class TestBlockedBranchSkip:
         m = re.fullmatch(r"fresh-label budget of 8 blocked a branch after (\d+) fired instances",
                          r.report)
         assert m and int(m[1]) < 100
+
+
+def _per_node_enable(prover, branch, expr, enable=tableau._Prover._enable):
+    """Antecedent registration as it was before root-only registration:
+    every new signed node registers its label, then the antecedents of its
+    formula's conditional subformulas, in pre-order from a per-proof memo
+    filled along the formula's plan, then queues its own rule.  A root
+    node's own walk then finds every antecedent registered."""
+    if type(expr) is Signed:
+        memo = prover.__dict__.setdefault("antecedents_of", {})
+        for g in sx._plan(expr.formula):
+            if g not in memo:
+                own = (g.left,) if type(g) is RelCf else ()
+                memo[g] = tuple(dict.fromkeys(
+                    [*own, *(a for k in sx._children(g) for a in memo[k])]))
+        prover._register_labels(branch, (expr.label,))
+        for ante in memo[expr.formula]:
+            if ante not in branch.antecedents:
+                branch.antecedents[ante] = None
+                for x in branch.labels:
+                    prover._enqueue(branch, "cut", ante, x)
+    enable(prover, branch, expr)
+
+
+def _copy_with_antecedents(branch, copy=tableau.Branch.copy):
+    # Branches no longer copy the antecedents, which only the root fills.
+    twin = copy(branch)
+    twin.antecedents = branch.antecedents.copy()
+    return twin
+
+
+def _full_result(r) -> tuple:
+    if isinstance(r, Closed):
+        return "Closed", r.tree, r.steps
+    if isinstance(r, Open):
+        return ("Open", r.branch.text(), routley_model_to_json(r.extracted), r.root_state)
+    return "Exhausted", r.report
+
+
+_REGISTRATION_BUDGETS = [Budget(), Budget(6, 500), Budget(16, 20000)]
+
+
+def _assert_root_registration_matches(premises, goal):
+    for budget in _REGISTRATION_BUDGETS:
+        got = prove(premises, goal, budget)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(tableau._Prover, "_enable", _per_node_enable)
+            m.setattr(tableau.Branch, "copy", _copy_with_antecedents)
+            was = prove(premises, goal, budget)
+        assert _full_result(got) == _full_result(was), (premises, goal, budget)
+
+
+class TestRootOnlyAntecedents:
+    """Rules add subformulas of the nodes they fire on, and cut adds an
+    antecedent, so the root nodes register every antecedent a proof meets:
+    registering them per node instead changes no trace, step count, model
+    or report."""
+
+    def test_answers_match_per_node_registration(self):
+        for premises, goal in _differential_sequents():
+            _assert_root_registration_matches(premises, goal)
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_drawn_answers_match_per_node_registration(self, data):
+        _, formulas = ast_strategies(Dialect.JRC)
+        premises = tuple(data.draw(st.lists(formulas, max_size=2)))
+        _assert_root_registration_matches(premises, data.draw(formulas))
+
+    def test_root_antecedents_of_a_shared_chain(self, monkeypatch):
+        # f_(k+1) = f_k ~> f_k from f_0 = p is a DAG of 41 nodes at k = 40;
+        # fresh accepted sets make prove's dialect check walk all of it.
+        chain = [Atom("p")]
+        for _ in range(40):
+            chain.append(RelCf(chain[-1], chain[-1]))
+        monkeypatch.setattr(sx, "_ACCEPTED", {d: set() for d in Dialect})
+        with within_seconds(10):
+            assert tableau._cond_antecedents(chain[40], set()) == chain[39::-1]
+            assert isinstance(prove([], chain[40], Budget(1, 50)), Exhausted)
+
+    def test_a_root_walk_skips_what_earlier_roots_walked(self):
+        walked = set()
+        assert tableau._cond_antecedents(pf("(p ~> q) ~> r"), walked) == [pf("p ~> q"), pf("p")]
+        assert tableau._cond_antecedents(pf("(p ~> q) & (q ~> p)"), walked) == [pf("q")]
 
 
 class TestDeterminism:

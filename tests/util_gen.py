@@ -1,5 +1,9 @@
-"""Randomized AST builders shared across the test suite."""
+"""Randomized AST builders, and a deadline for one block, shared across
+the test suite."""
 
+import contextlib
+import signal
+import threading
 from functools import lru_cache
 
 import hypothesis.strategies as st
@@ -56,3 +60,25 @@ def ast_strategies(dialect, atom_names=("p", "q", "r", "p0")):
 
     _formula = st.recursive(atom, fext, max_leaves=6)
     return term, _formula
+
+
+@contextlib.contextmanager
+def within_seconds(seconds: float):
+    """Raise TimeoutError in the block once it has run for seconds, so a
+    walk that goes exponential fails instead of hanging.  The timer is
+    SIGALRM's, so off the main thread, or where there is no SIGALRM, the
+    block runs without a deadline."""
+    if not hasattr(signal, "setitimer") or threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"the block ran past {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
