@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -163,11 +164,18 @@ def _parse_or_die(text: str, dialect: Dialect, parse=parse_formula):
         raise _InputError(str(exc)) from exc
 
 
+def _print(text: str) -> None:
+    """Print a line to stdout at once. Once the reader has closed the pipe,
+    the rest of the output goes to the null device, so the command still
+    ends with its own exit code and no traceback."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(args, payload: dict, text: str) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+    _print(json.dumps(payload, indent=2, sort_keys=True) if args.format == "json" else text)
 
 
 def _witness_strs(witness) -> list[str] | None:
@@ -497,7 +505,7 @@ def _cmd_corpus(args) -> int:
     outcomes = run_corpus(doc, base)
     failed = [(c, detail) for c, ok, detail in outcomes if not ok]
     if args.format == "json":
-        print(json.dumps({
+        _print(json.dumps({
             "passed": len(outcomes) - len(failed),
             "failed": len(failed),
             "cases": [
@@ -514,8 +522,8 @@ def _cmd_corpus(args) -> int:
                 line += f"  ({c['note']})"
             if detail:
                 line += f": {detail}"
-            print(line)
-        print(f"{len(outcomes) - len(failed)} passed, {len(failed)} failed")
+            _print(line)
+        _print(f"{len(outcomes) - len(failed)} passed, {len(failed)} failed")
     return 1 if failed else 0
 
 

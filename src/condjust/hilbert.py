@@ -12,6 +12,7 @@ conclusion with an explicit term.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 from condjust.kripke_models import (
     AxiomaticallyAppropriate, ConstantSpecification, Explicit, _slice_patterns,
@@ -187,6 +188,41 @@ _STRUCTURAL: dict[Dialect, tuple[str, ...]] = {
 _TAUT_VAR_CAP = 16
 
 
+def _compile(tpl, path: str = "", plan=None) -> tuple:
+    """The flat match plan of a template, by a pre-order walk: each class
+    test below the root, parents first, so no path is read before its
+    parents' classes pass; an identity test (nodes are interned) per repeated
+    metavariable; each metavariable's first getter, in the walk's order."""
+    shape, same, binds = plan = plan or ([], [], {})
+    if isinstance(tpl, _MVar):
+        if tpl.name in binds:
+            same.append((binds[tpl.name], attrgetter(path)))
+        else:
+            binds[tpl.name] = attrgetter(path)
+    else:
+        if path:
+            shape.append((attrgetter(path), type(tpl)))
+        for name in tpl._fields:
+            _compile(getattr(tpl, name), f"{path}.{name}".lstrip("."), plan)
+    return tuple(shape), tuple(same), tuple(binds.items())
+
+
+# Each template as its root class and its (scheme, *plan) row, compiled once.
+_PLANS = {scheme: [(type(tpl), (scheme, *_compile(tpl))) for tpl in tpls]
+          for scheme, tpls in _TEMPLATES.items()}
+
+
+def _dispatch(schemes) -> dict[type, tuple]:
+    """Each root class's rows among the schemes', in scheme and template order."""
+    rows = [entry for scheme in schemes for entry in _PLANS[scheme]]
+    return {root: tuple(row for r, row in rows if r is root) for root, _ in rows}
+
+
+# What match_axiom tries per dialect, and check_derivation for a cited scheme.
+_BY_DIALECT = {dialect: _dispatch(schemes) for dialect, schemes in _STRUCTURAL.items()}
+_BY_SCHEME = {scheme: _dispatch((scheme,)) for scheme in _TEMPLATES}
+
+
 def _structural_schemes(dialect: Dialect) -> tuple[str, ...]:
     schemes = _STRUCTURAL.get(dialect)
     if schemes is None:
@@ -197,26 +233,6 @@ def _structural_schemes(dialect: Dialect) -> tuple[str, ...]:
 def axiom_schemes(dialect: Dialect) -> tuple[str, ...]:
     """Scheme identifiers available in the dialect, tautologies first."""
     return ("ax1",) + _structural_schemes(dialect)
-
-
-def _match_template(tpl, node, subst: dict) -> bool:
-    if isinstance(tpl, _MVar):
-        seen = subst.get(tpl.name)
-        if seen is None:
-            subst[tpl.name] = node
-            return True
-        return seen == node
-    if type(tpl) is not type(node):
-        return False
-    for name in tpl._fields:
-        a = getattr(tpl, name)
-        b = getattr(node, name)
-        if isinstance(a, str):
-            if a != b:
-                return False
-        elif not _match_template(a, b, subst):
-            return False
-    return True
 
 
 def _boolean_components(f: Formula) -> tuple[list[Formula], list[Formula]]:
@@ -261,13 +277,18 @@ def _tautology(f: Formula) -> bool:
     return value[f] == full
 
 
-def _matches_scheme(f: Formula, scheme: str) -> dict | None:
-    if scheme == "ax1":
-        return {} if _tautology(f) else None
-    for tpl in _TEMPLATES[scheme]:
-        subst: dict = {}
-        if _match_template(tpl, f, subst):
-            return subst
+def _first_match(f: Formula, rows) -> tuple[str, dict] | None:
+    """The scheme of the first row whose plan f passes, and its binding."""
+    for scheme, shape, same, binds in rows:
+        for get, cls in shape:
+            if type(get(f)) is not cls:
+                break
+        else:
+            for get, other in same:
+                if get(f) is not other(f):
+                    break
+            else:
+                return scheme, {name: get(f) for name, get in binds}
     return None
 
 
@@ -277,13 +298,11 @@ def match_axiom(
     """First axiom scheme of the dialect that f instantiates, with the
     binding of its metavariables. Structural schemes are tried before the
     tautology scheme, so instances keep their most specific tag."""
-    for scheme in _structural_schemes(dialect):
-        subst = _matches_scheme(f, scheme)
-        if subst is not None:
-            return scheme, subst
-    if _tautology(f):
+    _structural_schemes(dialect)  # reject dialects without a Hilbert system
+    hit = _first_match(f, _BY_DIALECT[dialect].get(type(f), ()))
+    if hit is None and _tautology(f):
         return "ax1", {}
-    return None
+    return hit
 
 
 # --- derivation checking --------------------------------------------------
@@ -382,7 +401,8 @@ def check_derivation(
         if isinstance(j, Axiom):
             if j.scheme not in axiom_schemes(dialect):
                 return fail(idx, f"scheme {j.scheme} is not available in {dialect.value}")
-            if _matches_scheme(f, j.scheme) is None:
+            if not (_tautology(f) if j.scheme == "ax1"
+                    else _first_match(f, _BY_SCHEME[j.scheme].get(type(f), ()))):
                 width = len(_boolean_components(f)[0])
                 if j.scheme == "ax1" and width > _TAUT_VAR_CAP:
                     return fail(idx, f"ax1 is decided only up to {_TAUT_VAR_CAP}"

@@ -504,8 +504,9 @@ class _Sample:
         # the positions some model checks: a row test skips the others
         self._checked_idx = tuple(i for i in range(width) if normal >> i & low)
         self._low, self._ones, self._shifts = low, (1 << width) - 1, range(1, width)
-        # check_conditions' last block answer: conditions, universe, answer
-        self._last = None, None, 0
+        # check_conditions' last block answer: conditions, the universe as
+        # given (a list's copy, else the frozen one), frozen, answer
+        self._last = None, None, None, 0
 
     def _none(self, x: int) -> int:
         """The lowest bit of each block where x has no bit: a shift by less
@@ -600,7 +601,10 @@ def valid_in_model(m, f: Formula, dialect: Dialect | None = None) -> bool:
     ev = _last_sample[0]
     if ev.m is not sample:  # read here, not through a call: a sample is asked in a row
         ev = _evaluator(sample, _last_sample)
-    return not m._normal_mask & ~(ev.mask(f) >> shift)
+    mask = ev.masks.get(f)  # its models ask for the same formulas: mostly cached
+    if mask is None:
+        mask = ev.mask(f)
+    return not m._normal_mask & ~(mask >> shift)
 
 
 def consequence(m, premises, goal: Formula, dialect: Dialect | None = None) -> bool:
@@ -705,7 +709,15 @@ def _query_part(queries: frozenset[Formula]):
     terms: set[Term] = set()
     for f in queries:  # a subformula's terms are among its parent's
         terms |= terms_of(f)
-    return formulas, frozenset(terms), tuple(sorted(terms, key=term_key))
+    terms = frozenset(terms)
+    return formulas, terms, _sorted_terms(terms)
+
+
+@functools.lru_cache(maxsize=256)
+def _sorted_terms(terms: frozenset[Term]) -> tuple[Term, ...]:
+    """The terms in term_key order. term_key prints each term, and the models
+    of one sample all add the same terms to a query's, so a set is sorted once."""
+    return tuple(sorted(terms, key=term_key))
 
 
 def _report(name: str, cids, checks: dict, m, universe,
@@ -725,7 +737,7 @@ def _report(name: str, cids, checks: dict, m, universe,
         if t not in query_terms:
             extra |= subterms(t)
     if extra:
-        terms = sorted(query_terms | extra, key=term_key)
+        terms = _sorted_terms(query_terms | extra)
     results = []
     ok = True
     for cid in cids:
@@ -750,18 +762,21 @@ def check_conditions(m: KripkeModel, profile: VariantProfile, universe,
     checks when its results are first read."""
     if not isinstance(m, KripkeModel):
         raise TypeError(f"check_conditions needs a KripkeModel, not {type(m).__name__}")
-    universe = frozenset(universe)
     link = m._sample
     if link is not None:
         sample, shift = link
         if sample._override_rows:
-            # a chunk's models are asked in a row: one answer kept, the last
+            # A chunk's models are asked in a row: one answer kept, the last.
+            # The universe as given is compared with the last one as kept (a
+            # list's copy, else the frozen set), so a hit freezes nothing.
             conditions, last = profile.conditions, sample._last
             if last[0] is conditions and last[1] == universe:
-                fails = last[2]
+                universe, fails = last[2], last[3]
             else:
+                given, universe = universe, frozenset(universe)
                 fails = _block_failures(sample, conditions, universe)
-                sample._last = conditions, universe, fails
+                kept = list(given) if type(given) is list else universe
+                sample._last = conditions, kept, universe, fails
             if fails >> shift & sample._ones:
                 if cs is not None and isinstance(cs, AxiomaticallyAppropriate):
                     cs = Explicit(cs_entries(cs))  # its entries as they are now

@@ -835,3 +835,32 @@ def test_package_runs_as_a_module():
                           capture_output=True, text=True)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ")
+
+
+_FAILING_CASE = {"cases": [{"name": "unparseable", "check": "prove",
+                            "sequent": "p ~>", "expect": "closed"}]}
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv, code", [
+    (["falsify", "--dialect", "lpcint", "--bound", "2", "<x, q>:p, q |- x:p"], 0),
+    (["corpus"], 0),
+    (["corpus", "--format", "json"], 0),
+    (["corpus", "--cases", "FAILING"], 1),
+    (["prove", "--budget-steps", "1", "s:p ~> (s+t):p"], 3),
+])
+def test_a_closed_pipe_ends_quietly_with_the_commands_code(tmp_path, argv, code, unbuffered):
+    """A reader that closes the pipe before reading, as `| head -n 1` may
+    after one line, leaves every write failing: the command exits with the
+    code it would have given, and prints nothing to stderr. Both buffering
+    modes are run, since a buffered stdout fails only at its flush."""
+    failing = tmp_path / "cases.json"
+    failing.write_text(json.dumps(_FAILING_CASE), encoding="utf-8")
+    argv = [str(failing) if a == "FAILING" else a for a in argv]
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen([sys.executable, "-m", "condjust", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (code, b"")

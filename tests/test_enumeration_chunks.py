@@ -199,6 +199,24 @@ def test_block_reports_follow_each_call_on_one_chunk():
         assert got.ok == want.ok and got == want
 
 
+def test_every_kind_of_universe_gets_the_unlinked_answer():
+    """A chunk keeps its last universe as given to compare the next one
+    with: a list's copy, else the frozen set. Universes of every kind, with
+    equal or different members, asked in a row of one chunk's models, each
+    get the report of the model's unlinked copy."""
+    f = parse_formula("q > p", LPC)
+    sig = SearchSignature.for_sequent([], f, LPC, 2)
+    chunk = [m for m in iter_kripke_models(sig) if len(m.states) == len(m.normal) == 2]
+    kinds = [list, tuple, set, frozenset, lambda u: (g for g in u), dict.fromkeys]
+    profile, block = profile_for(LPC), 0
+    for i, m in enumerate(chunk):
+        universe = (f,) if i % 4 < 3 else (f, p)
+        got = check_conditions(m, profile, kinds[i % len(kinds)](universe))
+        block += answered_by_block(got)
+        assert got == check_conditions(pickle.loads(pickle.dumps(m)), profile, universe)
+    assert block
+
+
 def test_block_report_honours_the_constant_specification():
     """Condition 3 reads the specification's entries as they were at the
     call, whenever the results are made."""

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from condjust.fixtures import fixture_json, fixture_text
 from condjust.hilbert import (
     CS, MP, RCEA, RCK, RCN, Axiom, CheckResult, Derivation, Hyp, Line, Nec,
+    _STRUCTURAL, _TEMPLATES, _MVar,
     _boolean_components, _tautology, axiom_schemes, check_derivation, derive_cc, derive_rck, expand_rck,
     implication_form, internalize, load_constant_specification, match_axiom,
     parse_derivation, print_derivation,
@@ -22,8 +23,9 @@ from condjust.kripke_models import (
 )
 from condjust.syntax import (
     And, App, Atom, Bang, Box, Constant, Counterfactual, Dialect, Just, MatImp, Neg,
-    Pair, Sum, Variable, parse_formula, parse_term, print_formula,
+    Pair, Sum, Variable, check_dialect_formula, parse_formula, parse_term, print_formula,
 )
+from util_gen import ast_strategies
 
 LPC = Dialect.LPCplus
 INT = Dialect.LPCint
@@ -820,3 +822,167 @@ def test_component_cap_is_kept():
     res = check_derivation(derive_rck(pf("p"), [pf(f"q{i}") for i in range(15)], pf("r")), LPC)
     assert (res.ok, res.error_line, res.reason) == (
         False, 181, "ax1 is decided only up to 16 components; this line has 17")
+
+
+# --- the compiled match plans against the recursive matcher ------------------
+
+
+def _reference_match(tpl, node, subst: dict) -> bool:
+    """The recursive template matcher the compiled plans replaced, kept as
+    the oracle: it binds a metavariable where it first meets it, in
+    pre-order, and compares later occurrences by equality."""
+    if isinstance(tpl, _MVar):
+        seen = subst.get(tpl.name)
+        if seen is None:
+            subst[tpl.name] = node
+            return True
+        return seen == node
+    if type(tpl) is not type(node):
+        return False
+    for name in tpl._fields:
+        a = getattr(tpl, name)
+        b = getattr(node, name)
+        if isinstance(a, str):
+            if a != b:
+                return False
+        elif not _reference_match(a, b, subst):
+            return False
+    return True
+
+
+def _reference_match_scheme(f, scheme):
+    if scheme == "ax1":
+        return {} if _tautology(f) else None
+    for tpl in _TEMPLATES[scheme]:
+        subst = {}
+        if _reference_match(tpl, f, subst):
+            return subst
+    return None
+
+
+def _reference_match_axiom(f, dialect):
+    for scheme in axiom_schemes(dialect)[1:]:
+        subst = _reference_match_scheme(f, scheme)
+        if subst is not None:
+            return scheme, subst
+    return ("ax1", {}) if _tautology(f) else None
+
+
+def _reference_axiom_line(f, tag, dialect):
+    """What check_derivation answers for the one line `1. f ; tag`."""
+    try:
+        check_dialect_formula(f, dialect)
+    except ValueError as exc:
+        return False, 1, str(exc)
+    if tag not in axiom_schemes(dialect):
+        return False, 1, f"scheme {tag} is not available in {dialect.value}"
+    if _reference_match_scheme(f, tag) is not None:
+        return True, None, None
+    width = len(_boolean_components(f)[0])
+    if tag == "ax1" and width > 16:
+        return False, 1, f"ax1 is decided only up to 16 components; this line has {width}"
+    return False, 1, f"not an instance of {tag}"
+
+
+_HILBERT_DIALECTS = sorted(_STRUCTURAL, key=lambda d: d.value)
+
+
+def _instantiate(tpl, binding):
+    if isinstance(tpl, _MVar):
+        return binding[tpl.name]
+    return type(tpl)(*(_instantiate(getattr(tpl, name), binding) for name in tpl._fields))
+
+
+def _positions(node, path=()):
+    """Every (path, node) of the tree in pre-order; a path is field names."""
+    yield path, node
+    for name in node._node_fields:
+        yield from _positions(getattr(node, name), path + (name,))
+
+
+def _replace_at(node, path, new):
+    if not path:
+        return new
+    fields = {name: getattr(node, name) for name in node._fields}
+    fields[path[0]] = _replace_at(fields[path[0]], path[1:], new)
+    return type(node)(**fields)
+
+
+# A changed node keeps its children where it can, so the result is a near
+# miss: the same tree with one constructor swapped.
+_SWAPS = {And: (MatImp, Counterfactual), MatImp: (And, Counterfactual),
+          Counterfactual: (And, MatImp), App: (Sum,), Sum: (App,)}
+
+
+@st.composite
+def _scheme_cases(draw):
+    """A dialect, one of its structural schemes' templates, an instance of
+    it with parts drawn from the dialect's strategies, and a copy of the
+    instance with one node changed."""
+    dialect = draw(st.sampled_from(_HILBERT_DIALECTS))
+    term, formula = ast_strategies(dialect)
+    scheme = draw(st.sampled_from(axiom_schemes(dialect)[1:]))
+    tpl = draw(st.sampled_from(_TEMPLATES[scheme]))
+    # Repeated draws make metavariables equal now and then, as in ax6 vs ax7.
+    pool = draw(st.lists(formula, min_size=1, max_size=3))
+    terms = draw(st.lists(term, min_size=1, max_size=2))
+    binding = {name: draw(st.sampled_from(pool)) for name in ("phi", "psi", "chi")}
+    binding |= {name: draw(st.sampled_from(terms)) for name in ("s", "t")}
+    instance = _instantiate(tpl, binding)
+    path, node = draw(st.sampled_from(list(_positions(instance))))
+    if type(node) in _SWAPS and draw(st.booleans()):
+        new = draw(st.sampled_from(_SWAPS[type(node)]))(
+            *(getattr(node, name) for name in node._fields))
+    else:
+        new = draw(term if isinstance(node, (Constant, Variable, App, Sum, Bang, Pair))
+                   else formula)
+    return dialect, scheme, instance, _replace_at(instance, path, new)
+
+
+def _assert_same_match(f, dialect):
+    got, want = match_axiom(f, dialect), _reference_match_axiom(f, dialect)
+    assert got == want
+    if want is not None:  # the binding's key order too
+        assert list(got[1]) == list(want[1])
+    return got
+
+
+class TestCompiledPlans:
+    """match_axiom and check_derivation run plans compiled from the
+    templates; they must give the recursive matcher's answer, binding
+    order included, on instances, near misses and random formulas."""
+
+    @given(_scheme_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_instances_and_near_misses(self, case):
+        dialect, scheme, instance, changed = case
+        got = _assert_same_match(instance, dialect)
+        assert got is not None and got[0] in axiom_schemes(dialect)
+        _assert_same_match(changed, dialect)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_formulas(self, data):
+        dialect = data.draw(st.sampled_from(_HILBERT_DIALECTS))
+        _assert_same_match(data.draw(ast_strategies(dialect)[1]), dialect)
+
+    @given(_scheme_cases(), st.sampled_from(sorted(_TEMPLATES) + ["ax1"]))
+    @settings(max_examples=200, deadline=None)
+    def test_one_line_axiom_derivations(self, case, tag):
+        dialect, scheme, instance, changed = case
+        for f in (instance, changed):
+            for t in (tag, scheme):
+                res = check_derivation(lines((f, Axiom(t))), dialect)
+                assert (res.ok, res.error_line, res.reason) == _reference_axiom_line(f, t, dialect)
+
+    def test_every_template_binds_in_the_reference_order(self):
+        for dialect in _HILBERT_DIALECTS:
+            for scheme in axiom_schemes(dialect)[1:]:
+                for tpl in _TEMPLATES[scheme]:
+                    # distinct atoms and variables: no earlier scheme fits
+                    binding = {"phi": Atom("a1"), "psi": Atom("a2"), "chi": Atom("a3"),
+                               "s": Variable("x1"), "t": Variable("x2")}
+                    f = _instantiate(tpl, binding)
+                    assert _assert_same_match(f, dialect)[0] == scheme
+                    res = check_derivation(lines((f, Axiom(scheme))), dialect)
+                    assert res.ok
